@@ -6,6 +6,9 @@
 
 use std::f64::consts::PI;
 
+/// Outputs computed per pass of [`FirFilter::apply`].
+const BLOCK: usize = 8;
+
 /// A finite-impulse-response filter.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FirFilter {
@@ -72,14 +75,41 @@ impl FirFilter {
 
     /// Filters a signal (zero-padded convolution, output length equals
     /// input length).
+    ///
+    /// Output `i` is `0.0 + Σ taps[k]·signal[i−k]` over the valid taps
+    /// `k ≤ i`, summed in ascending `k`. Outputs are computed eight at a
+    /// time, each in its own accumulator, so the summation order — and
+    /// therefore every bit of the result — is that of the one-output
+    /// loop.
     pub fn apply(&self, signal: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; signal.len()];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (k, &tap) in self.taps.iter().enumerate() {
-                if let Some(&x) = i.checked_sub(k).and_then(|j| signal.get(j)) {
-                    acc += tap * x;
+        let n = signal.len();
+        let last_tap = self.taps.len() - 1;
+        let mut out = vec![0.0; n];
+        let blocked = n - n % BLOCK;
+        for i0 in (0..blocked).step_by(BLOCK) {
+            let mut acc = [0.0; BLOCK];
+            // Taps valid for every output of the block.
+            let shared = i0.min(last_tap);
+            for (k, &tap) in self.taps[..=shared].iter().enumerate() {
+                let xs: &[f64; BLOCK] = signal[i0 - k..i0 - k + BLOCK]
+                    .try_into()
+                    .expect("block-sized window");
+                for (a, &x) in acc.iter_mut().zip(xs) {
+                    *a += tap * x;
                 }
+            }
+            // Near the start, later outputs see a few more taps.
+            for (j, a) in acc.iter_mut().enumerate() {
+                for k in shared + 1..=(i0 + j).min(last_tap) {
+                    *a += self.taps[k] * signal[i0 + j - k];
+                }
+            }
+            out[i0..i0 + BLOCK].copy_from_slice(&acc);
+        }
+        for (i, o) in out.iter_mut().enumerate().skip(blocked) {
+            let mut acc = 0.0;
+            for (k, &tap) in self.taps[..=i.min(last_tap)].iter().enumerate() {
+                acc += tap * signal[i - k];
             }
             *o = acc;
         }

@@ -20,13 +20,40 @@ enum Phase {
     Computing(Seconds),
 }
 
+/// Samples per acquisition window (10 ms at the SPU0414's 16 kHz).
+const WINDOW: usize = 160;
+
+/// SC's measurement: acquire a microphone window, low-pass it, and
+/// reduce it to its mean-square level. [`SenseAndSend`](crate::SenseAndSend)
+/// senses with the same meter.
+#[derive(Clone, Debug)]
+pub(crate) struct SoundMeter {
+    mic: Microphone,
+    filter: FirFilter,
+}
+
+impl SoundMeter {
+    pub(crate) fn new(mic_seed: u64) -> Self {
+        Self {
+            mic: Microphone::spu0414(mic_seed),
+            filter: FirFilter::lowpass(0.0625, 63),
+        }
+    }
+
+    /// Runs the real DSP on the next window and returns its level.
+    pub(crate) fn measure(&mut self) -> f64 {
+        let window = self.mic.acquire(WINDOW);
+        let filtered = self.filter.apply(&window);
+        filtered.iter().map(|x| x * x).sum::<f64>() / filtered.len() as f64
+    }
+}
+
 /// The Sense-and-Compute workload.
 #[derive(Clone, Debug)]
 pub struct SenseCompute {
     deadlines: EventSchedule,
-    mic: Microphone,
+    meter: SoundMeter,
     mic_power: Peripheral,
-    filter: FirFilter,
     phase: Phase,
     ops: u64,
     failed: u64,
@@ -40,9 +67,8 @@ impl SenseCompute {
     pub fn new(horizon: Seconds) -> Self {
         Self {
             deadlines: EventSchedule::periodic(costs::SC_PERIOD, horizon),
-            mic: Microphone::spu0414(0x5C_5EED),
+            meter: SoundMeter::new(0x5C_5EED),
             mic_power: Peripheral::microphone(),
-            filter: FirFilter::lowpass(0.0625, 63),
             phase: Phase::Idle,
             ops: 0,
             failed: 0,
@@ -57,10 +83,7 @@ impl SenseCompute {
     }
 
     fn complete_measurement(&mut self) {
-        // Run the real DSP: acquire a window, low-pass it, record level.
-        let window = self.mic.acquire(160);
-        let filtered = self.filter.apply(&window);
-        self.last_level = filtered.iter().map(|x| x * x).sum::<f64>() / filtered.len() as f64;
+        self.last_level = self.meter.measure();
         self.ops += 1;
     }
 }
