@@ -1,0 +1,377 @@
+//! The report runner behind every CI gate.
+//!
+//! ```text
+//! report <kind> [--check <baseline.json>] [--write-baseline <path>] [options]
+//!
+//! report scenario [--quick]     # scenario FoM matrix   -> SCENARIO_report.json, SCENARIO_attribution.{json,txt}
+//! report fault [--quick]        # fault-campaign matrix -> FAULT_report.json
+//! report fleet [--quick] [--checkpoint <path>] [--nodes <n>] [--scenario <name>]
+//!                               # salted fleet          -> FLEET_report.json, FLEET_attribution.{json,txt}
+//! report attribution            # kernel-overhead budget of SCENARIO_attribution.json
+//! report bench                  # engine speedups of BENCH_engine.json (no --write-baseline)
+//! ```
+//!
+//! Every kind produces its current report, prints it, and hands it to
+//! the shared gate path ([`react_bench::gate::run_gate`]): `--check`
+//! compares it against a committed baseline (`ci/<kind>-baseline.json`
+//! in CI) and `--write-baseline` writes it as the new one. The check
+//! baseline is loaded before anything is written, so `--check X
+//! --write-baseline X` still gates against the committed file. Exit
+//! codes: 0 ok, 1 gate violation, 2 usage, IO or parse error, 3
+//! poisoned cells (a cell's run panicked; the rest of the matrix
+//! completed around it).
+//!
+//! Artifacts land in the workspace-root `target/paper-artifacts/`.
+//!
+//! * **scenario** expands the deduplicated scenario registry into the
+//!   environment × buffer × seed matrix, runs it in parallel through
+//!   the adaptive kernel with step attribution on (bit-identical to the
+//!   unrecorded run by the telemetry contract), and prints the
+//!   environment, cell, attribution, resilience and normalized tables.
+//!   Because every scenario is seeded and deterministic, a violation
+//!   means scenario *behavior* changed. To trace one cell, use
+//!   `sim_trace <scenario/buffer/s<seed>>`.
+//! * **fault** runs the fault-campaign registry — every drift campaign
+//!   as an unaudited/audited twin pair plus the healthy twins survival
+//!   is scored against — and prints the cell and survival tables. On
+//!   top of the FoM fields the gate covers the fault counters, the
+//!   survival ratios, and any flipped auditor detection.
+//! * **fleet** fans one base scenario (default `rf-sparse-week`) out to
+//!   a salted fleet, reduces it shard by shard into streaming
+//!   percentile histograms, and prints the summary and the fleet-wide
+//!   top fine-step sources. The committed baseline *is* the `--quick`
+//!   configuration (10k nodes, one day); the report fingerprint binds
+//!   the gate to the exact fleet configuration, so a full-size report
+//!   never gates against it. `--checkpoint` persists per-shard
+//!   aggregates so an interrupted run resumes bit-identically; a
+//!   resumed run's attribution covers only the freshly run shards.
+//! * **attribution** reads the `SCENARIO_attribution.json` that
+//!   `report scenario` wrote and budgets each fallback class in engine
+//!   steps per simulated hour, two-sided
+//!   ([`react_bench::gate::AttributionBudget`]).
+//! * **bench** reads the `BENCH_engine.json` that
+//!   `cargo bench -p react-bench --bench engine` wrote and compares
+//!   each scenario's speedup, two-sided, within ±20 %.
+//!
+//! `--quick` caps scenario and fault horizons at 15 minutes for a local
+//! preview; those numbers are not comparable to a committed baseline,
+//! so there it refuses to combine with `--check` or `--write-baseline`.
+
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
+use std::process::ExitCode;
+use std::time::Instant;
+
+use react_bench::gate::{run_gate, AttributionBudget, Gate, Kind, EXIT_ERROR};
+use react_bench::{read_artifact, save_named_artifact, BenchReport};
+use react_core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
+use react_core::{
+    build_report, expand_cells, fault_cells, find_scenario, merged_attribution, render_attribution,
+    render_class_sinks, report_scenarios, run_fleet, CellAttribution, FleetBins, FleetReport,
+    FleetRunOptions, FleetSpec, Scenario, ScenarioReport,
+};
+use react_units::Seconds;
+use serde::Serialize;
+
+const USAGE: &str = "usage: report <scenario|fault|fleet|attribution|bench> \
+                     [--check <baseline.json>] [--write-baseline <path>] [options]";
+
+/// Flags that take a value; every other flag is a switch.
+const VALUE_FLAGS: [&str; 5] = [
+    "--check",
+    "--write-baseline",
+    "--checkpoint",
+    "--nodes",
+    "--scenario",
+];
+
+/// Horizon cap of the scenario and fault `--quick` previews.
+const PREVIEW_HORIZON: Seconds = Seconds::new(900.0);
+
+/// Default fleet base scenario: the cheapest salt-sensitive week-class
+/// cell.
+const FLEET_SCENARIO: &str = "rf-sparse-week";
+
+/// Full-fleet node count (the acceptance-scale run).
+const FLEET_NODES: usize = 100_000;
+
+/// Quick-fleet node count (the CI gate).
+const QUICK_FLEET_NODES: usize = 10_000;
+
+/// Quick-fleet horizon cap: one day.
+const QUICK_FLEET_HORIZON: Seconds = Seconds::new(86_400.0);
+
+/// The committed fleet seed (arbitrary, fixed forever).
+const FLEET_SEED: u64 = 0x000F_1EE7;
+
+/// The parsed command line: a kind and the flags it accepts.
+struct Cli {
+    kind: Kind,
+    flags: Vec<(String, Option<String>)>,
+}
+
+/// Whether `kind` accepts `flag`.
+fn accepts(kind: Kind, flag: &str) -> bool {
+    match flag {
+        "--check" => true,
+        "--write-baseline" => kind.writes_baseline(),
+        "--quick" => matches!(kind, Kind::Scenario | Kind::Fault | Kind::Fleet),
+        "--checkpoint" | "--nodes" | "--scenario" => kind == Kind::Fleet,
+        _ => false,
+    }
+}
+
+impl Cli {
+    fn parse(args: &[String]) -> Result<Cli, String> {
+        let (kind, rest) = args.split_first().ok_or(USAGE)?;
+        let kind = Kind::from_name(kind)
+            .ok_or_else(|| format!("unknown report kind {kind:?}\n{USAGE}"))?;
+        let mut flags = Vec::new();
+        let mut rest = rest.iter();
+        while let Some(flag) = rest.next() {
+            if !accepts(kind, flag) {
+                return Err(format!("{} does not take {flag:?}\n{USAGE}", kind.name()));
+            }
+            let value = if VALUE_FLAGS.contains(&flag.as_str()) {
+                let v = rest
+                    .next()
+                    .ok_or_else(|| format!("usage: report {} {flag} <value>", kind.name()))?;
+                Some(v.clone())
+            } else {
+                None
+            };
+            flags.push((flag.clone(), value));
+        }
+        Ok(Cli { kind, flags })
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| f == flag)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// `--quick` for the scenario and fault matrices. Preview horizons
+    /// produce cells under the same ids as the full matrix, so letting
+    /// them near a baseline would poison the gate.
+    fn preview(&self) -> Result<bool, String> {
+        let quick = self.has("--quick");
+        if quick && (self.has("--check") || self.has("--write-baseline")) {
+            return Err("--quick output is not comparable to a committed baseline".into());
+        }
+        Ok(quick)
+    }
+}
+
+fn to_json<T: Serialize>(value: &T) -> Result<String, String> {
+    serde_json::to_string(value).map_err(|e| format!("serialize: {e}"))
+}
+
+fn save(file_name: &str, contents: &str) -> Result<(), String> {
+    let path =
+        save_named_artifact(file_name, contents).map_err(|e| format!("write {file_name}: {e}"))?;
+    println!("{file_name} written to {}", path.display());
+    Ok(())
+}
+
+fn scenario(cli: &Cli) -> Result<ScenarioReport, String> {
+    let quick = cli.preview()?;
+    let mut rows = report_scenarios();
+    if quick {
+        for s in &mut rows {
+            s.horizon = s.horizon.min(PREVIEW_HORIZON);
+        }
+    }
+
+    let started = Instant::now();
+    let cells = expand_cells(&rows, &REPORT_BUFFERS, &REPORT_SEEDS);
+    let (report, profiles) = build_report(&cells, true, &Scenario::run_attributed);
+    let elapsed = started.elapsed().as_secs_f64();
+    let attributions: Vec<CellAttribution> = report
+        .cells
+        .iter()
+        .zip(profiles)
+        .map(|(cell, attr)| CellAttribution::new(cell, attr))
+        .collect();
+    let attribution_tables = format!(
+        "{}\n{}\n{}",
+        render_attribution(&attributions).render(),
+        render_class_sinks(&attributions).render(),
+        merged_attribution(&attributions).render()
+    );
+
+    println!("{}", report.render_environments().render());
+    println!("{}", report.render_cells().render());
+    println!("{attribution_tables}");
+    if !report.resilience().is_empty() {
+        println!("{}", report.render_resilience().render());
+    }
+    print!("{}", report.render_normalized().render());
+    println!(
+        "\n{} cells over {} environments in {:.1} s wall-clock \
+         ({:.1} s total cell runtime, single-core equivalent){}",
+        report.cells.len(),
+        report.environments.len(),
+        elapsed,
+        report.total_cell_seconds(),
+        if quick { "  (--quick preview)" } else { "" }
+    );
+
+    save("SCENARIO_report.json", &to_json(&report)?)?;
+    save("SCENARIO_attribution.json", &to_json(&attributions)?)?;
+    save("SCENARIO_attribution.txt", &attribution_tables)?;
+    Ok(report)
+}
+
+fn fault(cli: &Cli) -> Result<ScenarioReport, String> {
+    let quick = cli.preview()?;
+    let started = Instant::now();
+    let cells = fault_cells(quick.then_some(PREVIEW_HORIZON));
+    let (report, _) = build_report(&cells, true, &|s| (s.run(), ()));
+    let elapsed = started.elapsed().as_secs_f64();
+
+    println!("{}", report.render_cells().render());
+    print!("{}", report.render_survival().render());
+    println!(
+        "\n{} cells ({} survival pairs) in {:.1} s wall-clock{}",
+        report.cells.len(),
+        report.survival().len(),
+        elapsed,
+        if quick { "  (--quick preview)" } else { "" }
+    );
+
+    save("FAULT_report.json", &to_json(&report)?)?;
+    Ok(report)
+}
+
+fn fleet(cli: &Cli) -> Result<FleetReport, String> {
+    let quick = cli.has("--quick");
+    let name = cli.value("--scenario").unwrap_or(FLEET_SCENARIO);
+    let mut base = *find_scenario(name).ok_or_else(|| format!("unknown scenario {name:?}"))?;
+    if quick {
+        base.horizon = base.horizon.min(QUICK_FLEET_HORIZON);
+    }
+    let nodes = match cli.value("--nodes") {
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| format!("--nodes {raw:?} is not a count"))?,
+        None if quick => QUICK_FLEET_NODES,
+        None => FLEET_NODES,
+    };
+
+    let mut spec = FleetSpec::new(base, nodes, FLEET_SEED);
+    spec.bins = FleetBins::calibrated(&base, FLEET_SEED);
+    let opts = FleetRunOptions {
+        checkpoint: cli.value("--checkpoint").map(std::path::PathBuf::from),
+        max_shards: None,
+        parallel: true,
+        attribution: true,
+    };
+
+    println!(
+        "fleet: {} × {nodes} nodes, horizon {:.0} s, seed {:#x}, {} shards of {} (fingerprint {})",
+        spec.base.name,
+        spec.base.horizon.get(),
+        spec.fleet_seed,
+        spec.shard_count(),
+        spec.shard_size,
+        spec.fingerprint(),
+    );
+
+    let started = Instant::now();
+    let result = run_fleet(&spec, &opts)?;
+    let elapsed = started.elapsed().as_secs_f64();
+    let fresh_shards = result.shards_done - result.shards_resumed;
+    if result.shards_resumed > 0 {
+        println!(
+            "resumed {} shard(s) from checkpoint; ran {fresh_shards} fresh",
+            result.shards_resumed
+        );
+    }
+
+    let report = FleetReport::from_run(&spec, result.aggregate, elapsed);
+    let s = &report.summary;
+    println!(
+        "\n{:>12}  {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "", "mean", "p5", "p50", "p95", "p99"
+    );
+    println!(
+        "{:>12}  {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
+        "fom (ops)", s.fom_mean, s.fom_p5, s.fom_p50, s.fom_p95, s.fom_p99
+    );
+    println!(
+        "{:>12}  {:>12.4} {:>12.4} {:>12.4} {:>12} {:>12}",
+        "on-frac", s.on_frac_mean, s.on_frac_p5, s.on_frac_p50, "-", "-"
+    );
+    println!(
+        "{:>12}  {:>12} {:>12} {:>12.1} {:>12.1} {:>12}",
+        "outage (s)", "-", "-", s.outage_p50_s, s.outage_p95_s, "-"
+    );
+    println!(
+        "\n{} nodes, {:.0} total ops, worst outage {:.1} s, mean boots {:.1}; {:.1} s wall-clock",
+        s.nodes, s.total_ops, s.outage_max_s, s.boots_mean, elapsed
+    );
+    save("FLEET_report.json", &to_json(&report)?)?;
+
+    if let Some(attr) = &result.attribution {
+        println!("\ntop fine-step sources across the fleet:");
+        for row in attr.rows().iter().filter(|r| r.reason.is_some()).take(8) {
+            let share = if attr.total_steps() == 0 {
+                0.0
+            } else {
+                100.0 * row.steps as f64 / attr.total_steps() as f64
+            };
+            println!(
+                "  {:>28}  {:>14} steps  {share:>5.1} %  {:>14.1} sim-s",
+                row.label(),
+                row.steps,
+                row.seconds
+            );
+        }
+        if result.shards_resumed > 0 {
+            println!("  (profile covers the {fresh_shards} freshly executed shard(s) only)");
+        }
+        save("FLEET_attribution.json", &to_json(attr)?)?;
+        save("FLEET_attribution.txt", &attr.render())?;
+    }
+    Ok(report)
+}
+
+fn run(args: &[String]) -> Result<u8, String> {
+    let cli = Cli::parse(args)?;
+    let (kind, check, write) = (
+        cli.kind,
+        cli.value("--check"),
+        cli.value("--write-baseline"),
+    );
+    Ok(match kind {
+        Kind::Scenario => run_gate(kind, &scenario(&cli)?, check, write),
+        Kind::Fault => run_gate(kind, &fault(&cli)?, check, write),
+        Kind::Fleet => run_gate(kind, &fleet(&cli)?, check, write),
+        Kind::Attribution => {
+            let file = "SCENARIO_attribution.json";
+            let budget = AttributionBudget::measure(&read_artifact(file)?)
+                .map_err(|e| format!("{file}: {e}"))?;
+            run_gate(kind, &budget, check, write)
+        }
+        Kind::Bench => {
+            let file = "BENCH_engine.json";
+            let report =
+                BenchReport::parse(&read_artifact(file)?).map_err(|e| format!("{file}: {e}"))?;
+            run_gate(kind, &report, check, write)
+        }
+    })
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    ExitCode::from(run(&args).unwrap_or_else(|e| {
+        eprintln!("report: {e}");
+        EXIT_ERROR
+    }))
+}

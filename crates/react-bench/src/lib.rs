@@ -4,8 +4,12 @@
 //! (Tables 2–5, Figures 1/6/7, the §5.1 overhead characterization, and
 //! the ablations), printing the same rows/series the paper reports and
 //! then timing a representative kernel under criterion.
+//!
+//! [`gate`] holds the CI gates the `report` binary runs.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
+pub mod gate;
 
 use react_buffers::BufferKind;
 use react_core::report::TextTable;
@@ -14,7 +18,8 @@ use react_traces::PaperTrace;
 use serde::{Deserialize, Serialize};
 
 /// One engine-bench scenario's performance record — the unit the CI
-/// perf-regression gate compares against its committed baseline.
+/// perf-regression gate (`report bench`) compares against its committed
+/// baseline.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BenchScenario {
     /// Stable scenario identifier (the gate matches on it).
@@ -115,14 +120,21 @@ pub fn save_bench_report(name: &str, report: &BenchReport) {
 }
 
 /// Writes `contents` verbatim as `target/paper-artifacts/<file_name>`
-/// under the workspace root, returning the written path (the scenario
-/// report uses it for `SCENARIO_report.json`).
+/// under the workspace root, returning the written path (the `report`
+/// binary uses it for `SCENARIO_report.json` and its siblings).
 pub fn save_named_artifact(file_name: &str, contents: &str) -> std::io::Result<std::path::PathBuf> {
     let dir = artifact_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(file_name);
     std::fs::write(&path, contents)?;
     Ok(path)
+}
+
+/// Reads `target/paper-artifacts/<file_name>` under the workspace root
+/// (the current report of the gates that do not build their own).
+pub fn read_artifact(file_name: &str) -> Result<String, String> {
+    let path = artifact_dir().join(file_name);
+    std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// The five evaluation traces (re-exported for benches).

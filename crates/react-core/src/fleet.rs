@@ -1094,18 +1094,6 @@ impl Default for FleetTolerances {
     }
 }
 
-impl FleetTolerances {
-    /// Uniformly scales every tolerance (the gate's `[tol-scale]`).
-    pub fn scaled(mut self, k: f64) -> Self {
-        self.rel *= k;
-        self.fom_floor *= k;
-        self.on_frac_floor *= k;
-        self.outage_floor_s *= k;
-        self.boots_floor *= k;
-        self
-    }
-}
-
 fn gate_field(
     violations: &mut Vec<String>,
     name: &str,

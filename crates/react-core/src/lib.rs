@@ -62,10 +62,9 @@ pub use scenario::{
     fault_scenario_registry, find_scenario, run_scenarios, scenario_registry, EnvKind, Scenario,
 };
 pub use scenario_report::{
-    build_attributed_report, build_fault_report, build_full_report, build_report,
-    build_report_with, compare_reports, merged_attribution, render_attribution, render_class_sinks,
-    report_scenarios, CellAttribution, PoisonedCell, ResilienceRow, ScenarioCell, ScenarioReport,
-    SurvivalRow, Tolerances,
+    build_report, compare_reports, expand_cells, fault_cells, merged_attribution,
+    render_attribution, render_class_sinks, report_scenarios, CellAttribution, PoisonedCell,
+    ResilienceRow, ScenarioCell, ScenarioReport, SurvivalRow, Tolerances,
 };
 pub use sim::{ConstantLoad, KernelMode, SimCore, SimError, Simulator};
 pub use sweep::SweepOptions;

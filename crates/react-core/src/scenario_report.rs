@@ -120,7 +120,7 @@ pub struct ScenarioCell {
     #[serde(default)]
     pub audit_trips: u64,
     /// Kernel iterations the engine spent on the cell (not gated:
-    /// performance is `bench_gate`'s job; kept for the fast-path
+    /// performance is `report bench`'s job; kept for the fast-path
     /// collapse column).
     pub engine_steps: u64,
     /// `horizon / dt` — what the fixed-`dt` reference kernel would
@@ -130,7 +130,7 @@ pub struct ScenarioCell {
     /// Wall-clock seconds this cell took to simulate. Diagnostic only:
     /// excluded from equality and from the conformance gate (absolute
     /// wall-clock does not transfer across runners — perf is
-    /// `bench_gate`'s job), but printed per cell so matrix-dominating
+    /// `report bench`'s job), but printed per cell so matrix-dominating
     /// cells are visible in CI logs.
     pub elapsed_s: f64,
 }
@@ -559,7 +559,7 @@ impl ScenarioReport {
 }
 
 /// First-occurrence dedup preserving order.
-fn dedup_keys(keys: impl Iterator<Item = String>) -> Vec<String> {
+fn dedup_keys<K: PartialEq>(keys: impl Iterator<Item = K>) -> Vec<K> {
     let mut seen = Vec::new();
     for k in keys {
         if !seen.contains(&k) {
@@ -603,33 +603,12 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Builds the report over the given environment rows × buffers × seed
-/// salts. Cells run through the default adaptive kernel, fanned out
-/// over worker threads exactly like the experiment matrix; results
-/// come back in deterministic expansion order regardless of
-/// parallelism.
-pub fn build_report(
-    scenarios: &[Scenario],
-    buffers: &[BufferKind],
-    seeds: &[u64],
-    parallel: bool,
-) -> ScenarioReport {
-    build_report_with(scenarios, buffers, seeds, parallel, &|s| s.run())
-}
-
-/// [`build_report`] with an explicit cell runner. Every cell runs
-/// inside `catch_unwind`: a panicking runner poisons that one cell
-/// (recorded in [`ScenarioReport::poisoned`]) while the rest of the
-/// matrix completes and reports normally.
-pub fn build_report_with(
-    scenarios: &[Scenario],
-    buffers: &[BufferKind],
-    seeds: &[u64],
-    parallel: bool,
-    runner: &(dyn Fn(&Scenario) -> RunOutcome + Sync),
-) -> ScenarioReport {
-    let mut runs: Vec<Scenario> = Vec::with_capacity(scenarios.len() * buffers.len() * seeds.len());
-    for s in scenarios {
+/// Expands report rows × buffers × seed salts into the explicit cell
+/// list [`build_report`] runs, in deterministic order: row-major, then
+/// buffer, then seed.
+pub fn expand_cells(rows: &[Scenario], buffers: &[BufferKind], seeds: &[u64]) -> Vec<Scenario> {
+    let mut cells = Vec::with_capacity(rows.len() * buffers.len() * seeds.len());
+    for s in rows {
         for &buffer in buffers {
             for &seed in seeds {
                 // Fully deterministic cells replay bit-identically
@@ -638,24 +617,75 @@ pub fn build_report_with(
                 if seed != 0 && !s.seed_salt_matters() {
                     continue;
                 }
-                runs.push(s.with_buffer(buffer).with_seed_salt(seed));
+                cells.push(s.with_buffer(buffer).with_seed_salt(seed));
             }
         }
     }
+    cells
+}
 
-    let cell = |s: &Scenario| -> Result<ScenarioCell, PoisonedCell> {
+/// The fault-campaign cell list: every [`FAULT_SCENARIOS`] entry run
+/// *as declared* (its own buffer — faulted scenarios are not expanded
+/// over a buffer axis, because each campaign's healthy twin is
+/// buffer-specific), plus any healthy twins that live in the benign
+/// registry, so [`ScenarioReport::survival`] can score every campaign
+/// in-report. Cells are grouped by buffer in first-appearance order.
+/// This is what `report fault` runs and gates against
+/// `ci/fault-baseline.json`.
+///
+/// [`FAULT_SCENARIOS`]: crate::scenario::FAULT_SCENARIOS
+pub fn fault_cells(horizon_cap: Option<Seconds>) -> Vec<Scenario> {
+    let mut cells: Vec<Scenario> = crate::scenario::fault_scenario_registry().to_vec();
+    // Pull in healthy twins the fault registry itself doesn't carry.
+    let twins: Vec<Scenario> = cells
+        .iter()
+        .filter_map(|s| s.healthy_twin())
+        .filter_map(find_scenario)
+        .copied()
+        .collect();
+    for twin in twins {
+        if !cells.iter().any(|s| s.name == twin.name) {
+            cells.push(twin);
+        }
+    }
+    if let Some(cap) = horizon_cap {
+        for s in &mut cells {
+            s.horizon = s.horizon.min(cap);
+        }
+    }
+    let groups: Vec<BufferKind> = dedup_keys(cells.iter().map(|s| s.buffer));
+    cells.sort_by_key(|s| groups.iter().position(|&b| b == s.buffer));
+    cells
+}
+
+/// Runs an explicit cell list (see [`expand_cells`], [`fault_cells`])
+/// and reduces it to a report. `runner` returns each cell's outcome
+/// together with its recorder — `|s| (s.run(), ())` for a plain run,
+/// [`Scenario::run_attributed`] for step attribution. Cells fan out
+/// over worker threads when `parallel`, and results come back in cell
+/// order regardless.
+///
+/// Every cell runs inside `catch_unwind`: a panicking runner poisons
+/// that one cell (recorded in [`ScenarioReport::poisoned`]) while the
+/// rest of the matrix completes and reports normally. The returned
+/// recorders are aligned with `report.cells`; poisoned cells have none.
+pub fn build_report<R: Send>(
+    cells: &[Scenario],
+    parallel: bool,
+    runner: &(dyn Fn(&Scenario) -> (RunOutcome, R) + Sync),
+) -> (ScenarioReport, Vec<R>) {
+    let cell = |s: &Scenario| -> Result<(ScenarioCell, R), PoisonedCell> {
         let started = std::time::Instant::now();
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner(s))).map_err(
-            |payload| PoisonedCell {
+        let (out, recorder) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner(s)))
+            .map_err(|payload| PoisonedCell {
                 scenario: s.name.to_string(),
                 buffer: s.buffer.label().to_string(),
                 seed: s.seed_salt,
                 message: panic_message(payload),
-            },
-        )?;
+            })?;
         let elapsed_s = started.elapsed().as_secs_f64();
         let m = &out.metrics;
-        Ok(ScenarioCell {
+        let cell = ScenarioCell {
             scenario: s.name.to_string(),
             environment: s.env.label().to_string(),
             buffer: s.buffer.label().to_string(),
@@ -680,35 +710,41 @@ pub fn build_report_with(
             engine_steps: m.engine_steps,
             fixed_dt_steps: (s.horizon.get() / s.dt.get()).round() as u64,
             elapsed_s,
-        })
+        };
+        Ok((cell, recorder))
     };
-    let results: Vec<Result<ScenarioCell, PoisonedCell>> = if parallel {
-        runs.par_iter().map(cell).collect()
+    let results: Vec<Result<(ScenarioCell, R), PoisonedCell>> = if parallel {
+        cells.par_iter().map(cell).collect()
     } else {
-        runs.iter().map(cell).collect()
+        cells.iter().map(cell).collect()
     };
-    let mut cells = Vec::with_capacity(results.len());
-    let mut poisoned = Vec::new();
+    let mut report = ScenarioReport::default();
+    let mut recorders = Vec::with_capacity(results.len());
     for r in results {
         match r {
-            Ok(c) => cells.push(c),
-            Err(p) => poisoned.push(p),
+            Ok((c, recorder)) => {
+                report.cells.push(c);
+                recorders.push(recorder);
+            }
+            Err(p) => report.poisoned.push(p),
         }
     }
 
-    // Environment summaries dedup on the environment's own salt
-    // sensitivity (a deterministic environment presents the same dark
-    // spans under every salt, even when its workload is seeded).
-    let env_rows: Vec<Scenario> = scenarios
-        .iter()
-        .flat_map(|s| {
-            seeds
+    // One environment row per (scenario, salt) the cells cover. A
+    // deterministic environment presents the same dark spans under
+    // every salt (even when its workload is seeded), so it gets a row
+    // for salt 0 only.
+    let mut env_rows: Vec<&Scenario> = Vec::new();
+    for s in cells {
+        if (s.seed_salt == 0 || s.env.salt_sensitive())
+            && !env_rows
                 .iter()
-                .filter(|&&seed| seed == 0 || s.env.salt_sensitive())
-                .map(|&seed| s.with_seed_salt(seed))
-        })
-        .collect();
-    let summary = |s: &Scenario| -> EnvSummary {
+                .any(|e| e.name == s.name && e.seed_salt == s.seed_salt)
+        {
+            env_rows.push(s);
+        }
+    }
+    let summary = |s: &&Scenario| -> EnvSummary {
         let mut source = s.source();
         let stats = dark_stats(source.as_mut(), s.horizon, DARK_FLOOR);
         EnvSummary {
@@ -722,79 +758,12 @@ pub fn build_report_with(
             longest_dark_s: stats.longest_dark_s,
         }
     };
-    let environments: Vec<EnvSummary> = if parallel {
+    report.environments = if parallel {
         env_rows.par_iter().map(summary).collect()
     } else {
         env_rows.iter().map(summary).collect()
     };
-
-    ScenarioReport {
-        environments,
-        cells,
-        poisoned,
-    }
-}
-
-/// Builds the full default report: every deduplicated registry
-/// environment × [`REPORT_BUFFERS`] × [`REPORT_SEEDS`].
-pub fn build_full_report(parallel: bool) -> ScenarioReport {
-    build_report(
-        &report_scenarios(),
-        &REPORT_BUFFERS,
-        &REPORT_SEEDS,
-        parallel,
-    )
-}
-
-/// Builds the fault-campaign report: every [`FAULT_SCENARIOS`] entry
-/// run *as declared* (its own buffer — faulted scenarios are not
-/// expanded over a buffer axis, because each campaign's healthy twin
-/// is buffer-specific), plus any healthy twins that live in the benign
-/// registry, so [`ScenarioReport::survival`] can score every campaign
-/// in-report. This is what `fault_report` renders and the
-/// `fault-smoke` CI gate diffs against `ci/fault-baseline.json`.
-///
-/// [`FAULT_SCENARIOS`]: crate::scenario::FAULT_SCENARIOS
-pub fn build_fault_report(horizon_cap: Option<Seconds>, parallel: bool) -> ScenarioReport {
-    let mut runs: Vec<Scenario> = crate::scenario::fault_scenario_registry().to_vec();
-    // Pull in healthy twins the fault registry itself doesn't carry.
-    let twins: Vec<Scenario> = runs
-        .iter()
-        .filter_map(|s| s.healthy_twin())
-        .filter_map(find_scenario)
-        .copied()
-        .collect();
-    for twin in twins {
-        if !runs.iter().any(|s| s.name == twin.name) {
-            runs.push(twin);
-        }
-    }
-    if let Some(cap) = horizon_cap {
-        for s in &mut runs {
-            s.horizon = s.horizon.min(cap);
-        }
-    }
-    // Group by buffer so `build_report`'s buffer axis is the identity
-    // for every run; merge preserves group-major deterministic order.
-    let mut buffers: Vec<BufferKind> = Vec::new();
-    for s in &runs {
-        if !buffers.contains(&s.buffer) {
-            buffers.push(s.buffer);
-        }
-    }
-    let mut merged = ScenarioReport::default();
-    for buffer in buffers {
-        let group: Vec<Scenario> = runs
-            .iter()
-            .filter(|s| s.buffer == buffer)
-            .copied()
-            .collect();
-        let r = build_report(&group, &[buffer], &[0], parallel);
-        merged.environments.extend(r.environments);
-        merged.cells.extend(r.cells);
-        merged.poisoned.extend(r.poisoned);
-    }
-    merged
+    (report, recorders)
 }
 
 /// One report cell's step-attribution profile: where the engine's
@@ -814,50 +783,19 @@ pub struct CellAttribution {
     pub attr: StepAttribution,
 }
 
-/// [`build_report`] with per-cell [`StepAttribution`] recording on.
-///
-/// Runs the same matrix through the same `catch_unwind` harness (the
-/// recorded metrics are bit-identical to the unrecorded run — the
-/// telemetry bit-identity contract pinned by `tests/telemetry.rs`),
-/// smuggling each cell's profile out through a ledger and returning
-/// the profiles aligned with `report.cells` order. Poisoned cells have
-/// no profile.
-pub fn build_attributed_report(
-    scenarios: &[Scenario],
-    buffers: &[BufferKind],
-    seeds: &[u64],
-    parallel: bool,
-) -> (ScenarioReport, Vec<CellAttribution>) {
-    let ledger: std::sync::Mutex<Vec<(String, StepAttribution)>> =
-        std::sync::Mutex::new(Vec::new());
-    let runner = |s: &Scenario| -> RunOutcome {
-        let (out, attr) = s.run_attributed();
-        ledger.lock().expect("attribution ledger poisoned").push((
-            format!("{}/{}/s{}", s.name, s.buffer.label(), s.seed_salt),
+impl CellAttribution {
+    /// Pairs a report cell with the profile its run recorded (the
+    /// recorders [`build_report`] returns under
+    /// [`Scenario::run_attributed`]).
+    pub fn new(cell: &ScenarioCell, attr: StepAttribution) -> Self {
+        CellAttribution {
+            id: cell.id(),
+            scenario: cell.scenario.clone(),
+            buffer: cell.buffer.clone(),
+            seed: cell.seed,
             attr,
-        ));
-        out
-    };
-    let report = build_report_with(scenarios, buffers, seeds, parallel, &runner);
-    let ledger = ledger.into_inner().expect("attribution ledger poisoned");
-    let attributions = report
-        .cells
-        .iter()
-        .filter_map(|c| {
-            let id = c.id();
-            ledger
-                .iter()
-                .find(|(lid, _)| *lid == id)
-                .map(|(_, attr)| CellAttribution {
-                    id: id.clone(),
-                    scenario: c.scenario.clone(),
-                    buffer: c.buffer.clone(),
-                    seed: c.seed,
-                    attr: attr.clone(),
-                })
-        })
-        .collect();
-    (report, attributions)
+        }
+    }
 }
 
 /// Folds every cell profile into one matrix-wide [`StepAttribution`].
@@ -1063,22 +1001,6 @@ impl Default for Tolerances {
     }
 }
 
-impl Tolerances {
-    /// Every tolerance scaled by `factor` (the gate's CLI knob).
-    pub fn scaled(self, factor: f64) -> Self {
-        Self {
-            fom_rel: self.fom_rel * factor,
-            fom_abs: self.fom_abs * factor,
-            on_time_abs: self.on_time_abs * factor,
-            count_rel: self.count_rel * factor,
-            count_abs: self.count_abs * factor,
-            outage_rel: self.outage_rel * factor,
-            outage_abs: self.outage_abs * factor,
-            retained_abs: self.retained_abs * factor,
-        }
-    }
-}
-
 fn within(a: f64, b: f64, rel: f64, abs: f64) -> bool {
     (a - b).abs() <= rel * a.abs().max(b.abs()) + abs
 }
@@ -1209,12 +1131,25 @@ mod tests {
     use crate::scenario::find_scenario;
     use react_units::Seconds;
 
+    /// Unrecorded report over rows × buffers × seeds.
+    fn plain(
+        rows: &[Scenario],
+        buffers: &[BufferKind],
+        seeds: &[u64],
+        parallel: bool,
+    ) -> ScenarioReport {
+        build_report(&expand_cells(rows, buffers, seeds), parallel, &|s| {
+            (s.run(), ())
+        })
+        .0
+    }
+
     fn tiny_report() -> ScenarioReport {
         // One short scenario, two buffers, one seed: fast enough for a
         // unit test while exercising the whole reduction path.
         let mut s = *find_scenario("rf-ge-hour-10mf-de").expect("registered");
         s.horizon = Seconds::new(240.0);
-        build_report(
+        plain(
             &[s],
             &[BufferKind::Static10mF, BufferKind::React],
             &[0],
@@ -1241,8 +1176,8 @@ mod tests {
     fn report_is_deterministic_and_parallel_invariant() {
         let mut s = *find_scenario("rf-ge-hour-10mf-de").expect("registered");
         s.horizon = Seconds::new(240.0);
-        let serial = build_report(&[s], &[BufferKind::Static10mF], &[0, 1], false);
-        let parallel = build_report(&[s], &[BufferKind::Static10mF], &[0, 1], true);
+        let serial = plain(&[s], &[BufferKind::Static10mF], &[0, 1], false);
+        let parallel = plain(&[s], &[BufferKind::Static10mF], &[0, 1], true);
         assert_eq!(serial, parallel);
         // Different seeds genuinely re-seed the stochastic field.
         assert_ne!(serial.cells[0].fom, serial.cells[1].fom);
@@ -1261,9 +1196,6 @@ mod tests {
         assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(violations[0].contains("FoM"), "{violations:?}");
         assert!(violations[1].contains("on-time"), "{violations:?}");
-        // A looser gate lets the on-time drift through but not the FoM.
-        let loose = compare_reports(&r, &drifted, &Tolerances::default().scaled(30.0));
-        assert!(loose.len() < violations.len(), "{loose:?}");
 
         let mut missing = r.clone();
         missing.cells.remove(0);
@@ -1297,7 +1229,7 @@ mod tests {
         // the salt — one cell and one env row despite two seeds.
         let paper = *find_scenario("paper-rfcart-de").expect("registered");
         assert!(!paper.seed_salt_matters());
-        let r = build_report(&[paper], &[BufferKind::Static770uF], &[0, 1], false);
+        let r = plain(&[paper], &[BufferKind::Static770uF], &[0, 1], false);
         assert_eq!(r.cells.len(), 1);
         assert_eq!(r.environments.len(), 1);
         // Mobility + PF: the environment is deterministic but the
@@ -1305,7 +1237,7 @@ mod tests {
         let mut commute = *find_scenario("mobility-week-pf").expect("registered");
         commute.horizon = Seconds::new(600.0);
         assert!(commute.seed_salt_matters());
-        let r = build_report(&[commute], &[BufferKind::Static770uF], &[0, 1], false);
+        let r = plain(&[commute], &[BufferKind::Static770uF], &[0, 1], false);
         assert_eq!(r.cells.len(), 2);
         assert_eq!(r.environments.len(), 1);
     }
@@ -1331,21 +1263,18 @@ mod tests {
         let mut s = *find_scenario("rf-ge-hour-10mf-de").expect("registered");
         s.horizon = Seconds::new(240.0);
         let healthy = tiny_report();
-        let r = build_report_with(
-            &[s],
-            &[BufferKind::Static10mF, BufferKind::React],
-            &[0],
-            true,
-            &|s| {
-                if s.buffer == BufferKind::React {
-                    panic!("injected fault: buffer model diverged");
-                }
-                s.run()
-            },
-        );
+        let cells = expand_cells(&[s], &[BufferKind::Static10mF, BufferKind::React], &[0]);
+        let (r, recorders) = build_report(&cells, true, &|s| {
+            if s.buffer == BufferKind::React {
+                panic!("injected fault: buffer model diverged");
+            }
+            (s.run(), s.buffer)
+        });
         // The healthy cell survived its poisoned neighbour.
         assert_eq!(r.cells.len(), 1);
         assert_eq!(r.cells[0].buffer, BufferKind::Static10mF.label());
+        // Recorders stay aligned with the surviving cells.
+        assert_eq!(recorders, [BufferKind::Static10mF]);
         assert_eq!(r.poisoned.len(), 1);
         assert_eq!(r.poisoned[0].buffer, BufferKind::React.label());
         assert!(r.poisoned[0].message.contains("injected fault"));
@@ -1371,7 +1300,7 @@ mod tests {
         benign.horizon = horizon;
         attacked.horizon = horizon;
         defended.horizon = horizon;
-        let r = build_report(
+        let r = plain(
             &[benign, attacked, defended],
             &[BufferKind::React],
             &[0],
@@ -1387,7 +1316,7 @@ mod tests {
         }
         assert!(!r.render_resilience().render().is_empty());
         // Shifting the attacked FoM shifts the retained ratio past the
-        // gate even when scaled tolerances would forgive the raw FoM.
+        // gate, not just the raw FoM field.
         let mut drifted = r.clone();
         let idx = drifted
             .cells
@@ -1412,7 +1341,7 @@ mod tests {
         audited.horizon = horizon;
         unaudited.horizon = horizon;
         healthy.horizon = horizon;
-        let r = build_report(
+        let r = plain(
             &[audited, unaudited, healthy],
             &[BufferKind::Static10mF],
             &[0],

@@ -1,19 +1,53 @@
 //! Derive macros for the in-tree `serde` shim.
 //!
 //! Supports exactly what this workspace uses: plain structs with named
-//! fields, and `#[serde(transparent)]` newtype (tuple) structs. No
-//! generics, enums, or field attributes — the derive fails loudly on
-//! anything it does not understand rather than generating wrong code.
+//! fields, `#[serde(transparent)]` newtype structs, and the field
+//! attribute `#[serde(default)]` (a missing key deserializes as
+//! `Default::default()`; serialization is unchanged). No generics or
+//! enums, and every other `serde` attribute is a `compile_error!` — the
+//! derive fails loudly on anything it does not understand rather than
+//! generating wrong code.
 
-use proc_macro::{Delimiter, TokenStream, TokenTree};
+use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
 
 struct StructInfo {
     name: String,
     transparent: bool,
     /// Named fields, in declaration order. Empty + `tuple_fields > 0`
     /// for tuple structs.
-    fields: Vec<String>,
+    fields: Vec<Field>,
     tuple_fields: usize,
+}
+
+struct Field {
+    name: String,
+    /// `#[serde(default)]`: a missing key deserializes as the default.
+    default: bool,
+}
+
+/// Reads one attribute body (the `[...]` group after `#`). Returns
+/// `Ok(false)` for non-`serde` attributes (docs, lints), `Ok(true)` for
+/// `serde(<allowed>)`, and an error naming any other `serde` item.
+fn serde_attr(attr: &Group, allowed: Option<&str>, position: &str) -> Result<bool, String> {
+    let mut tokens = attr.stream().into_iter();
+    match tokens.next() {
+        Some(TokenTree::Ident(id)) if id.to_string() == "serde" => {}
+        _ => return Ok(false),
+    }
+    let items = match (tokens.next(), tokens.next()) {
+        (Some(TokenTree::Group(g)), None) if g.delimiter() == Delimiter::Parenthesis => {
+            g.stream().to_string()
+        }
+        _ => return Err(format!("malformed serde {position} attribute `{attr}`")),
+    };
+    for item in items.split(',').map(str::trim) {
+        if Some(item) != allowed {
+            return Err(format!(
+                "serde shim: unsupported {position} attribute `serde({item})`"
+            ));
+        }
+    }
+    Ok(true)
 }
 
 /// Parses the derive input far enough to know the struct name, whether
@@ -28,10 +62,7 @@ fn parse_struct(input: TokenStream) -> Result<StructInfo, String> {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 iter.next();
                 if let Some(TokenTree::Group(g)) = iter.next() {
-                    let text = g.stream().to_string();
-                    if text.starts_with("serde") && text.contains("transparent") {
-                        transparent = true;
-                    }
+                    transparent |= serde_attr(&g, Some("transparent"), "container")?;
                 } else {
                     return Err("malformed attribute".into());
                 }
@@ -88,6 +119,9 @@ fn parse_struct(input: TokenStream) -> Result<StructInfo, String> {
                         count += 1;
                         saw_token = false;
                     }
+                    TokenTree::Group(ref g) if g.delimiter() == Delimiter::Bracket => {
+                        serde_attr(g, None, "tuple field")?;
+                    }
                     _ => saw_token = true,
                 }
             }
@@ -105,18 +139,25 @@ fn parse_struct(input: TokenStream) -> Result<StructInfo, String> {
     }
 }
 
-/// Extracts field names from a named-field body, skipping attributes,
-/// visibility, and the type tokens after each `:`.
-fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
+/// Extracts fields from a named-field body: their names and
+/// `#[serde(default)]` flags, skipping other attributes, visibility,
+/// and the type tokens after each `:`.
+fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
     let mut fields = Vec::new();
     let mut iter = body.into_iter().peekable();
     loop {
-        // Skip attributes (doc comments included) and visibility.
+        let mut default = false;
+        // Attributes (doc comments included) and visibility.
         loop {
             match iter.peek() {
                 Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                     iter.next();
-                    iter.next(); // the [...] group
+                    match iter.next() {
+                        Some(TokenTree::Group(g)) => {
+                            default |= serde_attr(&g, Some("default"), "field")?
+                        }
+                        _ => return Err("malformed field attribute".into()),
+                    }
                 }
                 Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                     iter.next();
@@ -164,7 +205,7 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
                 None => break,
             }
         }
-        fields.push(name);
+        fields.push(Field { name, default });
     }
     Ok(fields)
 }
@@ -189,14 +230,14 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                 .collect();
             format!("::serde::Value::Arr(::std::vec![{}])", elems.join(", "))
         } else {
-            let f = &info.fields[0];
+            let f = &info.fields[0].name;
             format!("::serde::Serialize::to_value(&self.{f})")
         }
     } else {
         let entries: Vec<String> = info
             .fields
             .iter()
-            .map(|f| {
+            .map(|Field { name: f, .. }| {
                 format!(
                     "(::std::string::String::from({f:?}), ::serde::Serialize::to_value(&self.{f}))"
                 )
@@ -228,13 +269,23 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             .collect();
         format!("::std::result::Result::Ok({name}({}))", elems.join(", "))
     } else if info.transparent && info.fields.len() == 1 {
-        let f = &info.fields[0];
+        let f = &info.fields[0].name;
         format!("::std::result::Result::Ok({name} {{ {f}: ::serde::Deserialize::from_value(v)? }})")
     } else {
         let inits: Vec<String> = info
             .fields
             .iter()
-            .map(|f| format!("{f}: ::serde::Deserialize::from_value(v.field({f:?})?)?"))
+            .map(|Field { name: f, default }| {
+                if *default {
+                    format!(
+                        "{f}: match v.opt_field({f:?})? {{ \
+                             ::std::option::Option::Some(x) => ::serde::Deserialize::from_value(x)?, \
+                             ::std::option::Option::None => ::std::default::Default::default() }}"
+                    )
+                } else {
+                    format!("{f}: ::serde::Deserialize::from_value(v.field({f:?})?)?")
+                }
+            })
             .collect();
         format!(
             "::std::result::Result::Ok({name} {{ {} }})",

@@ -4,11 +4,21 @@
 //! so this shim provides the subset the workspace relies on: a
 //! `Serialize`/`Deserialize` trait pair over an owned JSON-like
 //! [`Value`] tree, plus derive macros (re-exported from
-//! `serde-derive-shim`) for plain structs and `#[serde(transparent)]`
-//! newtypes. `serde_json` (also shimmed) renders [`Value`] to and from
-//! JSON text. Swap the workspace path dependency for the real crates to
-//! drop both shims at once.
+//! `serde-derive-shim`) for plain structs, `#[serde(transparent)]`
+//! newtypes and `#[serde(default)]` fields. `serde_json` (also shimmed)
+//! renders [`Value`] to and from JSON text. Swap the workspace path
+//! dependency for the real crates to drop both shims at once.
 
+/// The derive macros. Any `serde` attribute they do not implement is a
+/// compile error, never silently ignored:
+///
+/// ```compile_fail
+/// #[derive(serde::Deserialize)]
+/// struct Renamed {
+///     #[serde(rename = "b")]
+///     a: u32,
+/// }
+/// ```
 pub use serde_derive_shim::{Deserialize, Serialize};
 
 use std::fmt;
@@ -34,12 +44,15 @@ impl Value {
     /// Looks up an object field, erroring when `self` is not an object
     /// or the key is missing.
     pub fn field(&self, key: &str) -> Result<&Value, Error> {
+        self.opt_field(key)?
+            .ok_or_else(|| Error::custom(format!("missing field `{key}`")))
+    }
+
+    /// Looks up an object field that may be absent (`Ok(None)`),
+    /// erroring only when `self` is not an object.
+    pub fn opt_field(&self, key: &str) -> Result<Option<&Value>, Error> {
         match self {
-            Value::Obj(entries) => entries
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| Error::custom(format!("missing field `{key}`"))),
+            Value::Obj(entries) => Ok(entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)),
             _ => Err(Error::custom(format!(
                 "expected object while reading field `{key}`"
             ))),

@@ -15,11 +15,13 @@
 //! the requested horizon (default: the scenario's own, capped at one
 //! week) and prints summary statistics. `report` runs the scenario
 //! figure-of-merit matrix (environment × buffer × seed) and prints the
-//! same tables the `scenario_report` binary gates CI with — filtered to
+//! same tables the `report scenario` binary gates CI with — filtered to
 //! one scenario and/or a truncated horizon if asked, full otherwise.
 
 use react_repro::core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
-use react_repro::core::{build_report, find_scenario, report_scenarios, scenario_registry};
+use react_repro::core::{
+    build_report, expand_cells, find_scenario, report_scenarios, scenario_registry,
+};
 use react_repro::env::materialize;
 use react_repro::prelude::*;
 use react_repro::traces::{write_csv, SynthKind, TraceSynthesizer};
@@ -53,7 +55,8 @@ fn report_mode(scenario: Option<String>, horizon: Option<String>) {
             s.horizon = s.horizon.min(h);
         }
     }
-    let report = build_report(&rows, &REPORT_BUFFERS, &REPORT_SEEDS, true);
+    let cells = expand_cells(&rows, &REPORT_BUFFERS, &REPORT_SEEDS);
+    let (report, _) = build_report(&cells, true, &|s| (s.run(), ()));
     print!("{}", report.render_environments().render());
     println!();
     print!("{}", report.render_cells().render());

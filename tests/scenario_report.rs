@@ -1,12 +1,12 @@
 //! Scenario-report subsystem: converter-on-streaming correctness and
 //! the report/conformance pipeline end to end (unit-test sized — the
-//! full matrix is the `scenario_report` binary's job, gated in CI).
+//! full matrix is the `report scenario` binary's job, gated in CI).
 
 use react_repro::buffers::BufferKind;
 use react_repro::core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
 use react_repro::core::{
-    build_report, compare_reports, find_scenario, report_scenarios, scenario_registry, KernelMode,
-    Scenario, Tolerances,
+    build_report, compare_reports, expand_cells, find_scenario, report_scenarios,
+    scenario_registry, KernelMode, Scenario, Tolerances,
 };
 use react_repro::harvest::ConverterKind;
 use react_repro::prelude::*;
@@ -205,12 +205,8 @@ fn report_slice_gates_like_ci() {
     for s in &mut rows {
         s.horizon = Seconds::new(300.0);
     }
-    let report = build_report(
-        &rows,
-        &[BufferKind::Static770uF, BufferKind::React],
-        &[0],
-        true,
-    );
+    let cells = expand_cells(&rows, &[BufferKind::Static770uF, BufferKind::React], &[0]);
+    let (report, _) = build_report(&cells, true, &|s| (s.run(), ()));
     assert_eq!(report.cells.len(), 4);
     assert!(compare_reports(&report, &report, &Tolerances::default()).is_empty());
 

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use react_repro::buffers::BufferKind;
 use react_repro::core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
 use react_repro::core::{
-    build_attributed_report, calib, find_scenario, render_class_sinks, report_scenarios, run_fleet,
-    CellAttribution, FleetRunOptions, FleetSpec, RunMetrics, Scenario, Simulator,
+    build_report, calib, expand_cells, find_scenario, render_class_sinks, report_scenarios,
+    run_fleet, CellAttribution, FleetRunOptions, FleetSpec, RunMetrics, Scenario, Simulator,
 };
 use react_repro::env::{PowerSource, Segment};
 use react_repro::harvest::{Converter, PowerReplay};
@@ -397,11 +397,12 @@ fn fleet_attribution_matches_scalar_node_order_merge() {
 fn attributed_report_covers_every_cell() {
     let mut scenarios = vec![truncated("react-plateau-sc", 900.0)];
     scenarios.push(truncated("rf-ge-hour-react-de", 120.0));
-    let (report, attributions) =
-        build_attributed_report(&scenarios, &REPORT_BUFFERS[..2], &REPORT_SEEDS, true);
+    let cells = expand_cells(&scenarios, &REPORT_BUFFERS[..2], &REPORT_SEEDS);
+    let (report, profiles) = build_report(&cells, true, &Scenario::run_attributed);
     assert!(report.poisoned.is_empty());
-    assert_eq!(attributions.len(), report.cells.len());
-    for (cell, attr) in report.cells.iter().zip(&attributions) {
+    assert_eq!(profiles.len(), report.cells.len());
+    for (cell, profile) in report.cells.iter().zip(profiles) {
+        let attr = CellAttribution::new(cell, profile);
         assert_eq!(cell.id(), attr.id);
         assert_eq!(
             attr.attr.total_steps(),
