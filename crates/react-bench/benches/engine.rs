@@ -2,7 +2,7 @@
 //! serial baseline, plus the controller-aware REACT/Morphy fast path vs
 //! the legacy adaptive kernel that fine-stepped controller buffers.
 //!
-//! Prints (and saves under `target/paper-artifacts/engine.txt`) four
+//! Prints (and saves under `target/paper-artifacts/engine.txt`) these
 //! comparisons:
 //!
 //! 1. single-run kernel throughput (wall-clock and engine steps) for a
@@ -22,8 +22,9 @@
 //!    sample-bounded strides),
 //! 6. the mobility-week sleep fast path vs the NoFastPath legacy
 //!    kernel,
-//! 7. the batched fleet kernel vs the same salted cells run as
-//!    independent scalar simulations (aggregates asserted bit-equal).
+//! 7. step-attribution recording vs the `NullRecorder` default on the
+//!    same week cell,
+//! 8. the plateau sleep-stride collapse vs forced fine stepping.
 //!
 //! Every comparison also lands in
 //! `target/paper-artifacts/BENCH_engine.json` (name, wall-clock,
@@ -457,74 +458,7 @@ fn compare_then_bench(c: &mut Criterion) {
         steps_per_sec: fast_m.engine_steps as f64 / t_mob_fast.max(1e-9),
     });
 
-    // 7. Fleet kernel vs N independent scalar runs. Both arms run the
-    // same 128 salted rf-sparse-week cells (4 h horizon — big enough
-    // that the ~1× expected ratio isn't swamped by timer noise); the
-    // baseline arm runs each node through `Scenario::run` serially,
-    // the fast arm through the batched fleet kernel's min-clock heap.
-    // The fleet kernel executes the same float ops in the same
-    // per-cell order, so the aggregates must be *bit-equal* — the
-    // agree flag here is exact equality, not a tolerance.
-    let fleet_base = {
-        let mut s = *find_scenario("rf-sparse-week").expect("registry scenario");
-        s.horizon = Seconds::new(4.0 * 3600.0);
-        s
-    };
-    let fleet_spec = react_core::FleetSpec::new(fleet_base, 128, 7);
-    let fleet_cells: Vec<_> = (0..fleet_spec.nodes)
-        .map(|i| fleet_spec.node_scenario(i))
-        .collect();
-    // Min-of-3 per arm: the expected ratio is ~1×, so a single timing
-    // sample's jitter would dominate the gated number.
-    let mut t_scalar = f64::INFINITY;
-    let mut scalar_agg = react_core::FleetAggregate::new(fleet_spec.bins);
-    for _ in 0..3 {
-        let start = Instant::now();
-        let mut agg = react_core::FleetAggregate::new(fleet_spec.bins);
-        for sc in &fleet_cells {
-            let out = sc.run();
-            agg.record(&react_core::NodeStats::from_metrics(sc, &out.metrics));
-        }
-        t_scalar = t_scalar.min(start.elapsed().as_secs_f64());
-        scalar_agg = agg;
-    }
-    let mut t_fleet = f64::INFINITY;
-    let mut fleet_agg = react_core::FleetAggregate::new(fleet_spec.bins);
-    for _ in 0..3 {
-        let start = Instant::now();
-        let agg = react_core::FleetSim::from_scenarios(
-            fleet_cells.clone(),
-            fleet_spec.chunk,
-            fleet_spec.bins,
-        )
-        .expect("fleet cells build")
-        .run();
-        t_fleet = t_fleet.min(start.elapsed().as_secs_f64());
-        fleet_agg = agg;
-    }
-    let fleet_speedup = t_scalar / t_fleet.max(1e-9);
-    let fleet_agree = fleet_agg == scalar_agg;
-    report.push_str(&format!(
-        "\nfleet kernel vs scalar runs (128 salted nodes × rf-sparse-week, 4 h)\n\
-         \x20 128 independent scalar runs: {:>8.1} ms\n\
-         \x20 batched fleet kernel       : {:>8.1} ms\n\
-         \x20 fleet speedup: {fleet_speedup:.2}×  (aggregates bit-equal: {fleet_agree})\n",
-        t_scalar * 1e3,
-        t_fleet * 1e3,
-    ));
-    assert!(
-        fleet_agree,
-        "fleet kernel aggregates diverged from scalar runs"
-    );
-    perf.scenarios.push(BenchScenario {
-        name: "fleet_vs_scalar".into(),
-        wall_ms_baseline: t_scalar * 1e3,
-        wall_ms_fast: t_fleet * 1e3,
-        speedup: fleet_speedup,
-        steps_per_sec: fleet_spec.nodes as f64 / t_fleet.max(1e-9),
-    });
-
-    // 8. Telemetry overhead on the same week cell: step-attribution
+    // 7. Telemetry overhead on the same week cell: step-attribution
     // recording on vs the NullRecorder default. The recorder hooks are
     // monomorphized away when disabled, so the expected ratio is ~1×;
     // the two-sided gate pins both directions — recording must never
@@ -581,7 +515,7 @@ fn compare_then_bench(c: &mut Criterion) {
         steps_per_sec: rec_m.engine_steps as f64 / t_rec.max(1e-9),
     });
 
-    // 9. Plateau sleep-stride collapse: the two cells whose fine-step
+    // 8. Plateau sleep-stride collapse: the two cells whose fine-step
     // sinks the staged un-equalized solve, the guard-band microstate
     // offset, and the Morphy idle dead-band bulk stride eliminated.
     // react-plateau-sc parks REACT's equilibrium inside the ±20 mV

@@ -63,12 +63,12 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use react_bench::gate::{run_gate, AttributionBudget, Gate, Kind, EXIT_ERROR};
-use react_bench::{read_artifact, save_named_artifact, BenchReport};
+use react_bench::{fleet_spec, read_artifact, save_named_artifact, BenchReport};
 use react_core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
 use react_core::{
-    build_report, expand_cells, fault_cells, find_scenario, merged_attribution, render_attribution,
-    render_class_sinks, report_scenarios, run_fleet, CellAttribution, FleetBins, FleetReport,
-    FleetRunOptions, FleetSpec, Scenario, ScenarioReport,
+    build_report, expand_cells, fault_cells, merged_attribution, render_attribution,
+    render_class_sinks, report_scenarios, run_fleet, CellAttribution, FleetReport, FleetRunOptions,
+    Scenario, ScenarioReport,
 };
 use react_units::Seconds;
 use serde::Serialize;
@@ -87,22 +87,6 @@ const VALUE_FLAGS: [&str; 5] = [
 
 /// Horizon cap of the scenario and fault `--quick` previews.
 const PREVIEW_HORIZON: Seconds = Seconds::new(900.0);
-
-/// Default fleet base scenario: the cheapest salt-sensitive week-class
-/// cell.
-const FLEET_SCENARIO: &str = "rf-sparse-week";
-
-/// Full-fleet node count (the acceptance-scale run).
-const FLEET_NODES: usize = 100_000;
-
-/// Quick-fleet node count (the CI gate).
-const QUICK_FLEET_NODES: usize = 10_000;
-
-/// Quick-fleet horizon cap: one day.
-const QUICK_FLEET_HORIZON: Seconds = Seconds::new(86_400.0);
-
-/// The committed fleet seed (arbitrary, fixed forever).
-const FLEET_SEED: u64 = 0x000F_1EE7;
 
 /// The parsed command line: a kind and the flags it accepts.
 struct Cli {
@@ -250,22 +234,14 @@ fn fault(cli: &Cli) -> Result<ScenarioReport, String> {
 }
 
 fn fleet(cli: &Cli) -> Result<FleetReport, String> {
-    let quick = cli.has("--quick");
-    let name = cli.value("--scenario").unwrap_or(FLEET_SCENARIO);
-    let mut base = *find_scenario(name).ok_or_else(|| format!("unknown scenario {name:?}"))?;
-    if quick {
-        base.horizon = base.horizon.min(QUICK_FLEET_HORIZON);
-    }
-    let nodes = match cli.value("--nodes") {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("--nodes {raw:?} is not a count"))?,
-        None if quick => QUICK_FLEET_NODES,
-        None => FLEET_NODES,
-    };
-
-    let mut spec = FleetSpec::new(base, nodes, FLEET_SEED);
-    spec.bins = FleetBins::calibrated(&base, FLEET_SEED);
+    let nodes = cli
+        .value("--nodes")
+        .map(|raw| {
+            raw.parse()
+                .map_err(|_| format!("--nodes {raw:?} is not a count"))
+        })
+        .transpose()?;
+    let spec = fleet_spec(cli.value("--scenario"), nodes, cli.has("--quick"))?;
     let opts = FleetRunOptions {
         checkpoint: cli.value("--checkpoint").map(std::path::PathBuf::from),
         max_shards: None,
@@ -274,8 +250,9 @@ fn fleet(cli: &Cli) -> Result<FleetReport, String> {
     };
 
     println!(
-        "fleet: {} × {nodes} nodes, horizon {:.0} s, seed {:#x}, {} shards of {} (fingerprint {})",
+        "fleet: {} × {} nodes, horizon {:.0} s, seed {:#x}, {} shards of {} (fingerprint {})",
         spec.base.name,
+        spec.nodes,
         spec.base.horizon.get(),
         spec.fleet_seed,
         spec.shard_count(),

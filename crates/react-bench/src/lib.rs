@@ -13,8 +13,9 @@ pub mod gate;
 
 use react_buffers::BufferKind;
 use react_core::report::TextTable;
-use react_core::{ExperimentMatrix, WorkloadKind};
+use react_core::{find_scenario, ExperimentMatrix, FleetBins, FleetSpec, WorkloadKind};
 use react_traces::PaperTrace;
+use react_units::Seconds;
 use serde::{Deserialize, Serialize};
 
 /// One engine-bench scenario's performance record — the unit the CI
@@ -135,6 +136,48 @@ pub fn save_named_artifact(file_name: &str, contents: &str) -> std::io::Result<s
 pub fn read_artifact(file_name: &str) -> Result<String, String> {
     let path = artifact_dir().join(file_name);
     std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Default fleet base scenario: the cheapest salt-sensitive week-class
+/// cell.
+const FLEET_SCENARIO: &str = "rf-sparse-week";
+
+/// Full-fleet node count (the acceptance-scale run).
+const FLEET_NODES: usize = 100_000;
+
+/// Quick-fleet node count (the CI gate).
+const QUICK_FLEET_NODES: usize = 10_000;
+
+/// Quick-fleet horizon cap: one day.
+const QUICK_FLEET_HORIZON: Seconds = Seconds::new(86_400.0);
+
+/// The committed fleet seed (arbitrary, fixed forever).
+const FLEET_SEED: u64 = 0x000F_1EE7;
+
+/// The `report fleet` configuration: `scenario` (default
+/// `rf-sparse-week`) fanned out to `nodes` salted cells under the
+/// committed fleet seed, with pilot-calibrated binning. `quick` caps
+/// the horizon at one day and defaults to 10 000 nodes instead of
+/// 100 000; `fleet_spec(None, None, true)` is the quick fleet that
+/// `ci/fleet-baseline.json` pins.
+pub fn fleet_spec(
+    scenario: Option<&str>,
+    nodes: Option<usize>,
+    quick: bool,
+) -> Result<FleetSpec, String> {
+    let name = scenario.unwrap_or(FLEET_SCENARIO);
+    let mut base = *find_scenario(name).ok_or_else(|| format!("unknown scenario {name:?}"))?;
+    if quick {
+        base.horizon = base.horizon.min(QUICK_FLEET_HORIZON);
+    }
+    let nodes = nodes.unwrap_or(if quick {
+        QUICK_FLEET_NODES
+    } else {
+        FLEET_NODES
+    });
+    let mut spec = FleetSpec::new(base, nodes, FLEET_SEED);
+    spec.bins = FleetBins::calibrated(&base, FLEET_SEED);
+    Ok(spec)
 }
 
 /// The five evaluation traces (re-exported for benches).

@@ -30,7 +30,6 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod batch;
 mod buffer;
 mod capybara;
 pub mod charge_ode;
@@ -40,7 +39,6 @@ mod morphy;
 mod react;
 pub mod static_buf;
 
-pub use batch::{idle_advance_batch, powered_advance_batch};
 pub use buffer::{
     power_intake, reference_idle_advance, BufferKind, EnergyBuffer, CHARGE_CURRENT_LIMIT,
     CONVERSION_FLOOR,

@@ -1,4 +1,4 @@
-//! Fleet-scale batched simulation: one run, 100k+ devices.
+//! Fleet-scale simulation: one run, 100k+ devices.
 //!
 //! The scalar engine answers "how does *one* node behave under this
 //! scenario?". Deployment questions are fleet questions: what is the
@@ -10,16 +10,16 @@
 //!   each re-salted with [`node_salt`] (splitmix64 over the fleet seed
 //!   and node index) so every node sees statistically independent
 //!   environment and workload streams from one committed seed.
-//! * [`FleetSim`] — the batched kernel: a shard of resumable
-//!   [`SimCore`] cells advanced through a min-clock event heap in
-//!   bounded time chunks, so the whole shard strides through the
-//!   horizon together. Because [`SimCore`] stepping is bit-identical
-//!   to a monolithic [`Scenario::run`], fleet aggregates are
-//!   *bit-comparable* to N independent scalar runs — the property the
-//!   `fleet_vs_scalar` bench and tier-1 tests pin down.
+//! * [`FleetSim`] — one shard, run as a loop in node order: build a
+//!   node's cell, step it to completion under its watchdog budget,
+//!   fold its stats, move on. Each cell runs exactly as
+//!   [`Scenario::run`] would, so fleet aggregates are *bit-comparable*
+//!   to N independent scalar runs — the property the tier-1 tests pin
+//!   down.
 //! * [`FleetAggregate`] / [`Histogram`] — streaming reduction. Memory
-//!   is O(live shard + histogram bins), never O(nodes): a 100k-node
-//!   week costs the same RAM as a 1k-node week.
+//!   is O(workers + histogram bins), never O(nodes): each worker holds
+//!   one engine at a time, so a 100k-node week costs the same RAM as a
+//!   1k-node week.
 //! * [`run_fleet`] — the sharded runner: rayon-parallel shards,
 //!   deterministic in-order merge, and JSON checkpoint/resume keyed by
 //!   a config fingerprint so an interrupted 100k run resumes instead
@@ -27,8 +27,6 @@
 //!
 //! [`node_salt`]: react_env::node_salt
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -40,18 +38,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::fom::figure_of_merit;
 use crate::scenario::Scenario;
-use crate::sim::SimCore;
+use crate::sim::SimError;
 use crate::RunMetrics;
 
 /// Default cells per shard: large enough to amortize per-shard
 /// overhead, small enough that a checkpoint granule is cheap to lose.
 pub const DEFAULT_SHARD_SIZE: usize = 1024;
-
-/// Default heap chunk: each cell is advanced at most this far past the
-/// fleet's minimum clock before re-queueing, keeping the shard's cells
-/// striding through the horizon together (cache-friendly on the shared
-/// scenario structure, and bounds per-cell memory between reductions).
-pub const DEFAULT_CHUNK: Seconds = Seconds::new(3600.0);
 
 // ---------------------------------------------------------------------------
 // Histograms
@@ -234,9 +226,9 @@ impl NodeStats {
     }
 }
 
-/// A fleet cell whose run panicked. The batched kernel catches the
-/// unwind, records the node here, and keeps the shard going — one
-/// diverging cell never takes down its 1023 neighbours.
+/// A fleet cell whose build or run panicked. The shard loop catches
+/// the unwind, records the node here, and moves on to the next node —
+/// one diverging cell never takes down its 1023 neighbours.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PoisonedNode {
     /// Fleet node index.
@@ -494,9 +486,6 @@ pub struct FleetSpec {
     pub fleet_seed: u64,
     /// Cells per shard (checkpoint granule).
     pub shard_size: usize,
-    /// Heap stride: max seconds a cell advances past the fleet's
-    /// minimum clock before re-queueing.
-    pub chunk: Seconds,
     /// Histogram binning shared by every shard.
     pub bins: FleetBins,
     /// Explicit per-cell engine-step watchdog budget. `None` (the
@@ -516,7 +505,6 @@ impl FleetSpec {
             nodes,
             fleet_seed,
             shard_size: DEFAULT_SHARD_SIZE,
-            chunk: DEFAULT_CHUNK,
             bins: FleetBins::default_for(base.horizon),
             step_budget: None,
         }
@@ -548,13 +536,16 @@ impl FleetSpec {
     pub fn fingerprint(&self) -> String {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        // The fifth slot held the retired heap-chunk knob (always
+        // 3600 s in practice). It stays a fixed `3600` so the committed
+        // `ci/fleet-baseline.json` and existing checkpoints keep
+        // matching their configurations.
         let mut rendered = format!(
-            "{}|{}|{}|{}|{}|{}|{}|{}|{}",
+            "{}|{}|{}|{}|3600|{}|{}|{}|{}",
             self.base.name,
             self.nodes,
             self.fleet_seed,
             self.shard_size,
-            self.chunk.get(),
             self.base.horizon.get(),
             self.bins.fom_cap,
             self.bins.outage_cap_s,
@@ -580,52 +571,8 @@ impl FleetSpec {
 }
 
 // ---------------------------------------------------------------------------
-// The batched kernel
+// The shard kernel
 // ---------------------------------------------------------------------------
-
-type Cell<R> = SimCore<
-    Box<dyn react_buffers::EnergyBuffer>,
-    Box<dyn react_workloads::Workload>,
-    Box<dyn react_env::PowerSource>,
-    R,
->;
-
-/// The batched fleet kernel: a set of resumable [`SimCore`] cells
-/// advanced through a min-clock heap so the whole batch strides
-/// through the horizon together.
-///
-/// Each pop advances the laggard cell by at most one chunk past the
-/// current fleet minimum, then re-queues it. Finished cells drain into
-/// per-node outcome slots; [`FleetSim::run`] folds those into a
-/// [`FleetAggregate`] in *node-index order*, so the order-sensitive
-/// f64 reductions are deterministic no matter how the heap interleaved
-/// execution.
-///
-/// The recorder parameter `R` defaults to [`NullRecorder`], which
-/// compiles every telemetry hook away — the bare [`FleetSim`] alias is
-/// the zero-overhead production kernel. Instantiate with
-/// [`StepAttribution`] (e.g. via [`run_shard_attributed`]) to profile
-/// where the fleet's engine steps go; per-cell recorders are absorbed
-/// in node-index order, so the profile is as deterministic as the
-/// aggregate.
-pub struct FleetSimT<R: Recorder + Default = NullRecorder> {
-    scenarios: Vec<Scenario>,
-    cells: Vec<Option<Cell<R>>>,
-    /// Min-heap on (time-bits, node). `f64::to_bits` is monotone for
-    /// the non-negative clocks the engine produces, giving an `Ord`
-    /// key without wrapping floats.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    outcomes: Vec<Option<NodeStats>>,
-    recorders: Vec<Option<R>>,
-    chunk: Seconds,
-    bins: FleetBins,
-    /// Fleet node index of cell 0 (shards report fleet-global indices).
-    first_node: usize,
-    /// Explicit watchdog budget; `None` derives per-cell defaults.
-    budget_override: Option<u64>,
-    poisoned: Vec<PoisonedNode>,
-    timed_out: Vec<TimedOutNode>,
-}
 
 /// Default watchdog budget for one cell: four times the fixed-`dt`
 /// reference step count plus slack for boot/servicing overhead.
@@ -633,156 +580,94 @@ fn default_step_budget(s: &Scenario) -> u64 {
     4 * (s.horizon.get() / s.dt.get()).round() as u64 + 10_000
 }
 
-/// How one heap pop left its cell.
-enum CellAdvance {
-    /// Still live; re-queue at its new clock.
-    Running,
-    /// Ran out of simulation; drain the outcome.
-    Finished,
-    /// Blew the watchdog budget; report and drop.
-    Overran,
+/// One shard of a fleet: the node range `[start, end)` of a
+/// [`FleetSpec`], run as a loop in node order.
+///
+/// Each node's cell is built from [`FleetSpec::node_scenario`] and
+/// stepped to completion under its watchdog budget before the next
+/// node is built, so the shard holds one engine at a time. Build and
+/// run share one `catch_unwind`: a panicking cell becomes a
+/// [`PoisonedNode`] and a cell that exceeds its engine-step budget
+/// becomes a [`TimedOutNode`] — either way the shard keeps going and
+/// the failure is a reported aggregate entry, not a crashed or hung
+/// run.
+pub struct FleetSim {
+    spec: FleetSpec,
+    start: usize,
+    end: usize,
 }
 
-/// The production fleet kernel: no telemetry, no overhead.
-pub type FleetSim = FleetSimT<NullRecorder>;
-
-impl<R: Recorder + Default> FleetSimT<R> {
-    /// Builds a batch from explicit (already salted) scenarios.
-    ///
-    /// Returns `Err` if any cell's simulator rejects its configuration
-    /// (e.g. an unbounded source with no horizon).
-    pub fn from_scenarios(
-        scenarios: Vec<Scenario>,
-        chunk: Seconds,
-        bins: FleetBins,
-    ) -> Result<Self, String> {
-        let mut cells = Vec::with_capacity(scenarios.len());
-        let mut heap = BinaryHeap::with_capacity(scenarios.len());
-        for (i, sc) in scenarios.iter().enumerate() {
-            let core = sc
-                .simulator()
-                .with_recorder(R::default())
-                .try_into_core()
-                .map_err(|e| format!("fleet cell {i} ({}): {e}", sc.name))?;
-            heap.push(Reverse((core.now().get().to_bits(), i)));
-            cells.push(Some(core));
+impl FleetSim {
+    /// The shard `[start, end)` of a fleet spec. Returns `Err` if the
+    /// range does not lie inside the fleet.
+    pub fn from_spec_range(spec: &FleetSpec, start: usize, end: usize) -> Result<Self, String> {
+        if start > end || end > spec.nodes {
+            return Err(format!(
+                "shard range [{start}, {end}) outside a fleet of {} nodes",
+                spec.nodes
+            ));
         }
-        Ok(FleetSimT {
-            outcomes: vec![None; scenarios.len()],
-            recorders: std::iter::repeat_with(|| None)
-                .take(scenarios.len())
-                .collect(),
-            scenarios,
-            cells,
-            heap,
-            chunk,
-            bins,
-            first_node: 0,
-            budget_override: None,
-            poisoned: Vec::new(),
-            timed_out: Vec::new(),
+        Ok(FleetSim {
+            spec: *spec,
+            start,
+            end,
         })
     }
 
-    /// Builds the shard `[start, end)` of a fleet spec.
-    pub fn from_spec_range(spec: &FleetSpec, start: usize, end: usize) -> Result<Self, String> {
-        let scenarios: Vec<Scenario> = (start..end).map(|i| spec.node_scenario(i)).collect();
-        let mut sim = FleetSimT::from_scenarios(scenarios, spec.chunk, spec.bins)?;
-        sim.first_node = start;
-        sim.budget_override = spec.step_budget;
-        Ok(sim)
-    }
-
-    /// Cells still running.
+    /// Cells the shard will run.
     pub fn live_cells(&self) -> usize {
-        self.heap.len()
+        self.end - self.start
     }
 
-    /// Advances the laggard cell by one chunk. Returns `false` once
-    /// every cell has finished.
+    /// Runs every cell to completion in node order, returning the
+    /// aggregate alongside the shard-wide recorder (per-cell recorders
+    /// absorbed in node order). Instantiate with [`StepAttribution`]
+    /// to profile where the shard's engine steps go; [`NullRecorder`]
+    /// compiles every hook away.
     ///
-    /// The advancement loop runs at `advance()` granularity inside
-    /// `catch_unwind`: a panicking cell becomes a [`PoisonedNode`] and
-    /// a cell that exceeds its engine-step watchdog budget becomes a
-    /// [`TimedOutNode`] — either way the shard keeps going and the
-    /// failure is a reported aggregate entry, not a crashed or hung
-    /// run.
-    pub fn step(&mut self) -> bool {
-        let Some(Reverse((_, idx))) = self.heap.pop() else {
-            return false;
-        };
-        let cell = self.cells[idx]
-            .as_mut()
-            .expect("heap entry for a drained cell");
-        let limit = cell.now() + self.chunk;
-        let budget = self
-            .budget_override
-            .unwrap_or_else(|| default_step_budget(&self.scenarios[idx]));
-        let advanced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
-            if cell.engine_steps() >= budget {
-                break CellAdvance::Overran;
-            }
-            if !cell.advance() {
-                break CellAdvance::Finished;
-            }
-            if cell.now() >= limit {
-                break CellAdvance::Running;
-            }
-        }));
-        match advanced {
-            Ok(CellAdvance::Running) => {
-                self.heap.push(Reverse((cell.now().get().to_bits(), idx)));
-            }
-            Ok(CellAdvance::Finished) => {
-                let core = self.cells[idx].take().expect("cell vanished mid-drain");
-                let (outcome, recorder) = core.finish_telemetry();
-                self.outcomes[idx] = Some(NodeStats::from_metrics(
-                    &self.scenarios[idx],
-                    &outcome.metrics,
-                ));
-                self.recorders[idx] = Some(recorder);
-            }
-            Ok(CellAdvance::Overran) => {
-                let core = self.cells[idx].take().expect("cell vanished mid-drain");
-                self.timed_out.push(TimedOutNode {
-                    node: (self.first_node + idx) as f64,
+    /// Returns `Err` if a cell's simulator rejects its configuration
+    /// (e.g. an unbounded source with no horizon).
+    pub fn run_telemetry<R: Recorder + Default>(self) -> Result<(FleetAggregate, R), String> {
+        let mut agg = FleetAggregate::new(self.spec.bins);
+        let mut recorder = R::default();
+        for node in self.start..self.end {
+            let sc = self.spec.node_scenario(node);
+            let ran = std::panic::catch_unwind(|| -> Result<_, SimError> {
+                let mut core = sc.simulator().with_recorder(R::default()).try_into_core()?;
+                let budget = self
+                    .spec
+                    .step_budget
+                    .unwrap_or_else(|| default_step_budget(&sc));
+                while core.engine_steps() < budget {
+                    if !core.advance() {
+                        return Ok(Ok(core.finish_telemetry()));
+                    }
+                }
+                Ok(Err(TimedOutNode {
+                    node: node as f64,
                     engine_steps: core.engine_steps() as f64,
                     sim_time_s: core.now().get(),
-                });
-            }
-            Err(payload) => {
-                // The unwound cell is in an unknown state; drop it.
-                self.cells[idx] = None;
-                self.poisoned.push(PoisonedNode {
-                    node: (self.first_node + idx) as f64,
+                }))
+            });
+            match ran {
+                Ok(Ok(Ok((outcome, r)))) => {
+                    agg.record(&NodeStats::from_metrics(&sc, &outcome.metrics));
+                    recorder.absorb(r);
+                }
+                Ok(Ok(Err(timed_out))) => agg.timed_out.push(timed_out),
+                Ok(Err(e)) => return Err(format!("fleet node {node} ({}): {e}", sc.name)),
+                Err(payload) => agg.poisoned.push(PoisonedNode {
+                    node: node as f64,
                     message: crate::scenario_report::panic_message(payload),
-                });
+                }),
             }
         }
-        !self.heap.is_empty()
+        Ok((agg, recorder))
     }
 
-    /// Runs every cell to completion and reduces in node-index order,
-    /// returning the aggregate alongside the fleet-wide recorder
-    /// (per-cell recorders absorbed in node-index order).
-    pub fn run_telemetry(mut self) -> (FleetAggregate, R) {
-        while self.step() {}
-        let mut agg = FleetAggregate::new(self.bins);
-        for stats in self.outcomes.iter().flatten() {
-            agg.record(stats);
-        }
-        agg.poisoned = self.poisoned;
-        agg.timed_out = self.timed_out;
-        let mut recorder = R::default();
-        for r in self.recorders.into_iter().flatten() {
-            recorder.absorb(r);
-        }
-        (agg, recorder)
-    }
-
-    /// Runs every cell to completion and reduces in node-index order.
-    pub fn run(self) -> FleetAggregate {
-        self.run_telemetry().0
+    /// Runs every cell to completion and reduces in node order.
+    pub fn run(self) -> Result<FleetAggregate, String> {
+        Ok(self.run_telemetry::<NullRecorder>()?.0)
     }
 }
 
@@ -912,7 +797,7 @@ fn save_checkpoint(path: &Path, fingerprint: &str, shards: &[ShardEntry]) -> Res
 /// Executes one shard of the fleet to completion.
 pub fn run_shard(spec: &FleetSpec, shard: usize) -> Result<FleetAggregate, String> {
     let (start, end) = spec.shard_range(shard);
-    Ok(FleetSim::from_spec_range(spec, start, end)?.run())
+    FleetSim::from_spec_range(spec, start, end)?.run()
 }
 
 /// Executes one shard with step-attribution recording enabled,
@@ -922,7 +807,7 @@ pub fn run_shard_attributed(
     shard: usize,
 ) -> Result<(FleetAggregate, StepAttribution), String> {
     let (start, end) = spec.shard_range(shard);
-    Ok(FleetSimT::<StepAttribution>::from_spec_range(spec, start, end)?.run_telemetry())
+    FleetSim::from_spec_range(spec, start, end)?.run_telemetry()
 }
 
 /// Runs a fleet spec shard by shard, honoring checkpoint/resume.
@@ -1272,7 +1157,6 @@ mod tests {
         base.horizon = Seconds::new(1800.0);
         let mut spec = FleetSpec::new(base, nodes, seed);
         spec.shard_size = 4;
-        spec.chunk = Seconds::new(300.0);
         spec
     }
 
@@ -1297,6 +1181,16 @@ mod tests {
                 "fleet aggregate diverged from scalar runs (nodes={nodes}, seed={seed})"
             );
         }
+    }
+
+    #[test]
+    fn shard_handle_holds_its_range_and_rejects_one_outside_the_fleet() {
+        let spec = small_spec(6, 3);
+        let (start, end) = spec.shard_range(1);
+        let shard = FleetSim::from_spec_range(&spec, start, end).expect("in range");
+        assert_eq!(shard.live_cells(), 2);
+        assert!(FleetSim::from_spec_range(&spec, 4, 7).is_err());
+        assert!(FleetSim::from_spec_range(&spec, 3, 2).is_err());
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use audit::{AuditConfig, AuditSnapshot, InvariantAuditor};
 pub use experiment::{Experiment, ExperimentMatrix, MatrixCell, MatrixRow, WorkloadKind};
 pub use fleet::{
     compare_fleet_reports, run_fleet, run_shard, run_shard_attributed, FleetAggregate, FleetBins,
-    FleetCheckpoint, FleetReport, FleetRunOptions, FleetRunResult, FleetSim, FleetSimT, FleetSpec,
+    FleetCheckpoint, FleetReport, FleetRunOptions, FleetRunResult, FleetSim, FleetSpec,
     FleetSummary, FleetTolerances, Histogram, NodeStats, PoisonedNode, ShardEntry, TimedOutNode,
 };
 pub use metrics::{LevelDwell, RunMetrics, RunOutcome, VoltageSample};

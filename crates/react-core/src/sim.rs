@@ -315,11 +315,11 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> Simulato
     }
 
     /// Converts this configured simulator into its resumable engine
-    /// core without running it. The fleet kernel interleaves thousands
-    /// of cores this way; stepping a core to completion is exactly
+    /// core without running it. The fleet shard loop builds each cell
+    /// this way so it can meter engine steps against a watchdog
+    /// budget; stepping a core to completion is exactly
     /// [`Simulator::try_run`] (the run methods are implemented on top
-    /// of it), so incremental advancement is bit-identical to a
-    /// monolithic run.
+    /// of it), so a fleet cell is bit-identical to a scalar run.
     ///
     /// # Errors
     ///
@@ -334,16 +334,14 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> Simulato
 /// engine iteration at a time.
 ///
 /// [`Simulator::try_run`] is a thin loop over this type, so driving a
-/// core incrementally — as the fleet kernel does, interleaving
-/// thousands of cells through a next-event heap — performs exactly the
-/// same floating-point operations in exactly the same order as a
-/// monolithic run. That is the property the `fleet_vs_scalar` bench
-/// asserts as bit-equality.
+/// core one iteration at a time — as the fleet shard loop does, to
+/// check each cell's watchdog budget between iterations — performs
+/// exactly the same floating-point operations in exactly the same
+/// order as a monolithic run.
 ///
 /// Each iteration of [`SimCore::advance`] is either one closed-form
 /// coarse stride (idle or LPM3-sleep fast path) or one fine `dt` step;
-/// [`SimCore::now`] exposes the cell clock between iterations for
-/// schedulers.
+/// [`SimCore::now`] exposes the cell clock between iterations.
 pub struct SimCore<
     B = Box<dyn EnergyBuffer>,
     W = Box<dyn Workload>,
@@ -1415,17 +1413,6 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         !self.finished
     }
 
-    /// Advances until the cell clock reaches `limit` (or the run
-    /// finishes), returning whether the run is still live. The fleet
-    /// kernel's chunked scheduler drives cells through this so heap
-    /// traffic is per-chunk, not per-iteration.
-    pub fn advance_until(&mut self, limit: Seconds) -> bool {
-        while !self.finished && self.t < limit {
-            self.advance();
-        }
-        !self.finished
-    }
-
     /// Finalizes the run and yields its outcome. Call after
     /// [`SimCore::advance`] returns `false`; finishing a live run
     /// truncates it at the current clock (metrics are finalized as if
@@ -1734,41 +1721,6 @@ mod tests {
         );
         let out = sim.run();
         assert!(out.metrics.ops_completed > 0);
-    }
-
-    #[test]
-    fn sim_core_stepping_is_bit_identical_to_run() {
-        // Driving the core incrementally (chunked advance_until, as the
-        // fleet kernel does) must reproduce the monolithic run exactly:
-        // same ops, same step count, same final stored energy to the
-        // last bit.
-        let build = || {
-            Simulator::new(
-                constant_replay(2.0, 60.0),
-                BufferKind::React.build(),
-                Box::new(react_workloads::DataEncryption::new()),
-            )
-        };
-        let whole = build().run();
-        let mut core = build().try_into_core().expect("bounded");
-        let mut limit = Seconds::ZERO;
-        while {
-            limit += Seconds::new(3.7);
-            core.advance_until(limit)
-        } {}
-        assert!(core.is_finished());
-        let chunked = core.finish();
-        assert_eq!(whole.metrics.ops_completed, chunked.metrics.ops_completed);
-        assert_eq!(whole.metrics.engine_steps, chunked.metrics.engine_steps);
-        assert_eq!(whole.metrics.boots, chunked.metrics.boots);
-        assert_eq!(
-            whole.metrics.final_stored.get().to_bits(),
-            chunked.metrics.final_stored.get().to_bits()
-        );
-        assert_eq!(
-            whole.metrics.on_time.get().to_bits(),
-            chunked.metrics.on_time.get().to_bits()
-        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Fleet-kernel acceptance tests: the batched fleet must be
-//! *bit-comparable* to independent scalar simulations, scale to
-//! four-digit node counts in test time, and checkpoint/resume without
-//! perturbing a single bit of the aggregate.
+//! Fleet acceptance tests: the sharded fleet must be *bit-comparable*
+//! to independent scalar simulations, scale to four-digit node counts
+//! in test time, checkpoint/resume without perturbing a single bit of
+//! the aggregate, and contain a failing cell as a reported entry.
 
 use react_repro::core::{
-    find_scenario, run_fleet, FleetAggregate, FleetRunOptions, FleetSim, FleetSpec, NodeStats,
+    find_scenario, run_fleet, FleetAggregate, FleetRunOptions, FleetSpec, NodeStats,
 };
 use react_repro::units::Seconds;
 
@@ -16,7 +16,7 @@ fn base_scenario(horizon_s: f64) -> react_repro::core::Scenario {
 }
 
 /// Folds independent scalar runs of the fleet's cells, shard by shard
-/// in node order — the reference the batched kernel must reproduce.
+/// in node order — the reference the fleet runner must reproduce.
 fn scalar_reference(spec: &FleetSpec) -> FleetAggregate {
     let mut agg = FleetAggregate::new(spec.bins);
     for shard in 0..spec.shard_count() {
@@ -50,7 +50,7 @@ fn fleet_aggregates_bit_equal_scalar_sweep() {
 }
 
 /// The acceptance-scale property: a 1000-node fleet over a day-class
-/// horizon, batched vs scalar. Aggregate FoM (and every histogram
+/// horizon, fleet vs scalar. Aggregate FoM (and every histogram
 /// bit) must match the 1000 independent runs exactly; the summary's
 /// headline numbers are additionally checked as finite and populated.
 #[test]
@@ -68,23 +68,6 @@ fn thousand_node_fleet_matches_scalar_runs() {
     assert!(s.on_frac_mean > 0.0 && s.on_frac_mean < 1.0);
     // Salted environments must actually decorrelate the fleet.
     assert!(fleet.aggregate.fom.max > fleet.aggregate.fom.min);
-}
-
-/// Heap order must not leak into results: radically different chunk
-/// sizes interleave cells in different orders, yet produce the same
-/// bits because each cell's float ops and the reduction order are
-/// fixed.
-#[test]
-fn chunk_size_does_not_change_aggregates() {
-    let spec = FleetSpec::new(base_scenario(1800.0), 9, 5);
-    let cells: Vec<_> = (0..spec.nodes).map(|i| spec.node_scenario(i)).collect();
-    let coarse = FleetSim::from_scenarios(cells.clone(), Seconds::new(1e9), spec.bins)
-        .expect("build")
-        .run();
-    let fine = FleetSim::from_scenarios(cells, Seconds::new(60.0), spec.bins)
-        .expect("build")
-        .run();
-    assert_eq!(coarse, fine);
 }
 
 /// A run interrupted mid-fleet and resumed from its checkpoint must
@@ -237,6 +220,34 @@ fn watchdog_budget_reports_timed_out_nodes() {
         violations.iter().any(|v| v.contains("watchdog timeout")),
         "{violations:?}"
     );
+}
+
+/// A cell whose build panics (a zero timestep trips
+/// `Simulator::with_timestep`) becomes a reported
+/// [`PoisonedNode`](react_repro::core::PoisonedNode) at its
+/// fleet-global index; the shard and the fleet keep going.
+#[test]
+fn panicking_cell_build_reports_poisoned_nodes_in_node_order() {
+    let mut base = base_scenario(1800.0);
+    base.dt = Seconds::ZERO;
+    let mut spec = FleetSpec::new(base, 5, 13);
+    spec.shard_size = 2;
+    assert!(spec.shard_count() >= 2);
+
+    let fleet = run_fleet(&spec, &FleetRunOptions::default()).expect("fleet run");
+    assert!(fleet.complete());
+    let nodes: Vec<f64> = fleet.aggregate.poisoned.iter().map(|p| p.node).collect();
+    assert_eq!(nodes, (0..spec.nodes).map(|i| i as f64).collect::<Vec<_>>());
+    for p in &fleet.aggregate.poisoned {
+        assert!(
+            p.message.contains("timestep must be positive"),
+            "node {}: {}",
+            p.node,
+            p.message
+        );
+    }
+    assert_eq!(fleet.aggregate.nodes, 0.0);
+    assert!(fleet.aggregate.timed_out.is_empty());
 }
 
 /// A fleet over a faulted, audited base scenario: every salted node

@@ -132,3 +132,11 @@ fn poisoned_cells_exit_3_unless_the_gate_already_failed() {
         EXIT_VIOLATION
     );
 }
+
+#[test]
+fn quick_fleet_spec_matches_the_committed_fleet_baseline() {
+    let baseline =
+        FleetReport::parse(&read(&committed(Kind::Fleet))).expect("fleet baseline loads");
+    let spec = react_bench::fleet_spec(None, None, true).expect("quick fleet spec");
+    assert_eq!(spec.fingerprint(), baseline.fingerprint);
+}
