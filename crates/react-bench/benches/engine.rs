@@ -52,6 +52,7 @@ use react_core::{
 };
 use react_env::materialize;
 use react_harvest::{Converter, PowerReplay};
+use react_telemetry::StepAttribution;
 use react_traces::{paper_trace, PaperTrace, PowerTrace};
 use react_units::{Amps, Farads, Joules, Seconds, Volts, Watts};
 
@@ -478,7 +479,7 @@ fn compare_then_bench(c: &mut Criterion) {
     let mut rec = None;
     for _ in 0..3 {
         let start = Instant::now();
-        let (out, attr) = week.run_attributed();
+        let (out, attr) = week.run_recorded(StepAttribution::default());
         t_rec = t_rec.min(start.elapsed().as_secs_f64());
         rec = Some((out.metrics, attr));
     }

@@ -70,6 +70,7 @@ use react_core::{
     render_class_sinks, report_scenarios, run_fleet, CellAttribution, FleetReport, FleetRunOptions,
     Scenario, ScenarioReport,
 };
+use react_telemetry::StepAttribution;
 use react_units::Seconds;
 use serde::Serialize;
 
@@ -174,7 +175,9 @@ fn scenario(cli: &Cli) -> Result<ScenarioReport, String> {
 
     let started = Instant::now();
     let cells = expand_cells(&rows, &REPORT_BUFFERS, &REPORT_SEEDS);
-    let (report, profiles) = build_report(&cells, true, &Scenario::run_attributed);
+    let (report, profiles) = build_report(&cells, true, &|s: &Scenario| {
+        s.run_recorded(StepAttribution::default())
+    });
     let elapsed = started.elapsed().as_secs_f64();
     let attributions: Vec<CellAttribution> = report
         .cells

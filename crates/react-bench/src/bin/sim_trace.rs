@@ -31,7 +31,7 @@ use std::process::ExitCode;
 use react_bench::save_named_artifact;
 use react_buffers::BufferKind;
 use react_core::{find_scenario, Scenario};
-use react_telemetry::{chrome_trace_json, text_timeline};
+use react_telemetry::{chrome_trace_json, text_timeline, RingRecorder};
 
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
     match args.iter().position(|a| a == flag) {
@@ -76,12 +76,12 @@ fn run() -> Result<ExitCode, String> {
         Some("text") => (false, true),
         Some(other) => return Err(format!("--format {other:?} is not chrome or text")),
     };
-    let capacity: Option<usize> = match flag_value(&args, "--capacity")? {
-        Some(raw) => Some(
+    let ring = match flag_value(&args, "--capacity")? {
+        Some(raw) => RingRecorder::new(
             raw.parse()
                 .map_err(|_| format!("--capacity {raw:?} is not a count"))?,
         ),
-        None => None,
+        None => RingRecorder::default(),
     };
     let id = args
         .iter()
@@ -105,7 +105,7 @@ fn run() -> Result<ExitCode, String> {
         cell.horizon.get(),
         cell.dt.get() * 1e3,
     );
-    let (outcome, recorder) = cell.run_traced(capacity);
+    let (outcome, recorder) = cell.run_recorded(ring);
     let events = recorder.len();
     if recorder.dropped() > 0 {
         eprintln!(

@@ -24,7 +24,7 @@ use react_env::{
     TraceSource,
 };
 use react_harvest::{ConverterKind, PowerReplay};
-use react_telemetry::{RingRecorder, StepAttribution};
+use react_telemetry::Recorder;
 use react_traces::{paper_trace, PaperTrace};
 use react_units::{Seconds, Watts};
 
@@ -434,34 +434,14 @@ impl Scenario {
         self.run_with_kernel(KernelMode::Adaptive)
     }
 
-    /// Runs the scenario with a [`StepAttribution`] recorder and
-    /// returns the outcome together with the "where the steps go"
-    /// profile. Recording is bit-identity-neutral, so the outcome is
+    /// Runs the scenario with a telemetry recorder attached and returns
+    /// the outcome together with the recorder — a
+    /// [`react_telemetry::StepAttribution`] for the "where the steps go"
+    /// profile, a [`react_telemetry::RingRecorder`] for the typed event
+    /// stream. Recording is bit-identity-neutral, so the outcome is
     /// interchangeable with [`Scenario::run`]'s.
-    pub fn run_attributed(&self) -> (RunOutcome, StepAttribution) {
-        match self
-            .simulator()
-            .with_recorder(StepAttribution::default())
-            .try_run_telemetry()
-        {
-            Ok(pair) => pair,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs the scenario with a bounded [`RingRecorder`] capturing the
-    /// full typed event stream (for `sim_trace` export and cell
-    /// replay). `capacity` bounds recorder memory; `None` uses
-    /// [`RingRecorder::DEFAULT_CAPACITY`].
-    pub fn run_traced(&self, capacity: Option<usize>) -> (RunOutcome, RingRecorder) {
-        let ring = match capacity {
-            Some(n) => RingRecorder::new(n),
-            None => RingRecorder::with_default_capacity(),
-        };
-        match self.simulator().with_recorder(ring).try_run_telemetry() {
-            Ok(pair) => pair,
-            Err(e) => panic!("{e}"),
-        }
+    pub fn run_recorded<R: Recorder>(&self, recorder: R) -> (RunOutcome, R) {
+        self.simulator().with_recorder(recorder).run_recorded()
     }
 
     /// The power gate this scenario runs under: the paper's fixed

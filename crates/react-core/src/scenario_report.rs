@@ -661,7 +661,8 @@ pub fn fault_cells(horizon_cap: Option<Seconds>) -> Vec<Scenario> {
 /// Runs an explicit cell list (see [`expand_cells`], [`fault_cells`])
 /// and reduces it to a report. `runner` returns each cell's outcome
 /// together with its recorder — `|s| (s.run(), ())` for a plain run,
-/// [`Scenario::run_attributed`] for step attribution. Cells fan out
+/// `|s| s.run_recorded(StepAttribution::default())` for step
+/// attribution (see [`Scenario::run_recorded`]). Cells fan out
 /// over worker threads when `parallel`, and results come back in cell
 /// order regardless.
 ///
@@ -785,8 +786,8 @@ pub struct CellAttribution {
 
 impl CellAttribution {
     /// Pairs a report cell with the profile its run recorded (the
-    /// recorders [`build_report`] returns under
-    /// [`Scenario::run_attributed`]).
+    /// recorders [`build_report`] returns under a
+    /// [`Scenario::run_recorded`] runner with a [`StepAttribution`]).
     pub fn new(cell: &ScenarioCell, attr: StepAttribution) -> Self {
         CellAttribution {
             id: cell.id(),

@@ -5,22 +5,26 @@
 //! * [`KernelMode::FixedDt`] — the reference loop: every run advances in
 //!   uniform `dt` steps (1 ms by default). Simple, slow, and the ground
 //!   truth the adaptive kernel is validated against.
-//! * [`KernelMode::Adaptive`] (default) — while the power gate is open
-//!   and the MCU is off, nothing in the system needs millisecond
-//!   resolution: the buffer just integrates harvested charge. The kernel
-//!   hands whole zero-order-hold trace windows to
-//!   [`EnergyBuffer::idle_advance`], which static buffers solve in
-//!   closed form (stepping directly to the predicted enable-voltage
-//!   crossing, quantized back onto the `dt` grid), collapsing ~10⁵-step
-//!   charge phases into a handful of strides. The moment the MCU runs —
-//!   or a buffer has no closed form — the kernel drops back to fine
-//!   `dt` steps, so workload semantics are bit-identical.
+//! * [`KernelMode::Adaptive`] (default) — in the two regimes where a
+//!   batteryless node spends almost all of its time, nothing in the
+//!   system needs millisecond resolution. While the power gate is open
+//!   and the MCU is off, the buffer just integrates harvested charge
+//!   ([`EnergyBuffer::idle_advance`], up to the enable-voltage
+//!   crossing); while the MCU sleeps in LPM3 between workload wakes, it
+//!   integrates charge against the standing sleep draw
+//!   ([`EnergyBuffer::powered_advance`], up to the next wake or the
+//!   brown-out crossing). Both closed forms run through one stride
+//!   path over whole zero-order-hold source windows, quantized back
+//!   onto the `dt` grid, collapsing ~10⁵-step phases into a handful of
+//!   strides. The moment the workload runs — or a buffer has no closed
+//!   form — the kernel drops back to fine `dt` steps, so workload
+//!   semantics are bit-identical.
 //!
-//! The engine is generic over the buffer and workload
-//! (`Simulator<B, W>`), monomorphizing the hot loop for concrete types;
-//! the `Box<dyn …>` constructors used by `BufferKind::build` and
-//! `WorkloadKind::build` still work through forwarding impls and default
-//! type parameters.
+//! The engine is generic over the buffer, workload, power source and
+//! telemetry recorder (`Simulator<B, W, S, R>`), monomorphizing the hot
+//! loop for concrete types; the `Box<dyn …>` constructors used by
+//! `BufferKind::build` and `WorkloadKind::build` still work through
+//! forwarding impls and default type parameters.
 
 use react_buffers::defense::{AttackDetector, DefenseConfig};
 use react_buffers::EnergyBuffer;
@@ -280,46 +284,30 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> Simulato
     /// # Panics
     ///
     /// Panics on an unsatisfiable configuration (see [`SimError`]);
-    /// [`Simulator::try_run`] is the non-panicking form.
+    /// [`Simulator::try_into_core`] is the fallible path.
     pub fn run(self) -> RunOutcome {
-        match self.try_run() {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("{e}"),
-        }
+        self.run_recorded().0
     }
 
-    /// Runs the simulation to completion, or reports why it cannot
-    /// start.
+    /// Runs the simulation to completion and returns the outcome
+    /// together with the recorder and everything it captured.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// [`SimError::UnboundedSource`] if the power source never ends and
-    /// no [`Simulator::with_horizon`] was set.
-    pub fn try_run(self) -> Result<RunOutcome, SimError> {
-        let mut core = self.try_into_core()?;
+    /// Panics on an unsatisfiable configuration (see [`SimError`]);
+    /// [`Simulator::try_into_core`] is the fallible path.
+    pub fn run_recorded(self) -> (RunOutcome, R) {
+        let mut core = self.try_into_core().unwrap_or_else(|e| panic!("{e}"));
         while core.advance() {}
-        Ok(core.finish())
-    }
-
-    /// [`Simulator::try_run`], but also yields the recorder with
-    /// everything it captured.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnboundedSource`] if the power source never ends and
-    /// no [`Simulator::with_horizon`] was set.
-    pub fn try_run_telemetry(self) -> Result<(RunOutcome, R), SimError> {
-        let mut core = self.try_into_core()?;
-        while core.advance() {}
-        Ok(core.finish_telemetry())
+        core.finish_telemetry()
     }
 
     /// Converts this configured simulator into its resumable engine
     /// core without running it. The fleet shard loop builds each cell
     /// this way so it can meter engine steps against a watchdog
     /// budget; stepping a core to completion is exactly
-    /// [`Simulator::try_run`] (the run methods are implemented on top
-    /// of it), so a fleet cell is bit-identical to a scalar run.
+    /// [`Simulator::run_recorded`] (the run methods are implemented on
+    /// top of it), so a fleet cell is bit-identical to a scalar run.
     ///
     /// # Errors
     ///
@@ -333,7 +321,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> Simulato
 /// The resumable simulation engine: one configured run, advanced one
 /// engine iteration at a time.
 ///
-/// [`Simulator::try_run`] is a thin loop over this type, so driving a
+/// [`Simulator::run_recorded`] is a thin loop over this type, so driving a
 /// core one iteration at a time — as the fleet shard loop does, to
 /// check each cell's watchdog budget between iterations — performs
 /// exactly the same floating-point operations in exactly the same
@@ -363,8 +351,9 @@ pub struct SimCore<
     hard_end: Seconds,
     software_overhead: f64,
     feedback: bool,
-    fast_path: bool,
-    sleep_fast: bool,
+    /// Which regimes have a closed-form fast path, indexed by
+    /// [`Regime::index`] (never the active regime).
+    fast: [bool; Regime::COUNT],
     sleep_peripheral: Amps,
     t: Seconds,
     probe_acc: Seconds,
@@ -399,10 +388,10 @@ pub struct SimCore<
     stuck: Option<bool>,
     /// Online stride auditor; `None` runs unaudited.
     auditor: Option<InvariantAuditor>,
-    /// Auditor verdicts: a tripped regime's fast path is permanently
-    /// degraded to fine stepping for the rest of the run.
-    idle_degraded: bool,
-    sleep_degraded: bool,
+    /// Auditor verdicts, indexed by [`Regime::index`]: a tripped
+    /// regime's fast path is permanently degraded to fine stepping for
+    /// the rest of the run.
+    degraded: [bool; Regime::COUNT],
     finished: bool,
     metrics: RunMetrics,
     series: Vec<VoltageSample>,
@@ -501,11 +490,17 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         // The idle fast path is only worth taking for buffers whose
         // MCU-off physics integrate in closed form; everything else
         // fine-steps through the main loop, keeping step counts honest.
-        let fast_path = kernel == KernelMode::Adaptive && buffer.supports_idle_fast_path();
         // The sleep fast path is its mirror image for MCU-**on**,
         // workload-idle LPM3 stretches (§2.1: responsive sleep is where
         // batteryless nodes spend almost all of their on-time).
-        let sleep_fast = kernel == KernelMode::Adaptive && buffer.supports_powered_fast_path();
+        let fast = Regime::ALL.map(|regime| {
+            kernel == KernelMode::Adaptive
+                && match regime {
+                    Regime::Idle => buffer.supports_idle_fast_path(),
+                    Regime::Sleep => buffer.supports_powered_fast_path(),
+                    Regime::Active => false,
+                }
+        });
         let base_enable = gate.enable_voltage();
         let last_reconfig_count = buffer.reconfiguration_count();
         let tele_reconfig_count = last_reconfig_count;
@@ -523,8 +518,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             hard_end,
             software_overhead,
             feedback,
-            fast_path,
-            sleep_fast,
+            fast,
             // Peripheral current of the most recent sleep demand — what
             // the workload holds powered through the stretch (mic bias,
             // wake-up receiver). Valid whenever the MCU sits in `Sleep`,
@@ -558,8 +552,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             derate: 1.0,
             stuck: None,
             auditor: audit.map(InvariantAuditor::new),
-            idle_degraded: false,
-            sleep_degraded: false,
+            degraded: [false; Regime::COUNT],
             finished: false,
             metrics,
             series,
@@ -727,10 +720,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             return;
         };
         if aud.check(&snap, &self.buffer, p_rail, advanced, window, self.dt) {
-            match regime {
-                Regime::Idle => self.idle_degraded = true,
-                _ => self.sleep_degraded = true,
-            }
+            self.degraded[regime.index()] = true;
             if R::ENABLED {
                 self.recorder.record(&SimEvent {
                     t: self.t.get(),
@@ -757,12 +747,12 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         }
     }
 
-    /// Reports controller reconfigurations to the feedback channel by
-    /// delta — they can land inside fine steps or coarse strides, and
-    /// the count is the one signal both kernels agree on exactly. The
-    /// event is stamped at the current clock, at or after the physical
-    /// switch, so an adversary acting on it can never reach back
-    /// before it.
+    /// Reports controller reconfigurations by delta to the feedback
+    /// channel and, when recording, as [`EventKind::Reconfig`] events.
+    /// They can land inside fine steps or coarse strides, and the count
+    /// is the one signal both kernels agree on exactly. The notice is
+    /// stamped at the current clock, at or after the physical switch,
+    /// so an adversary acting on it can never reach back before it.
     fn note_reconfigs(&mut self) {
         if self.feedback {
             let rc = self.buffer.reconfiguration_count();
@@ -771,28 +761,6 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
                 self.source.observe(VictimEvent::Reconfig { at: self.t });
             }
         }
-    }
-
-    /// Books an advanced coarse stride: probe samples are stamped one
-    /// step back, where the reference kernel records them.
-    fn commit_stride(&mut self, advanced: Seconds, on: bool) {
-        if R::ENABLED {
-            self.flush_fine_span();
-            self.recorder.record(&SimEvent {
-                t: self.t.get(),
-                span: advanced.get(),
-                kind: EventKind::CoarseStride {
-                    kind: if on {
-                        StrideKind::Powered
-                    } else {
-                        StrideKind::Idle
-                    },
-                },
-            });
-        }
-        self.engine_steps += 1;
-        self.t += advanced;
-        self.note_reconfigs();
         if R::ENABLED {
             let rc = self.buffer.reconfiguration_count();
             tele_note_reconfigs(
@@ -803,21 +771,44 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
                 false,
             );
         }
-        if on {
-            self.metrics.on_time += advanced;
-        }
+    }
+
+    /// Accrues `span` toward the probe interval and, once it is due,
+    /// samples the rail as of time `at`.
+    fn probe(&mut self, span: Seconds, at: Seconds, on: bool) {
         if let Some(interval) = self.probe_interval {
-            self.probe_acc += advanced;
+            self.probe_acc += span;
             if self.probe_acc >= interval {
                 self.probe_acc = Seconds::ZERO;
                 self.series.push(VoltageSample {
-                    time_s: (self.t - self.dt).max(Seconds::ZERO).get(),
+                    time_s: at.get(),
                     voltage_v: self.buffer.rail_voltage().get(),
                     on,
                     capacitance_f: self.buffer.equivalent_capacitance().get(),
                 });
             }
         }
+    }
+
+    /// Books an advanced coarse stride: probe samples are stamped one
+    /// step back, where the reference kernel records them.
+    fn commit_stride(&mut self, advanced: Seconds, kind: StrideKind) {
+        if R::ENABLED {
+            self.flush_fine_span();
+            self.recorder.record(&SimEvent {
+                t: self.t.get(),
+                span: advanced.get(),
+                kind: EventKind::CoarseStride { kind },
+            });
+        }
+        self.engine_steps += 1;
+        self.t += advanced;
+        self.note_reconfigs();
+        let on = kind == StrideKind::Powered;
+        if on {
+            self.metrics.on_time += advanced;
+        }
+        self.probe(advanced, (self.t - self.dt).max(Seconds::ZERO), on);
         self.check_termination();
     }
 
@@ -854,8 +845,8 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
 
         // Telemetry: classify this iteration from its *entry* state
         // (the gate/MCU may flip mid-step). Fine steps coalesce into
-        // spans by (regime, reason); refusal reasons are captured at
-        // the refusing site below, structural reasons derived at the
+        // spans by (regime, reason); refusal reasons come from
+        // `try_stride` below, structural reasons are derived at the
         // bottom. All of it folds away under `NullRecorder`.
         let entry_regime = if !R::ENABLED {
             Regime::Active // unused when recording is off
@@ -868,7 +859,6 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         };
         let entry_poll_debt = if R::ENABLED { self.poll_debt } else { 0.0 };
         let t_entry = if R::ENABLED { self.t.get() } else { 0.0 };
-        let mut fine_reason: Option<FallbackReason> = None;
 
         // A defensive hold releases only once its backoff timer has
         // expired *and* the rail has recovered to the effective
@@ -887,78 +877,22 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             }
         }
 
-        // Adaptive idle fast path: gate open, MCU dark — the only
-        // dynamics are buffer physics (plus, for controller-driven
-        // buffers, threshold-sparse controller decisions) under a
-        // piecewise-constant input, which `idle_advance` integrates
-        // in one stride.
-        if self.fast_path
-            && !self.idle_degraded
+        let (idle, sleep) = (Regime::Idle.index(), Regime::Sleep.index());
+        let stride = if self.fast[idle]
+            && !self.degraded[idle]
             && v_ok
             && !self.gate.is_closed()
             && !self.mcu.is_powered()
             && v < self.gate.enable_voltage()
         {
-            let (p_rail, window_end) = self.stride_window();
-            let mut stride_end = window_end;
-            if let Some(interval) = self.probe_interval {
-                // Never integrate across a probe boundary.
-                stride_end = stride_end.min(self.t + (interval - self.probe_acc).max(dt));
-            }
-            let stride = stride_end - self.t;
-            if p_rail.get().is_finite() && stride >= calib::MIN_COARSE_STRIDE.max(dt + dt) {
-                let snap = self
-                    .auditor
-                    .is_some()
-                    .then(|| AuditSnapshot::capture(&self.buffer));
-                let advanced =
-                    self.buffer
-                        .idle_advance(p_rail, stride, self.gate.enable_voltage(), dt);
-                if advanced.get() > 0.0 {
-                    self.commit_stride(advanced, false);
-                    self.audit_stride(snap, p_rail, advanced, stride, Regime::Idle);
-                    // A stride that parked on the enable crossing has
-                    // *discovered* the boot edge: service the gate at
-                    // the commit so the next iteration fine-steps in
-                    // the regime it actually runs in (the MCU's first
-                    // boot step) instead of burning an idle fine step
-                    // on the hand-off.
-                    let v_now = self.buffer.rail_voltage();
-                    if !self.finished && v_now.get().is_finite() {
-                        self.service_gate(v_now);
-                        // The serviced edge can flip the termination
-                        // condition (a trace-end brown-out must end the
-                        // run here, not after another stride).
-                        self.check_termination();
-                    }
-                    return !self.finished;
-                }
-                if R::ENABLED {
-                    fine_reason = self
-                        .buffer
-                        .take_fallback()
-                        .or(Some(FallbackReason::NoClosedForm));
-                }
-            } else if R::ENABLED {
-                fine_reason = Some(if !p_rail.get().is_finite() {
-                    FallbackReason::NanGuard
-                } else {
-                    FallbackReason::ShortStride
-                });
-            }
-        }
-
-        // Adaptive sleep fast path: gate closed, MCU asleep in LPM3
-        // on a quiet workload — the only dynamics are buffer physics
-        // under the standing sleep draw (MCU sleep current plus the
-        // held peripheral), which `powered_advance` integrates in
-        // closed form up to the workload's next wake-up, the end of
-        // the converter-composed source segment, or the predicted
-        // brown-out crossing (quantized onto the `dt` grid). A
-        // pending poll-service debt keeps the stretch on fine steps
-        // (the serviced step runs the CPU active).
-        if self.sleep_fast
-            && !self.sleep_degraded
+            // Adaptive idle fast path: gate open, MCU dark — the only
+            // dynamics are buffer physics (plus, for controller-driven
+            // buffers, threshold-sparse controller decisions) under a
+            // piecewise-constant input, which `idle_advance`
+            // integrates in one stride.
+            Some(self.try_stride(StrideKind::Idle, (Seconds::new(f64::INFINITY), None)))
+        } else if self.fast[sleep]
+            && !self.degraded[sleep]
             && v_ok
             && self.gate.is_closed()
             && self.mcu.is_running()
@@ -966,118 +900,29 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             && self.poll_debt < dt.get()
             && v > self.gate.brownout_voltage()
         {
-            let env = WorkloadEnv {
-                now: self.t,
-                dt,
-                rail_voltage: v,
-                usable_energy: self
-                    .buffer
-                    .usable_energy_above(self.gate.brownout_voltage()),
-                supports_longevity: self.buffer.supports_longevity(),
-            };
-            // Resolve the hint to a wake *time* plus, for §3.4.1
-            // energy waits, a wake *voltage* — the rail level at
-            // which the buffer's usable pool first covers the
-            // workload's threshold, where the stride must stop so
-            // the per-step energy check observes the crossing.
-            let far = Seconds::new(f64::INFINITY);
-            // During a defensive backoff hold the workload is
-            // pinned in LPM3 regardless of its own schedule: the
-            // stride runs to the hold's expiry or, once the timer
-            // is out, to the rail's recovery crossing at the
-            // effective enable level (where the loop-top release
-            // check clears the hold).
-            let held_wake = match self.hold_until {
-                Some(h) if h > self.t => Some((h, None)),
-                Some(_) => Some((far, Some(self.gate.enable_voltage()))),
-                None => None,
-            };
-            let wake = if held_wake.is_some() {
-                held_wake
-            } else {
-                match self.workload.next_wake(&env) {
-                    WakeHint::Immediate => None,
-                    // A stale hint (at or behind the clock) gets the
-                    // fine-step treatment rather than a zero stride.
-                    WakeHint::At(tw) if tw > self.t => Some((tw, None)),
-                    WakeHint::At(_) => None,
-                    WakeHint::WhenEnergy { energy, deadline } => {
-                        if env.usable_energy >= energy || deadline.is_some_and(|d| d <= self.t) {
-                            // Already awake (or an event is due): the
-                            // wake-up itself runs on fine steps.
-                            None
-                        } else {
-                            self.buffer
-                                .rail_voltage_for_usable(energy, self.gate.brownout_voltage())
-                                .map(|v_wake| (deadline.unwrap_or(far), Some(v_wake)))
-                        }
-                    }
-                    WakeHint::Never => Some((far, None)),
-                }
-            };
-            if let Some((wake, v_wake)) = wake {
-                let (p_rail, window_end) = self.stride_window();
-                let mut stride_end = window_end.min(wake);
-                if let Some(interval) = self.probe_interval {
-                    // Never integrate across a probe boundary.
-                    stride_end = stride_end.min(self.t + (interval - self.probe_acc).max(dt));
-                }
-                let stride = stride_end - self.t;
-                if p_rail.get().is_finite() && stride >= calib::MIN_COARSE_STRIDE.max(dt + dt) {
-                    let i_sleep = self.mcu.running_current() + self.sleep_peripheral;
-                    let snap = self
-                        .auditor
-                        .is_some()
-                        .then(|| AuditSnapshot::capture(&self.buffer));
-                    let advanced = self
-                        .buffer
-                        .powered_advance(
-                            p_rail,
-                            i_sleep,
-                            stride,
-                            self.gate.brownout_voltage(),
-                            v_wake,
-                            dt,
-                        )
-                        .unwrap_or(Seconds::ZERO);
-                    if advanced.get() > 0.0 {
-                        self.commit_stride(advanced, true);
-                        self.audit_stride(snap, p_rail, advanced, stride, Regime::Sleep);
-                        // Symmetric to the idle path: a stride that
-                        // parked on the brown-out crossing services
-                        // the gate edge at the commit, so the MCU
-                        // powers down here and the next iteration
-                        // coarse-strides the dark rail instead of
-                        // spending a sleep fine step on the hand-off.
-                        let v_now = self.buffer.rail_voltage();
-                        if !self.finished && v_now.get().is_finite() {
-                            self.service_gate(v_now);
-                            // The serviced edge can flip the
-                            // termination condition (a trace-end
-                            // brown-out must end the run here).
-                            self.check_termination();
-                        }
-                        return !self.finished;
-                    }
-                    if R::ENABLED {
-                        fine_reason = self
-                            .buffer
-                            .take_fallback()
-                            .or(Some(FallbackReason::NoClosedForm));
-                    }
-                } else if R::ENABLED {
-                    fine_reason = Some(if !p_rail.get().is_finite() {
-                        FallbackReason::NanGuard
-                    } else {
-                        FallbackReason::ShortStride
-                    });
-                }
-            } else if R::ENABLED {
-                // The wake hint resolved to "now": immediate, stale,
+            // Adaptive sleep fast path: gate closed, MCU asleep in LPM3
+            // on a quiet workload — the only dynamics are buffer
+            // physics under the standing sleep draw (MCU sleep current
+            // plus the held peripheral), which `powered_advance`
+            // integrates in closed form up to the workload's next
+            // wake-up, the end of the converter-composed source
+            // segment, or the predicted brown-out crossing (quantized
+            // onto the `dt` grid). A pending poll-service debt keeps
+            // the stretch on fine steps (the serviced step runs the CPU
+            // active).
+            Some(match self.sleep_wake(v) {
+                Some(wake) => self.try_stride(StrideKind::Powered, wake),
+                // The wake resolved to "now": immediate, stale,
                 // energy-satisfied, or deadline-due.
-                fine_reason = Some(FallbackReason::TransitionDue);
-            }
+                None => Err(FallbackReason::TransitionDue),
+            })
+        } else {
+            None
+        };
+        if stride == Some(Ok(())) {
+            return !self.finished;
         }
+        let fine_reason = stride.and_then(Result::err);
 
         self.engine_steps += 1;
 
@@ -1085,6 +930,134 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         self.service_gate(v);
 
         self.post_gate_fine_step(v, dt, entry_regime, entry_poll_debt, t_entry, fine_reason)
+    }
+
+    /// What the workload sees at the current clock with the rail at `v`.
+    fn workload_env(&self, v: Volts) -> WorkloadEnv {
+        WorkloadEnv {
+            now: self.t,
+            dt: self.dt,
+            rail_voltage: v,
+            usable_energy: self
+                .buffer
+                .usable_energy_above(self.gate.brownout_voltage()),
+            supports_longevity: self.buffer.supports_longevity(),
+        }
+    }
+
+    /// Where an LPM3 sleep stride must stop: a wake *time* plus, for
+    /// §3.4.1 energy waits, a wake *voltage* — the rail level at which
+    /// the buffer's usable pool first covers the workload's threshold,
+    /// where the stride must stop so the per-step energy check
+    /// observes the crossing. `None` means the wake is due now.
+    fn sleep_wake(&self, v: Volts) -> Option<(Seconds, Option<Volts>)> {
+        let far = Seconds::new(f64::INFINITY);
+        // During a defensive backoff hold the workload is pinned in
+        // LPM3 regardless of its own schedule: the stride runs to the
+        // hold's expiry or, once the timer is out, to the rail's
+        // recovery crossing at the effective enable level (where the
+        // loop-top release check clears the hold).
+        match self.hold_until {
+            Some(h) if h > self.t => return Some((h, None)),
+            Some(_) => return Some((far, Some(self.gate.enable_voltage()))),
+            None => {}
+        }
+        let env = self.workload_env(v);
+        match self.workload.next_wake(&env) {
+            WakeHint::Immediate => None,
+            // A stale hint (at or behind the clock) gets the fine-step
+            // treatment rather than a zero stride.
+            WakeHint::At(tw) if tw > self.t => Some((tw, None)),
+            WakeHint::At(_) => None,
+            // Already awake (or an event is due): the wake-up itself
+            // runs on fine steps.
+            WakeHint::WhenEnergy { energy, deadline }
+                if env.usable_energy >= energy || deadline.is_some_and(|d| d <= self.t) =>
+            {
+                None
+            }
+            WakeHint::WhenEnergy { energy, deadline } => self
+                .buffer
+                .rail_voltage_for_usable(energy, self.gate.brownout_voltage())
+                .map(|v_wake| (deadline.unwrap_or(far), Some(v_wake))),
+            WakeHint::Never => Some((far, None)),
+        }
+    }
+
+    /// Attempts one closed-form coarse stride of `kind`, stopping at
+    /// the source window, the next probe sample, or `wake` (a time and,
+    /// for sleep strides, an optional wake voltage). On success the
+    /// stride is committed and audited, and a gate edge the closed form
+    /// parked on is serviced at the commit. On refusal nothing has
+    /// advanced and the error says why the iteration fine-steps.
+    fn try_stride(
+        &mut self,
+        kind: StrideKind,
+        (wake, v_wake): (Seconds, Option<Volts>),
+    ) -> Result<(), FallbackReason> {
+        let dt = self.dt;
+        let (p_rail, window_end) = self.stride_window();
+        let mut stride_end = window_end.min(wake);
+        if let Some(interval) = self.probe_interval {
+            // Never integrate across a probe boundary.
+            stride_end = stride_end.min(self.t + (interval - self.probe_acc).max(dt));
+        }
+        let stride = stride_end - self.t;
+        let long_enough = stride >= calib::MIN_COARSE_STRIDE.max(dt + dt);
+        if !p_rail.get().is_finite() {
+            return Err(FallbackReason::NanGuard);
+        }
+        if !long_enough {
+            return Err(FallbackReason::ShortStride);
+        }
+        let snap = self
+            .auditor
+            .is_some()
+            .then(|| AuditSnapshot::capture(&self.buffer));
+        let advanced = match kind {
+            StrideKind::Idle => {
+                self.buffer
+                    .idle_advance(p_rail, stride, self.gate.enable_voltage(), dt)
+            }
+            StrideKind::Powered => {
+                let i_sleep = self.mcu.running_current() + self.sleep_peripheral;
+                self.buffer
+                    .powered_advance(
+                        p_rail,
+                        i_sleep,
+                        stride,
+                        self.gate.brownout_voltage(),
+                        v_wake,
+                        dt,
+                    )
+                    .unwrap_or(Seconds::ZERO)
+            }
+        };
+        if advanced.get() > 0.0 {
+            self.commit_stride(advanced, kind);
+            self.audit_stride(snap, p_rail, advanced, stride, kind.regime());
+            // A stride that parked on a gate crossing has *discovered*
+            // the edge (idle: the boot; sleep: the brown-out). Service
+            // it at the commit so the next iteration steps in the
+            // regime it actually runs in instead of burning a fine
+            // step on the hand-off.
+            let v_now = self.buffer.rail_voltage();
+            if !self.finished && v_now.get().is_finite() {
+                self.service_gate(v_now);
+                // The serviced edge can flip the termination condition
+                // (a trace-end brown-out must end the run here, not
+                // after another stride).
+                self.check_termination();
+            }
+            Ok(())
+        } else if R::ENABLED {
+            Err(self
+                .buffer
+                .take_fallback()
+                .unwrap_or(FallbackReason::NoClosedForm))
+        } else {
+            Err(FallbackReason::NoClosedForm)
+        }
     }
 
     /// Services the power gate against the rail voltage `v` at the
@@ -1255,15 +1228,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
                     self.poll_debt -= dt.get();
                     self.mcu.set_mode(react_mcu::PowerMode::Active);
                 } else {
-                    let env = WorkloadEnv {
-                        now: self.t,
-                        dt,
-                        rail_voltage: v,
-                        usable_energy: self
-                            .buffer
-                            .usable_energy_above(self.gate.brownout_voltage()),
-                        supports_longevity: self.buffer.supports_longevity(),
-                    };
+                    let env = self.workload_env(v);
                     let LoadDemand {
                         mode,
                         peripheral_current,
@@ -1345,67 +1310,29 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         self.buffer
             .step(input, mcu_current + peripheral, dt, self.mcu.is_running());
         self.note_reconfigs();
-        if R::ENABLED {
-            let rc = self.buffer.reconfiguration_count();
-            tele_note_reconfigs(
-                &mut self.recorder,
-                rc,
-                &mut self.tele_reconfig_count,
-                self.t.get(),
-                false,
-            );
-        }
 
         // Accounting.
-        if self.gate.is_closed() {
+        let on = self.gate.is_closed();
+        if on {
             self.metrics.on_time += dt;
         }
-        if let Some(interval) = self.probe_interval {
-            self.probe_acc += dt;
-            if self.probe_acc >= interval {
-                self.probe_acc = Seconds::ZERO;
-                self.series.push(VoltageSample {
-                    time_s: self.t.get(),
-                    voltage_v: self.buffer.rail_voltage().get(),
-                    on: self.gate.is_closed(),
-                    capacitance_f: self.buffer.equivalent_capacitance().get(),
-                });
-            }
-        }
+        self.probe(dt, self.t, on);
 
         self.t += dt;
         if R::ENABLED {
             // Structural classification for fine steps no refusal site
             // annotated: the entry state makes fine stepping inherent.
+            let r = entry_regime.index();
             let reason = fine_reason.unwrap_or(match entry_regime {
                 Regime::Active => FallbackReason::McuActive,
-                Regime::Idle => {
-                    if !v_ok {
-                        FallbackReason::NanGuard
-                    } else if !self.fast_path {
-                        FallbackReason::FastPathOff
-                    } else if self.idle_degraded {
-                        FallbackReason::AuditDegraded
-                    } else {
-                        // Enable crossing due (boot edge) or a
-                        // post-brown-out MCU-discharge transient.
-                        FallbackReason::TransitionDue
-                    }
-                }
-                Regime::Sleep => {
-                    if !v_ok {
-                        FallbackReason::NanGuard
-                    } else if !self.sleep_fast {
-                        FallbackReason::FastPathOff
-                    } else if self.sleep_degraded {
-                        FallbackReason::AuditDegraded
-                    } else if entry_poll_debt >= dt.get() {
-                        FallbackReason::PollDebt
-                    } else {
-                        // Brown-out crossing due, or a wake/hold edge.
-                        FallbackReason::TransitionDue
-                    }
-                }
+                _ if !v_ok => FallbackReason::NanGuard,
+                _ if !self.fast[r] => FallbackReason::FastPathOff,
+                _ if self.degraded[r] => FallbackReason::AuditDegraded,
+                Regime::Sleep if entry_poll_debt >= dt.get() => FallbackReason::PollDebt,
+                // Idle: enable crossing due (boot edge) or a post-brown-
+                // out MCU-discharge transient. Sleep: brown-out crossing
+                // due, or a wake/hold edge.
+                _ => FallbackReason::TransitionDue,
             });
             self.tele_note_fine_step(entry_regime, reason, t_entry);
         }

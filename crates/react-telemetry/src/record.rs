@@ -48,7 +48,7 @@ impl Recorder for NullRecorder {
 /// Memory is `O(capacity)` regardless of run length; once full, the
 /// oldest event is discarded per new event and counted in
 /// [`RingRecorder::dropped`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct RingRecorder {
     events: VecDeque<SimEvent>,
     capacity: usize,
@@ -68,11 +68,6 @@ impl RingRecorder {
             capacity,
             dropped: 0,
         }
-    }
-
-    /// A ring with [`RingRecorder::DEFAULT_CAPACITY`].
-    pub fn with_default_capacity() -> Self {
-        Self::new(Self::DEFAULT_CAPACITY)
     }
 
     /// Number of events currently held.
@@ -98,6 +93,13 @@ impl RingRecorder {
     /// Consume the ring into a `Vec`, oldest first.
     pub fn into_events(self) -> Vec<SimEvent> {
         self.events.into_iter().collect()
+    }
+}
+
+/// A ring with [`RingRecorder::DEFAULT_CAPACITY`].
+impl Default for RingRecorder {
+    fn default() -> Self {
+        Self::new(Self::DEFAULT_CAPACITY)
     }
 }
 
@@ -146,6 +148,15 @@ mod tests {
         assert_eq!(ring.dropped(), 7);
         let kept: Vec<f64> = ring.iter().map(|e| e.t).collect();
         assert_eq!(kept, vec![7.0, 8.0, 9.0]);
+    }
+
+    #[test]
+    fn default_ring_records_at_default_capacity() {
+        let mut ring = RingRecorder::default();
+        ring.record(&boot_at(1.0));
+        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.dropped(), 0);
+        assert_eq!(ring.capacity, RingRecorder::DEFAULT_CAPACITY);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use react_repro::buffers::BufferKind;
 use react_repro::circuit::FaultPlan;
 use react_repro::core::{find_scenario, AuditConfig, KernelMode, RunMetrics, Scenario};
-use react_repro::telemetry::EventKind;
+use react_repro::telemetry::{EventKind, FallbackReason, Regime, RingRecorder, StrideKind};
 use react_repro::units::Seconds;
 
 /// Same buffer matrix the kernel-equivalence suite pins.
@@ -93,7 +93,7 @@ fn audited_adaptive_tracks_fine_stepped_reference_under_fade_offset() {
 #[test]
 fn capacitance_fade_detected_within_bounded_strides() {
     let s = truncated("fault-fade-offset-hour-10mf-de-audited", 1800.0);
-    let (out, ring) = s.run_traced(None);
+    let (out, ring) = s.run_recorded(RingRecorder::default());
     assert!(out.metrics.audit_trips >= 1, "fade escaped the auditor");
 
     let events = ring.into_events();
@@ -121,6 +121,44 @@ fn capacitance_fade_detected_within_bounded_strides() {
          (budget {} s)",
         4.0 * max_stride
     );
+
+    // A tripped regime stays degraded: after the first idle trip no
+    // idle stride commits again, and every later idle fine span is
+    // attributed to the degradation.
+    let after_idle_trip = events
+        .iter()
+        .skip_while(|e| {
+            !matches!(
+                e.kind,
+                EventKind::AuditTrip {
+                    regime: Regime::Idle
+                }
+            )
+        })
+        .skip(1);
+    let mut degraded_spans = 0;
+    for e in after_idle_trip {
+        match e.kind {
+            EventKind::CoarseStride {
+                kind: StrideKind::Idle,
+            } => panic!("idle stride at {:.3} s after the idle regime tripped", e.t),
+            EventKind::FineSpan {
+                regime: Regime::Idle,
+                reason,
+                ..
+            } => {
+                assert_eq!(
+                    reason,
+                    FallbackReason::AuditDegraded,
+                    "idle fine span at {:.3} s after the trip",
+                    e.t
+                );
+                degraded_spans += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(degraded_spans > 0, "no idle fine span after the idle trip");
 }
 
 /// Benign cells must be bit-identical to pre-fault-era runs: arming an

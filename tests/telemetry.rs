@@ -10,13 +10,14 @@ use react_repro::buffers::BufferKind;
 use react_repro::core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
 use react_repro::core::{
     build_report, calib, expand_cells, find_scenario, render_class_sinks, report_scenarios,
-    run_fleet, CellAttribution, FleetRunOptions, FleetSpec, RunMetrics, Scenario, Simulator,
+    run_fleet, CellAttribution, FleetRunOptions, FleetSpec, KernelMode, RunMetrics, Scenario,
+    Simulator,
 };
 use react_repro::env::{PowerSource, Segment};
 use react_repro::harvest::{Converter, PowerReplay};
 use react_repro::mcu::PowerGate;
 use react_repro::telemetry::{
-    chrome_trace_json, EventKind, FallbackReason, Regime, StepAttribution,
+    chrome_trace_json, EventKind, FallbackReason, Regime, RingRecorder, StepAttribution,
 };
 use react_repro::units::{Seconds, Watts};
 
@@ -71,8 +72,8 @@ fn recording_is_bit_identical_across_report_matrix() {
             s.horizon = s.horizon.min(Seconds::new(60.0));
             let label = format!("{}/{}", s.name, buffer.label());
             let plain = s.run().metrics;
-            let (attributed, attr) = s.run_attributed();
-            let (traced, ring) = s.run_traced(None);
+            let (attributed, attr) = s.run_recorded(StepAttribution::default());
+            let (traced, ring) = s.run_recorded(RingRecorder::default());
             assert_bit_identical(&label, &plain, &attributed.metrics);
             assert_bit_identical(&label, &plain, &traced.metrics);
             assert_eq!(
@@ -80,6 +81,7 @@ fn recording_is_bit_identical_across_report_matrix() {
                 plain.engine_steps,
                 "{label}: attribution must account for every engine step"
             );
+            assert!(!ring.is_empty(), "{label}: the default ring records events");
             assert_eq!(ring.dropped(), 0, "{label}: 60 s must fit the default ring");
         }
     }
@@ -101,7 +103,7 @@ proptest! {
         let mut s = base.with_buffer(buffer).with_seed_salt(salt);
         s.horizon = s.horizon.min(Seconds::new(45.0));
         let plain = s.run().metrics;
-        let (attributed, attr) = s.run_attributed();
+        let (attributed, attr) = s.run_recorded(StepAttribution::default());
         prop_assert_eq!(plain.engine_steps, attributed.metrics.engine_steps);
         prop_assert_eq!(
             plain.final_stored.get().to_bits(),
@@ -120,10 +122,10 @@ proptest! {
 /// per-regime marginals sum to the totals.
 #[test]
 fn attribution_accounts_for_every_step_and_second() {
-    // A mixed cell: boots, idle charging, sleep strides, and active
-    // bursts all occur within two simulated hours.
+    // A mixed cell: boots, idle charging and active bursts all occur
+    // within two simulated hours.
     let s = truncated("stormy-day-morphy-de", 7200.0);
-    let (outcome, attr) = s.run_attributed();
+    let (outcome, attr) = s.run_recorded(StepAttribution::default());
     let m = outcome.metrics;
 
     assert_eq!(attr.total_steps(), m.engine_steps);
@@ -151,6 +153,40 @@ fn attribution_accounts_for_every_step_and_second() {
     // The mixed cell genuinely exercises both step granularities.
     assert!(attr.coarse_steps() > 0, "no coarse strides attributed");
     assert!(attr.fine_steps() > 0, "no fine steps attributed");
+
+    // The fixed-`dt` reference has no fast path: it never strides, and
+    // every idle and sleep fine step is attributed to that. The stormy
+    // cell only charges in its first 600 s; the plateau cell sleeps too.
+    for (name, sleeps) in [("stormy-day-morphy-de", false), ("react-plateau-sc", true)] {
+        let (_, fixed) = truncated(name, 600.0)
+            .simulator()
+            .with_kernel(KernelMode::FixedDt)
+            .with_recorder(StepAttribution::default())
+            .run_recorded();
+        assert_eq!(
+            fixed.coarse_steps(),
+            0,
+            "{name}: the fixed-dt kernel strode"
+        );
+        assert!(
+            fixed.regime_steps(Regime::Idle) > 0,
+            "{name}: no idle steps"
+        );
+        assert_eq!(
+            fixed.regime_steps(Regime::Sleep) > 0,
+            sleeps,
+            "{name}: sleep steps"
+        );
+        for regime in [Regime::Idle, Regime::Sleep] {
+            assert_eq!(
+                fixed.bin(regime, Some(FallbackReason::FastPathOff)).steps,
+                fixed.regime_steps(regime),
+                "{name}: {} fine steps outside fast-path-off: {:?}",
+                regime.label(),
+                fixed.rows()
+            );
+        }
+    }
 }
 
 /// A power model that emits NaN over a mid-run window (same shape as
@@ -206,7 +242,7 @@ fn nan_guard_fallbacks_are_attributed_to_the_nan_class() {
     };
     let replay = PowerReplay::from_source(source, Converter::ideal());
     let workload = react_repro::core::WorkloadKind::SenseCompute.build_streaming(horizon, 7);
-    let result = Simulator::new(replay, BufferKind::React.build(), workload)
+    let (outcome, attr) = Simulator::new(replay, BufferKind::React.build(), workload)
         .with_timestep(Seconds::new(0.001))
         .with_horizon(horizon)
         .with_gate(PowerGate::new(
@@ -214,8 +250,7 @@ fn nan_guard_fallbacks_are_attributed_to_the_nan_class() {
             calib::BROWNOUT_VOLTAGE,
         ))
         .with_recorder(StepAttribution::default())
-        .try_run_telemetry();
-    let (outcome, attr) = result.expect("telemetry run");
+        .run_recorded();
     let m = outcome.metrics;
     assert!(m.guard_fallbacks >= 1, "fault window must trip the guard");
     let nan_steps: u64 = Regime::ALL
@@ -244,7 +279,9 @@ fn nan_guard_fallbacks_are_attributed_to_the_nan_class() {
 #[test]
 fn collapsed_kernel_hotspots_stay_collapsed() {
     let plateau = *find_scenario("react-plateau-sc").expect("registry scenario");
-    let (_, plateau_attr) = plateau.with_buffer(BufferKind::React).run_attributed();
+    let (_, plateau_attr) = plateau
+        .with_buffer(BufferKind::React)
+        .run_recorded(StepAttribution::default());
     let plateau_hours = plateau_attr.total_seconds() / 3600.0;
     let rate = |steps: u64| steps as f64 / plateau_hours;
     let ncf = plateau_attr
@@ -273,7 +310,9 @@ fn collapsed_kernel_hotspots_stay_collapsed() {
     );
 
     let stormy = truncated("stormy-day-morphy-de", 21600.0);
-    let (_, stormy_attr) = stormy.with_buffer(BufferKind::Morphy).run_attributed();
+    let (_, stormy_attr) = stormy
+        .with_buffer(BufferKind::Morphy)
+        .run_recorded(StepAttribution::default());
     let transition = stormy_attr
         .bin(Regime::Idle, Some(FallbackReason::TransitionDue))
         .steps;
@@ -321,7 +360,7 @@ fn collapsed_kernel_hotspots_stay_collapsed() {
 fn defended_attack_trace_exports_detection_and_backoff() {
     let mut s = *find_scenario("attack-bootstrike-hour-de-defended").expect("registry scenario");
     s.dt = Seconds::new(0.01);
-    let (outcome, ring) = s.run_traced(None);
+    let (outcome, ring) = s.run_recorded(RingRecorder::default());
     assert!(outcome.metrics.detections >= 1, "defense must detect");
     let events: Vec<_> = ring.into_events();
     let has = |pred: fn(&EventKind) -> bool| events.iter().any(|e| pred(&e.kind));
@@ -368,7 +407,9 @@ fn fleet_attribution_matches_scalar_node_order_merge() {
         let (start, end) = spec.shard_range(shard);
         let mut shard_attr = StepAttribution::default();
         for i in start..end {
-            let (_, attr) = spec.node_scenario(i).run_attributed();
+            let (_, attr) = spec
+                .node_scenario(i)
+                .run_recorded(StepAttribution::default());
             shard_attr.merge(&attr);
         }
         reference.merge(&shard_attr);
@@ -398,7 +439,9 @@ fn attributed_report_covers_every_cell() {
     let mut scenarios = vec![truncated("react-plateau-sc", 900.0)];
     scenarios.push(truncated("rf-ge-hour-react-de", 120.0));
     let cells = expand_cells(&scenarios, &REPORT_BUFFERS[..2], &REPORT_SEEDS);
-    let (report, profiles) = build_report(&cells, true, &Scenario::run_attributed);
+    let (report, profiles) = build_report(&cells, true, &|s: &Scenario| {
+        s.run_recorded(StepAttribution::default())
+    });
     assert!(report.poisoned.is_empty());
     assert_eq!(profiles.len(), report.cells.len());
     for (cell, profile) in report.cells.iter().zip(profiles) {
