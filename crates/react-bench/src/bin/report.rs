@@ -8,7 +8,6 @@
 //! report fleet [--quick] [--checkpoint <path>] [--nodes <n>] [--scenario <name>]
 //!                               # salted fleet          -> FLEET_report.json, FLEET_attribution.{json,txt}
 //! report attribution            # kernel-overhead budget of SCENARIO_attribution.json
-//! report bench                  # engine speedups of BENCH_engine.json (no --write-baseline)
 //! ```
 //!
 //! Every kind produces its current report, prints it, and hands it to
@@ -49,9 +48,9 @@
 //!   `report scenario` wrote and budgets each fallback class in engine
 //!   steps per simulated hour, two-sided
 //!   ([`react_bench::gate::AttributionBudget`]).
-//! * **bench** reads the `BENCH_engine.json` that
-//!   `cargo bench -p react-bench --bench engine` wrote and compares
-//!   each scenario's speedup, two-sided, within ±20 %.
+//!
+//! Every kind gates deterministic quantities, so a gate never fails on
+//! timer noise; wall-clock performance is measured by `perfbench/`.
 //!
 //! `--quick` caps scenario and fault horizons at 15 minutes for a local
 //! preview; those numbers are not comparable to a committed baseline,
@@ -62,8 +61,8 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use react_bench::gate::{run_gate, AttributionBudget, Gate, Kind, EXIT_ERROR};
-use react_bench::{fleet_spec, read_artifact, save_named_artifact, BenchReport};
+use react_bench::gate::{run_gate, AttributionBudget, Kind, EXIT_ERROR};
+use react_bench::{fleet_spec, read_artifact, save_named_artifact};
 use react_core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
 use react_core::{
     build_report, expand_cells, fault_cells, merged_attribution, render_attribution,
@@ -74,7 +73,7 @@ use react_telemetry::StepAttribution;
 use react_units::Seconds;
 use serde::Serialize;
 
-const USAGE: &str = "usage: report <scenario|fault|fleet|attribution|bench> \
+const USAGE: &str = "usage: report <scenario|fault|fleet|attribution> \
                      [--check <baseline.json>] [--write-baseline <path>] [options]";
 
 /// Flags that take a value; every other flag is a switch.
@@ -98,8 +97,7 @@ struct Cli {
 /// Whether `kind` accepts `flag`.
 fn accepts(kind: Kind, flag: &str) -> bool {
     match flag {
-        "--check" => true,
-        "--write-baseline" => kind.writes_baseline(),
+        "--check" | "--write-baseline" => true,
         "--quick" => matches!(kind, Kind::Scenario | Kind::Fault | Kind::Fleet),
         "--checkpoint" | "--nodes" | "--scenario" => kind == Kind::Fleet,
         _ => false,
@@ -338,12 +336,6 @@ fn run(args: &[String]) -> Result<u8, String> {
             let budget = AttributionBudget::measure(&read_artifact(file)?)
                 .map_err(|e| format!("{file}: {e}"))?;
             run_gate(kind, &budget, check, write)
-        }
-        Kind::Bench => {
-            let file = "BENCH_engine.json";
-            let report =
-                BenchReport::parse(&read_artifact(file)?).map_err(|e| format!("{file}: {e}"))?;
-            run_gate(kind, &report, check, write)
         }
     })
 }

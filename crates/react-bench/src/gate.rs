@@ -14,15 +14,17 @@
 //! | `fault`       | [`ScenarioReport`]    | the same, over the fault-campaign matrix     |
 //! | `fleet`       | [`FleetReport`]       | fingerprint, then the percentile summary     |
 //! | `attribution` | [`AttributionBudget`] | fallback steps per simulated hour, two-sided |
-//! | `bench`       | [`BenchReport`]       | engine speedups, two-sided                   |
+//!
+//! Every gate compares deterministic quantities — outcomes, counters
+//! and step rates — so none of them can fail on timer noise. Wall-clock
+//! throughput is measured by the repository benchmark (`perfbench/`),
+//! not gated here.
 
 use react_core::{
     compare_fleet_reports, compare_reports, find_scenario, FleetReport, FleetTolerances,
     ScenarioReport, Tolerances,
 };
 use serde::{Deserialize, Serialize};
-
-use crate::BenchReport;
 
 /// Exit code: the gate passed (or nothing was gated).
 pub const EXIT_OK: u8 = 0;
@@ -45,19 +47,11 @@ pub enum Kind {
     Fleet,
     /// The scenario matrix's kernel-overhead budget.
     Attribution,
-    /// The engine bench's speedups.
-    Bench,
 }
 
 impl Kind {
     /// Every kind, in the order the usage text lists them.
-    pub const ALL: [Kind; 5] = [
-        Kind::Scenario,
-        Kind::Fault,
-        Kind::Fleet,
-        Kind::Attribution,
-        Kind::Bench,
-    ];
+    pub const ALL: [Kind; 4] = [Kind::Scenario, Kind::Fault, Kind::Fleet, Kind::Attribution];
 
     /// The kind's command-line name.
     pub fn name(self) -> &'static str {
@@ -66,7 +60,6 @@ impl Kind {
             Kind::Fault => "fault",
             Kind::Fleet => "fleet",
             Kind::Attribution => "attribution",
-            Kind::Bench => "bench",
         }
     }
 
@@ -81,13 +74,6 @@ impl Kind {
         format!("ci/{}-baseline.json", self.name())
     }
 
-    /// Whether `--write-baseline` applies. The bench baseline is
-    /// curated by hand (it carries a `note` and only the scenarios
-    /// whose ratios transfer across runners), so it is never written.
-    pub fn writes_baseline(self) -> bool {
-        self != Kind::Bench
-    }
-
     /// Loads a baseline document through this kind's loader and
     /// compares it against itself, returning the violations (a sound
     /// baseline has none).
@@ -100,7 +86,6 @@ impl Kind {
             Kind::Scenario | Kind::Fault => check::<ScenarioReport>(text),
             Kind::Fleet => check::<FleetReport>(text),
             Kind::Attribution => check::<AttributionBudget>(text),
-            Kind::Bench => check::<BenchReport>(text),
         }
     }
 }
@@ -190,12 +175,10 @@ pub fn run_gate<G: Gate>(kind: Kind, current: &G, check: Option<&str>, write: Op
             for v in &violations {
                 eprintln!("  {v}");
             }
-            if kind.writes_baseline() {
-                eprintln!(
-                    "if the change is intentional, refresh the baseline with \
-                     `report {name} --write-baseline {path}`"
-                );
-            }
+            eprintln!(
+                "if the change is intentional, refresh the baseline with \
+                 `report {name} --write-baseline {path}`"
+            );
             return EXIT_VIOLATION;
         }
         println!("{name} gate: conformant with {path}");
@@ -238,73 +221,6 @@ impl Gate for FleetReport {
             table: vec![format!("fleet fingerprint {}", self.fingerprint)],
             violations: compare_fleet_reports(baseline, self, &FleetTolerances::default()),
         }
-    }
-}
-
-/// Tolerated relative drift of a bench speedup, in either direction.
-const MAX_REGRESSION: f64 = 0.20;
-
-/// Compares each baseline scenario's *speedup* (adaptive vs baseline
-/// kernel wall-clock within one run on one machine — the only metric
-/// that transfers across CI runners). A speedup more than 20 % below
-/// its baseline is a performance regression; more than 20 % above
-/// means the kernel got structurally faster and the committed baseline
-/// is stale, which would silently slacken the gate for every later
-/// change if left uncommitted. A baseline scenario missing from the
-/// current report also fails.
-impl Gate for BenchReport {
-    fn compare(&self, baseline: &Self) -> Comparison {
-        let mut table = vec![format!(
-            "{:<24} {:>10} {:>10} {:>8} {:>8}  verdict",
-            "scenario", "base", "current", "floor", "ceiling"
-        )];
-        let mut violations = Vec::new();
-        for base in &baseline.scenarios {
-            let floor = base.speedup * (1.0 - MAX_REGRESSION);
-            let ceiling = base.speedup * (1.0 + MAX_REGRESSION);
-            let Some(cur) = self.scenario(&base.name) else {
-                violations.push(format!(
-                    "{}: scenario missing from the current report",
-                    base.name
-                ));
-                table.push(format!(
-                    "{:<24} {:>9.2}× {:>10} {:>7.2}× {:>7.2}×  MISSING",
-                    base.name, base.speedup, "-", floor, ceiling
-                ));
-                continue;
-            };
-            let verdict = if cur.speedup < floor {
-                violations.push(format!(
-                    "{}: speedup {:.2}× fell below the {:.2}× floor (baseline {:.2}×) — \
-                     performance regression",
-                    base.name, cur.speedup, floor, base.speedup
-                ));
-                "REGRESSED"
-            } else if cur.speedup > ceiling {
-                violations.push(format!(
-                    "{}: speedup {:.2}× exceeds the {:.2}× ceiling (baseline {:.2}×) — \
-                     baseline is stale, refresh ci/bench-baseline.json from \
-                     BENCH_engine.json",
-                    base.name, cur.speedup, ceiling, base.speedup
-                ));
-                "STALE BASELINE"
-            } else {
-                "ok"
-            };
-            table.push(format!(
-                "{:<24} {:>9.2}× {:>9.2}× {:>7.2}× {:>7.2}×  {}",
-                base.name, base.speedup, cur.speedup, floor, ceiling, verdict
-            ));
-        }
-        for cur in &self.scenarios {
-            if baseline.scenario(&cur.name).is_none() {
-                table.push(format!(
-                    "{:<24} {:>10} {:>9.2}× {:>8} {:>8}  new (no baseline)",
-                    cur.name, "-", cur.speedup, "-", "-"
-                ));
-            }
-        }
-        Comparison { table, violations }
     }
 }
 
@@ -351,11 +267,11 @@ pub struct Budget {
 /// `SCENARIO_attribution.json`.
 ///
 /// The scenario gate pins *what* the matrix computes; this gate pins
-/// *how hard the kernel works to compute it*. Like the bench gate, the
-/// comparison is two-sided: above the budget (more fine-stepping) a
-/// collapsed fallback path re-opened; far below it the kernel got
-/// structurally leaner and the win must be re-pinned, otherwise the
-/// slack would mask the next regression.
+/// *how hard the kernel works to compute it*. The comparison is
+/// two-sided: above the budget (more fine-stepping) a collapsed
+/// fallback path re-opened; far below it the kernel got structurally
+/// leaner and the win must be re-pinned, otherwise the slack would mask
+/// the next regression.
 ///
 /// `fine:mcu-active` classes are workload-driven (the MCU really is
 /// awake), and coarse bins are the steps the kernel is *supposed* to

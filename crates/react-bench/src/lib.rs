@@ -5,7 +5,9 @@
 //! the ablations), printing the same rows/series the paper reports and
 //! then timing a representative kernel under criterion.
 //!
-//! [`gate`] holds the CI gates the `report` binary runs.
+//! [`gate`] holds the CI gates the `report` binary runs; every one
+//! compares deterministic quantities. Wall-clock performance is
+//! measured by the repository benchmark, `perfbench/`.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
@@ -16,41 +18,6 @@ use react_core::report::TextTable;
 use react_core::{find_scenario, ExperimentMatrix, FleetBins, FleetSpec, WorkloadKind};
 use react_traces::PaperTrace;
 use react_units::Seconds;
-use serde::{Deserialize, Serialize};
-
-/// One engine-bench scenario's performance record — the unit the CI
-/// perf-regression gate (`report bench`) compares against its committed
-/// baseline.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct BenchScenario {
-    /// Stable scenario identifier (the gate matches on it).
-    pub name: String,
-    /// Wall-clock of the baseline kernel configuration, in ms.
-    pub wall_ms_baseline: f64,
-    /// Wall-clock of the fast (adaptive) configuration, in ms.
-    pub wall_ms_fast: f64,
-    /// `wall_ms_baseline / wall_ms_fast` — the machine-independent
-    /// metric the CI gate checks (absolute wall-clock is not comparable
-    /// across runners).
-    pub speedup: f64,
-    /// Engine iterations per second sustained by the fast configuration.
-    pub steps_per_sec: f64,
-}
-
-/// The `BENCH_engine.json` document: every scenario the engine bench
-/// measured in one run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct BenchReport {
-    /// Measured scenarios, in bench order.
-    pub scenarios: Vec<BenchScenario>,
-}
-
-impl BenchReport {
-    /// Looks up a scenario by name.
-    pub fn scenario(&self, name: &str) -> Option<&BenchScenario> {
-        self.scenarios.iter().find(|s| s.name == name)
-    }
-}
 
 /// Renders an ops-count matrix (Table 2 / Table 5 style) as a text
 /// table, one row per trace plus the mean row.
@@ -105,17 +72,6 @@ pub fn save_artifact(name: &str, text: &str, csv: Option<&str>) {
         let _ = std::fs::write(dir.join(format!("{name}.txt")), text);
         if let Some(csv) = csv {
             let _ = std::fs::write(dir.join(format!("{name}.csv")), csv);
-        }
-    }
-}
-
-/// Writes a perf report as `target/paper-artifacts/BENCH_<name>.json`
-/// under the workspace root (the artifact CI uploads and gates on).
-pub fn save_bench_report(name: &str, report: &BenchReport) {
-    let dir = artifact_dir();
-    if std::fs::create_dir_all(&dir).is_ok() {
-        if let Ok(json) = serde_json::to_string(report) {
-            let _ = std::fs::write(dir.join(format!("BENCH_{name}.json")), json);
         }
     }
 }

@@ -199,42 +199,17 @@ impl ExperimentMatrix {
         )
     }
 
-    /// Runs a custom trace/buffer selection with the default parallel
-    /// adaptive engine.
+    /// Runs a custom trace/buffer selection on the adaptive kernel.
+    /// Each trace is synthesized once and shared through an [`Arc`] by
+    /// every cell that replays it; the trace × buffer product fans out
+    /// as one flat parallel work list so slow cells (long solar traces,
+    /// REACT's fine-step controller) don't serialize behind per-trace
+    /// barriers.
     pub fn run_with(
         workload: WorkloadKind,
         traces: &[PaperTrace],
         buffers: &[BufferKind],
         dt: Seconds,
-    ) -> Self {
-        Self::run_configured(workload, traces, buffers, dt, KernelMode::Adaptive, true)
-    }
-
-    /// The serial fixed-`dt` baseline: every cell runs the reference
-    /// kernel on one thread. Kept runnable so the `engine` bench (and
-    /// anyone suspicious of the fast path) can compare wall-clock and
-    /// results directly.
-    pub fn run_serial_reference(
-        workload: WorkloadKind,
-        traces: &[PaperTrace],
-        buffers: &[BufferKind],
-        dt: Seconds,
-    ) -> Self {
-        Self::run_configured(workload, traces, buffers, dt, KernelMode::FixedDt, false)
-    }
-
-    /// Fully configured matrix run. Each trace is synthesized once and
-    /// shared through an [`Arc`] by every cell that replays it; the
-    /// trace × buffer product fans out as one flat parallel work list so
-    /// slow cells (long solar traces, REACT's fine-step controller)
-    /// don't serialize behind per-trace barriers.
-    pub fn run_configured(
-        workload: WorkloadKind,
-        traces: &[PaperTrace],
-        buffers: &[BufferKind],
-        dt: Seconds,
-        kernel: KernelMode,
-        parallel: bool,
     ) -> Self {
         let shared: Vec<(PaperTrace, Arc<PowerTrace>)> = traces
             .iter()
@@ -252,15 +227,11 @@ impl ExperimentMatrix {
                     Some(which),
                     dt,
                     None,
-                    kernel,
+                    KernelMode::Adaptive,
                 ),
             }
         };
-        let cells: Vec<MatrixCell> = if parallel {
-            jobs.par_iter().map(run_cell).collect()
-        } else {
-            jobs.iter().map(run_cell).collect()
-        };
+        let cells: Vec<MatrixCell> = jobs.par_iter().map(run_cell).collect();
         let mut cells = cells.into_iter();
         let rows = shared
             .iter()

@@ -67,4 +67,3 @@ pub use scenario_report::{
     ResilienceRow, ScenarioCell, ScenarioReport, SurvivalRow, Tolerances,
 };
 pub use sim::{ConstantLoad, KernelMode, SimCore, SimError, Simulator};
-pub use sweep::SweepOptions;

@@ -35,7 +35,7 @@ pub struct RunMetrics {
     pub max_off_period: Seconds,
     /// Kernel iterations the engine executed: fine steps plus coarse
     /// idle strides. The adaptive/fixed ratio of this count is the
-    /// structural speedup of a run (see the `engine` bench).
+    /// structural speedup of a run, which tier-1 tests pin.
     pub engine_steps: u64,
     /// Capacitance reconfigurations the buffer's controller performed
     /// (REACT bank switches, Morphy ladder moves; zero for statics).

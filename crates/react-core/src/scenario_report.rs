@@ -24,8 +24,7 @@
 //! FoM / on-time / reconfiguration fields against
 //! `ci/scenario-baseline.json` under explicit tolerances
 //! ([`Tolerances`]), turning scenario behavior itself into a
-//! regression gate the same way `ci/bench-baseline.json` gates engine
-//! performance. Tolerances absorb the only legitimate cross-machine
+//! regression gate. Tolerances absorb the only legitimate cross-machine
 //! variation (libm differences shifting a boot across a threshold);
 //! anything larger is a semantic change that must ship with a baseline
 //! refresh.
@@ -119,9 +118,9 @@ pub struct ScenarioCell {
     /// benign cell — the fault suite asserts it).
     #[serde(default)]
     pub audit_trips: u64,
-    /// Kernel iterations the engine spent on the cell (not gated:
-    /// performance is `report bench`'s job; kept for the fast-path
-    /// collapse column).
+    /// Kernel iterations the engine spent on the cell (not gated here:
+    /// `report attribution` budgets the fallback steps; kept for the
+    /// fast-path collapse column).
     pub engine_steps: u64,
     /// `horizon / dt` — what the fixed-`dt` reference kernel would
     /// have paid; `fixed_dt_steps / engine_steps` is the collapse
@@ -129,9 +128,9 @@ pub struct ScenarioCell {
     pub fixed_dt_steps: u64,
     /// Wall-clock seconds this cell took to simulate. Diagnostic only:
     /// excluded from equality and from the conformance gate (absolute
-    /// wall-clock does not transfer across runners — perf is
-    /// `report bench`'s job), but printed per cell so matrix-dominating
-    /// cells are visible in CI logs.
+    /// wall-clock does not transfer across runners — `perfbench/`
+    /// measures it), but printed per cell so matrix-dominating cells
+    /// are visible in CI logs.
     pub elapsed_s: f64,
 }
 

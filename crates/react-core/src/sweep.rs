@@ -29,35 +29,6 @@ pub struct SweepPoint {
     pub metrics: RunMetrics,
 }
 
-/// Execution strategy for [`static_size_sweep_with`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SweepOptions {
-    /// Fan the sweep points out over worker threads.
-    pub parallel: bool,
-    /// Stepping kernel for every point.
-    pub kernel: KernelMode,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        Self {
-            parallel: true,
-            kernel: KernelMode::Adaptive,
-        }
-    }
-}
-
-impl SweepOptions {
-    /// The serial fixed-`dt` baseline the `engine` bench compares
-    /// against.
-    pub fn serial_reference() -> Self {
-        Self {
-            parallel: false,
-            kernel: KernelMode::FixedDt,
-        }
-    }
-}
-
 /// Runs `workload` on `trace` for each capacitance in `sizes`
 /// (supercapacitor-class leakage, as the paper's bulk buffers), in
 /// parallel with the adaptive kernel.
@@ -66,35 +37,31 @@ pub fn static_size_sweep(
     workload: WorkloadKind,
     sizes: &[Farads],
 ) -> Vec<SweepPoint> {
-    static_size_sweep_with(trace, workload, sizes, SweepOptions::default())
+    static_size_sweep_with(trace, workload, sizes, KernelMode::Adaptive)
 }
 
-/// [`static_size_sweep`] with explicit execution options. All points
-/// share one [`Arc`]'d copy of the trace; each point runs a
+/// [`static_size_sweep`] on an explicit stepping kernel (the fixed-`dt`
+/// reference is what the kernel-equivalence tests compare against).
+/// All points share one [`Arc`]'d copy of the trace; each point runs a
 /// monomorphized `Simulator<StaticBuffer, _>`.
 pub fn static_size_sweep_with(
     trace: &PowerTrace,
     workload: WorkloadKind,
     sizes: &[Farads],
-    options: SweepOptions,
+    kernel: KernelMode,
 ) -> Vec<SweepPoint> {
     let shared: Arc<PowerTrace> = Arc::new(trace.clone());
     let run_point = |capacitance: Farads| {
         let spec = CapacitorSpec::supercap_scaled(capacitance);
         let buffer = StaticBuffer::new(format!("{:.0} µF", capacitance.to_micro()), spec);
         let replay = PowerReplay::new(Arc::clone(&shared), Converter::ideal());
-        let sim = Simulator::new(replay, buffer, workload.build(&shared, None))
-            .with_kernel(options.kernel);
+        let sim = Simulator::new(replay, buffer, workload.build(&shared, None)).with_kernel(kernel);
         SweepPoint {
             capacitance,
             metrics: sim.run().metrics,
         }
     };
-    if options.parallel {
-        sizes.par_iter().map(|&c| run_point(c)).collect()
-    } else {
-        sizes.iter().map(|&c| run_point(c)).collect()
-    }
+    sizes.par_iter().map(|&c| run_point(c)).collect()
 }
 
 /// Log-spaced capacitances from `lo` to `hi` inclusive.

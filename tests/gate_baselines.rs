@@ -3,12 +3,13 @@
 //! and compares clean against itself, and the shared gate path maps a
 //! drifted baseline to exit 1, a malformed one to exit 2 and poisoned
 //! cells to exit 3. A schema change that strands a committed baseline
-//! fails here instead of in a CI gate.
+//! fails here instead of in a CI gate. The fault gate runs in full: its
+//! matrix is small enough for a debug build.
 
 use std::path::{Path, PathBuf};
 
 use react_bench::gate::{run_gate, Gate, Kind, EXIT_ERROR, EXIT_OK, EXIT_POISONED, EXIT_VIOLATION};
-use react_repro::core::{FleetReport, PoisonedCell, ScenarioReport};
+use react_repro::core::{build_report, fault_cells, FleetReport, PoisonedCell, ScenarioReport};
 
 fn workspace() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -89,7 +90,7 @@ fn shared_path_maps_drift_to_1_and_malformed_baselines_to_2() {
     );
 
     let truncated = temp_file("truncated-baseline.json", r#"{"environments":["#);
-    let wrong_shape = committed(Kind::Bench);
+    let wrong_shape = committed(Kind::Attribution);
     let missing = workspace().join("ci/no-such-baseline.json");
     for bad in [truncated, wrong_shape, missing.display().to_string()] {
         assert_eq!(
@@ -139,4 +140,12 @@ fn quick_fleet_spec_matches_the_committed_fleet_baseline() {
         FleetReport::parse(&read(&committed(Kind::Fleet))).expect("fleet baseline loads");
     let spec = react_bench::fleet_spec(None, None, true).expect("quick fleet spec");
     assert_eq!(spec.fingerprint(), baseline.fingerprint);
+}
+
+#[test]
+fn fault_matrix_passes_the_committed_fault_gate() {
+    let (report, _) = build_report(&fault_cells(None), true, &|s| (s.run(), ()));
+    assert!(report.poisoned.is_empty(), "{:?}", report.poisoned);
+    let path = committed(Kind::Fault);
+    assert_eq!(run_gate(Kind::Fault, &report, Some(&path), None), EXIT_OK);
 }

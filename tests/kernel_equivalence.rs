@@ -158,6 +158,19 @@ fn assert_metrics_equivalent(label: &str, r: &RunMetrics, a: &RunMetrics) {
         a.engine_steps,
         r.engine_steps
     );
+    // The idle closed form engages: dark time collapses into strides.
+    // Steps beyond the powered time's fine steps must stay a small
+    // fraction of the fine steps the dark time would take. Measured:
+    // at most 0.014 of them (sleepy 770 µF × RT; DE on RF Cart takes
+    // 0.011 on every buffer). With the idle stride disabled it is ~1.
+    let dt = calib::DEFAULT_DT.get();
+    let extra = a.engine_steps as f64 - a.on_time.get() / dt;
+    let dark = (a.total_time.get() - a.on_time.get()) / dt;
+    assert!(
+        extra <= dark / 20.0 + 64.0,
+        "{label}: dark time did not collapse — {extra:.0} steps beyond the powered \
+         time against {dark:.0} dark fine steps"
+    );
 }
 
 /// The buffers the equivalence suite pins: the paper's set plus the
@@ -337,9 +350,11 @@ fn sleep_stride_integrates_held_peripheral_current() {
     assert!(adaptive.relative_conservation_error() < 1e-3);
 }
 
+/// The static-size sweep on the adaptive kernel agrees point by point
+/// with the same sweep on the fixed-`dt` reference kernel.
 #[test]
 fn sweep_parallel_adaptive_matches_serial_reference() {
-    use react_repro::core::sweep::{static_size_sweep_with, SweepOptions};
+    use react_repro::core::sweep::static_size_sweep_with;
     use react_repro::units::Farads;
 
     let trace = paper_trace(PaperTrace::RfObstructed).truncated(Seconds::new(60.0));
@@ -352,13 +367,13 @@ fn sweep_parallel_adaptive_matches_serial_reference() {
         &trace,
         WorkloadKind::DataEncryption,
         &sizes,
-        SweepOptions::serial_reference(),
+        KernelMode::FixedDt,
     );
     let fast = static_size_sweep_with(
         &trace,
         WorkloadKind::DataEncryption,
         &sizes,
-        SweepOptions::default(),
+        KernelMode::Adaptive,
     );
     assert_eq!(reference.len(), fast.len());
     for (r, f) in reference.iter().zip(&fast) {

@@ -64,6 +64,9 @@ fn truncated(name: &str, horizon_s: f64) -> Scenario {
 /// attaching a `StepAttribution` or a full `RingRecorder` must leave
 /// every metric bit-identical to the unrecorded run, and the profile's
 /// step total must equal the engine's own step counter exactly.
+/// Recording volume is pinned too: the attribution profile is a fixed
+/// array, so a recorded run's extra cost scales with the events it
+/// emits, and those stay within two per engine step.
 #[test]
 fn recording_is_bit_identical_across_report_matrix() {
     for base in report_scenarios() {
@@ -83,6 +86,12 @@ fn recording_is_bit_identical_across_report_matrix() {
             );
             assert!(!ring.is_empty(), "{label}: the default ring records events");
             assert_eq!(ring.dropped(), 0, "{label}: 60 s must fit the default ring");
+            let events = ring.len() as u64 + ring.dropped();
+            assert!(
+                events <= 2 * plain.engine_steps,
+                "{label}: {events} events recorded over {} engine steps",
+                plain.engine_steps
+            );
         }
     }
 }
@@ -283,6 +292,15 @@ fn collapsed_kernel_hotspots_stay_collapsed() {
         .with_buffer(BufferKind::React)
         .run_recorded(StepAttribution::default());
     let plateau_hours = plateau_attr.total_seconds() / 3600.0;
+    // The whole cell collapses, whichever class a re-opened path would
+    // book its steps in: measured 97× fewer steps than fixed `dt`,
+    // ~1× with REACT's closed forms forced to refuse.
+    let fixed_dt_steps = plateau_attr.total_seconds() / plateau.dt.get();
+    assert!(
+        plateau_attr.total_steps() as f64 * 20.0 < fixed_dt_steps,
+        "plateau cell collapse below 20×: {} engine steps vs {fixed_dt_steps:.0} fixed-dt",
+        plateau_attr.total_steps()
+    );
     let rate = |steps: u64| steps as f64 / plateau_hours;
     let ncf = plateau_attr
         .bin(Regime::Sleep, Some(FallbackReason::NoClosedForm))
