@@ -22,7 +22,7 @@
 //!
 //! Artifacts land in the workspace-root `target/paper-artifacts/`.
 //!
-//! * **scenario** expands the deduplicated scenario registry into the
+//! * **scenario** expands the scenario registry into the
 //!   environment × buffer × seed matrix, runs it in parallel through
 //!   the adaptive kernel with step attribution on (bit-identical to the
 //!   unrecorded run by the telemetry contract), and prints the
@@ -30,9 +30,10 @@
 //!   Because every scenario is seeded and deterministic, a violation
 //!   means scenario *behavior* changed. To trace one cell, use
 //!   `sim_trace <scenario/buffer/s<seed>>`.
-//! * **fault** runs the fault-campaign registry — every drift campaign
-//!   as an unaudited/audited twin pair plus the healthy twins survival
-//!   is scored against — and prints the cell and survival tables. On
+//! * **fault** runs the fault-campaign registry as declared — every
+//!   drift campaign as an unaudited/audited pair plus the healthy twins
+//!   survival is scored against — and prints the cell and survival
+//!   tables. On
 //!   top of the FoM fields the gate covers the fault counters, the
 //!   survival ratios, and any flipped auditor detection.
 //! * **fleet** fans one base scenario (default `rf-sparse-week`) out to
@@ -66,8 +67,8 @@ use react_bench::{fleet_spec, read_artifact, save_named_artifact};
 use react_core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
 use react_core::{
     build_report, expand_cells, fault_cells, merged_attribution, render_attribution,
-    render_class_sinks, report_scenarios, run_fleet, CellAttribution, FleetReport, FleetRunOptions,
-    Scenario, ScenarioReport,
+    render_class_sinks, run_fleet, scenario_registry, CellAttribution, FleetReport,
+    FleetRunOptions, Scenario, ScenarioReport,
 };
 use react_telemetry::StepAttribution;
 use react_units::Seconds;
@@ -139,15 +140,21 @@ impl Cli {
             .and_then(|(_, v)| v.as_deref())
     }
 
-    /// `--quick` for the scenario and fault matrices. Preview horizons
-    /// produce cells under the same ids as the full matrix, so letting
-    /// them near a baseline would poison the gate.
-    fn preview(&self) -> Result<bool, String> {
+    /// A scenario or fault cell list, each horizon capped at
+    /// [`PREVIEW_HORIZON`] under `--quick`, and whether it was. Preview
+    /// horizons produce cells under the same ids as the full matrix, so
+    /// letting them near a baseline would poison the gate.
+    fn preview(&self, mut cells: Vec<Scenario>) -> Result<(Vec<Scenario>, bool), String> {
         let quick = self.has("--quick");
         if quick && (self.has("--check") || self.has("--write-baseline")) {
             return Err("--quick output is not comparable to a committed baseline".into());
         }
-        Ok(quick)
+        if quick {
+            for s in &mut cells {
+                s.horizon = s.horizon.min(PREVIEW_HORIZON);
+            }
+        }
+        Ok((cells, quick))
     }
 }
 
@@ -163,17 +170,13 @@ fn save(file_name: &str, contents: &str) -> Result<(), String> {
 }
 
 fn scenario(cli: &Cli) -> Result<ScenarioReport, String> {
-    let quick = cli.preview()?;
-    let mut rows = report_scenarios();
-    if quick {
-        for s in &mut rows {
-            s.horizon = s.horizon.min(PREVIEW_HORIZON);
-        }
-    }
-
+    let (cells, quick) = cli.preview(expand_cells(
+        scenario_registry(),
+        &REPORT_BUFFERS,
+        &REPORT_SEEDS,
+    ))?;
     let started = Instant::now();
-    let cells = expand_cells(&rows, &REPORT_BUFFERS, &REPORT_SEEDS);
-    let (report, profiles) = build_report(&cells, true, &|s: &Scenario| {
+    let (report, profiles) = build_report(&cells, &|s: &Scenario| {
         s.run_recorded(StepAttribution::default())
     });
     let elapsed = started.elapsed().as_secs_f64();
@@ -214,10 +217,9 @@ fn scenario(cli: &Cli) -> Result<ScenarioReport, String> {
 }
 
 fn fault(cli: &Cli) -> Result<ScenarioReport, String> {
-    let quick = cli.preview()?;
+    let (cells, quick) = cli.preview(fault_cells())?;
     let started = Instant::now();
-    let cells = fault_cells(quick.then_some(PREVIEW_HORIZON));
-    let (report, _) = build_report(&cells, true, &|s| (s.run(), ()));
+    let (report, _) = build_report(&cells, &|s| (s.run(), ()));
     let elapsed = started.elapsed().as_secs_f64();
 
     println!("{}", report.render_cells().render());

@@ -29,8 +29,7 @@
 use std::process::ExitCode;
 
 use react_bench::save_named_artifact;
-use react_buffers::BufferKind;
-use react_core::{find_scenario, Scenario};
+use react_core::resolve_cell;
 use react_telemetry::{chrome_trace_json, text_timeline, RingRecorder};
 
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
@@ -41,30 +40,6 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
         },
         None => Ok(None),
     }
-}
-
-/// Resolves a bare scenario name (registry buffer, salt 0) or a full
-/// `scenario/buffer/s<seed>` cell id to the scenario to trace.
-fn resolve_cell(id: &str) -> Result<Scenario, String> {
-    if !id.contains('/') {
-        return find_scenario(id)
-            .copied()
-            .ok_or_else(|| format!("unknown scenario {id:?}"));
-    }
-    let mut parts = id.rsplitn(3, '/');
-    let (seed_part, buffer_part, scenario_part) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(s), Some(b), Some(sc)) => (s, b, sc),
-        _ => return Err(format!("cell id {id:?} is not scenario/buffer/s<seed>")),
-    };
-    let seed: u64 = seed_part
-        .strip_prefix('s')
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("cell id {id:?}: seed field {seed_part:?} is not s<number>"))?;
-    let buffer = BufferKind::from_label(buffer_part)
-        .ok_or_else(|| format!("cell id {id:?}: unknown buffer {buffer_part:?}"))?;
-    let base = find_scenario(scenario_part)
-        .ok_or_else(|| format!("cell id {id:?}: unknown scenario {scenario_part:?}"))?;
-    Ok(base.with_buffer(buffer).with_seed_salt(seed))
 }
 
 fn run() -> Result<ExitCode, String> {

@@ -319,10 +319,10 @@ impl AttributedCell {
             .sum()
     }
 
-    /// Benign = the registry scenario does not run an `attack/*`
+    /// Benign = the registry scenario does not run an attack
     /// environment (same predicate as the class-sinks table).
     fn benign(&self) -> bool {
-        find_scenario(&self.scenario).is_none_or(|s| !s.env.label().starts_with("attack/"))
+        find_scenario(&self.scenario).is_none_or(|s| s.env.benign() == s.env)
     }
 }
 

@@ -59,7 +59,8 @@ pub use fleet::{
 };
 pub use metrics::{LevelDwell, RunMetrics, RunOutcome, VoltageSample};
 pub use scenario::{
-    fault_scenario_registry, find_scenario, run_scenarios, scenario_registry, EnvKind, Scenario,
+    cell_id, fault_scenario_registry, find_scenario, resolve_cell, scenario_registry, EnvKind,
+    Scenario,
 };
 pub use scenario_report::{
     build_report, compare_reports, expand_cells, fault_cells, merged_attribution,

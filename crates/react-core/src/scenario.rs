@@ -6,8 +6,17 @@
 //! unbounded) horizons, adversarial attack fields, and the paper's own
 //! recorded traces wrapped as [`TraceSource`] instances of the same
 //! abstraction. Each [`Scenario`] is a complete, reproducible run
-//! description; [`run_scenarios`] expands a selection into the same
-//! rayon-parallel execution the experiment matrix uses.
+//! description; the scenario report expands a selection over buffers
+//! and seeds and runs it rayon-parallel.
+//!
+//! [`SCENARIOS`] holds the report's rows; [`FAULT_SCENARIOS`] holds the
+//! fault campaigns together with the healthy 10 mF and Dewdrop twins
+//! they are scored against. Twins are derived, never named: a cell's
+//! [`Scenario::healthy_twin`] and [`Scenario::benign_twin`] are the
+//! registered entries equal to it with one axis reset (the fault
+//! campaign and auditor, or the attack wrapper and defense). Variants
+//! are declared as one-axis edits of their base entry, so the two
+//! cannot drift apart on any other axis.
 //!
 //! Long-horizon scenarios pick a coarser fine-step (10 ms instead of
 //! 1 ms) — the adaptive kernel strides MCU-off spans analytically
@@ -15,7 +24,6 @@
 //!
 //! [`TraceSource`]: react_harvest::TraceSource
 
-use rayon::prelude::*;
 use react_buffers::defense::DefenseConfig;
 use react_buffers::BufferKind;
 use react_circuit::FaultCampaign;
@@ -122,6 +130,22 @@ impl EnvKind {
         )
     }
 
+    /// The field this environment's adversary wraps: the office RF
+    /// field for the blackout, boot-strike, bait-switch and budget
+    /// attacks, the sparse field for the spoofer, and the environment
+    /// itself for every benign class. An environment is adversarial
+    /// exactly when `benign() != self`.
+    pub fn benign(self) -> EnvKind {
+        match self {
+            EnvKind::AttackBlackout
+            | EnvKind::AttackBootStrike
+            | EnvKind::AttackBaitSwitch
+            | EnvKind::AttackBudget => EnvKind::RfGilbertElliott,
+            EnvKind::AttackSpoof => EnvKind::RfSparse,
+            other => other,
+        }
+    }
+
     /// Builds a fresh seeded source for this environment. Every call
     /// returns an identical stream (fixed seeds), so scenario runs are
     /// reproducible end to end.
@@ -148,6 +172,8 @@ impl EnvKind {
     /// salt entirely.
     pub fn build_salted(self, salt: u64) -> Box<dyn PowerSource> {
         let seed = |base: u64| salt_seed(base, salt);
+        // The RF field an RF environment streams or an attack wraps.
+        let field = || rf_field_salted(self.benign(), salt);
         match self {
             EnvKind::DiurnalClear => Box::new(
                 Diurnal::new(self.label(), Watts::from_milli(20.0), seed(ENV_SEED + 1))
@@ -157,9 +183,7 @@ impl EnvKind {
                 Diurnal::new(self.label(), Watts::from_milli(12.0), seed(ENV_SEED + 2))
                     .with_clouds(Seconds::new(400.0), Seconds::new(900.0), 0.08),
             ),
-            EnvKind::RfGilbertElliott | EnvKind::RfSparse => {
-                Box::new(rf_field_salted(self, salt).expect("RF env"))
-            }
+            EnvKind::RfGilbertElliott | EnvKind::RfSparse => Box::new(field()),
             EnvKind::MobilityCommuter => Box::new(Mobility::cyclic(
                 self.label(),
                 vec![
@@ -180,60 +204,45 @@ impl EnvKind {
                 ],
                 DAY,
             )),
-            EnvKind::AttackBlackout => {
-                let inner = rf_field_salted(EnvKind::RfGilbertElliott, salt).expect("RF env");
-                Box::new(EnergyAttack::new(inner).with_blackout(
-                    Seconds::new(3600.0),
-                    Seconds::new(600.0),
-                    Seconds::new(900.0),
-                ))
-            }
-            EnvKind::AttackSpoof => {
-                let inner = rf_field_salted(EnvKind::RfSparse, salt).expect("RF env");
-                Box::new(
-                    EnergyAttack::new(inner)
-                        .with_spoof(
-                            Seconds::new(600.0),
-                            Seconds::new(0.0),
-                            Seconds::new(3.0),
-                            Watts::from_milli(25.0),
-                        )
-                        .with_blackout(Seconds::new(600.0), Seconds::new(3.0), Seconds::new(120.0)),
-                )
-            }
-            EnvKind::AttackBootStrike => {
-                let inner = rf_field_salted(EnvKind::RfGilbertElliott, salt).expect("RF env");
-                Box::new(AdaptiveAttack::new(
-                    inner,
-                    AttackPolicy::BootTriggered {
-                        delay: Seconds::new(0.5),
-                        strike: Seconds::new(45.0),
-                        rearm: Seconds::new(15.0),
-                    },
-                ))
-            }
-            EnvKind::AttackBaitSwitch => {
-                let inner = rf_field_salted(EnvKind::RfGilbertElliott, salt).expect("RF env");
-                Box::new(AdaptiveAttack::new(
-                    inner,
-                    AttackPolicy::SpoofBait {
-                        bait: Watts::from_milli(25.0),
-                        blackout: Seconds::new(90.0),
-                        rearm: Seconds::new(30.0),
-                    },
-                ))
-            }
-            EnvKind::AttackBudget => {
-                let inner = rf_field_salted(EnvKind::RfGilbertElliott, salt).expect("RF env");
-                Box::new(AdaptiveAttack::new(
-                    inner,
-                    AttackPolicy::Budgeted {
-                        delay: Seconds::new(0.5),
-                        strike: Seconds::new(45.0),
-                        budget: Seconds::new(600.0),
-                    },
-                ))
-            }
+            EnvKind::AttackBlackout => Box::new(EnergyAttack::new(field()).with_blackout(
+                Seconds::new(3600.0),
+                Seconds::new(600.0),
+                Seconds::new(900.0),
+            )),
+            EnvKind::AttackSpoof => Box::new(
+                EnergyAttack::new(field())
+                    .with_spoof(
+                        Seconds::new(600.0),
+                        Seconds::new(0.0),
+                        Seconds::new(3.0),
+                        Watts::from_milli(25.0),
+                    )
+                    .with_blackout(Seconds::new(600.0), Seconds::new(3.0), Seconds::new(120.0)),
+            ),
+            EnvKind::AttackBootStrike => Box::new(AdaptiveAttack::new(
+                field(),
+                AttackPolicy::BootTriggered {
+                    delay: Seconds::new(0.5),
+                    strike: Seconds::new(45.0),
+                    rearm: Seconds::new(15.0),
+                },
+            )),
+            EnvKind::AttackBaitSwitch => Box::new(AdaptiveAttack::new(
+                field(),
+                AttackPolicy::SpoofBait {
+                    bait: Watts::from_milli(25.0),
+                    blackout: Seconds::new(90.0),
+                    rearm: Seconds::new(30.0),
+                },
+            )),
+            EnvKind::AttackBudget => Box::new(AdaptiveAttack::new(
+                field(),
+                AttackPolicy::Budgeted {
+                    delay: Seconds::new(0.5),
+                    strike: Seconds::new(45.0),
+                    budget: Seconds::new(600.0),
+                },
+            )),
             EnvKind::NearThresholdPlateau => Box::new(Mobility::schedule(
                 self.label(),
                 vec![
@@ -250,40 +259,38 @@ impl EnvKind {
     }
 }
 
-/// Builds an RF env as its concrete model (attack wrappers need the
+/// Builds an RF field as its concrete model (attack wrappers need the
 /// sized inner type, not a box), with the report matrix's seed salt
-/// folded into the base seed (salt 0 = the canonical stream).
-fn rf_field_salted(kind: EnvKind, salt: u64) -> Option<MarkovRf> {
+/// folded into the base seed (salt 0 = the canonical stream). `kind`
+/// is one of the two RF fields, which every attack's
+/// [`EnvKind::benign`] is.
+fn rf_field_salted(kind: EnvKind, salt: u64) -> MarkovRf {
     let seed = |base: u64| salt_seed(base, salt);
     match kind {
-        EnvKind::RfGilbertElliott => Some(
-            MarkovRf::new(
-                kind.label(),
-                Watts::from_milli(6.0),
-                Watts::from_micro(30.0),
-                Seconds::new(8.0),
-                Seconds::new(45.0),
-                seed(ENV_SEED + 3),
-            )
-            .with_jitter(0.3),
-        ),
-        EnvKind::RfSparse => Some(
-            MarkovRf::new(
-                kind.label(),
-                Watts::from_milli(3.0),
-                Watts::from_micro(5.0),
-                Seconds::new(2.0),
-                Seconds::new(180.0),
-                seed(ENV_SEED + 4),
-            )
-            .with_jitter(0.2),
-        ),
-        _ => None,
+        EnvKind::RfGilbertElliott => MarkovRf::new(
+            kind.label(),
+            Watts::from_milli(6.0),
+            Watts::from_micro(30.0),
+            Seconds::new(8.0),
+            Seconds::new(45.0),
+            seed(ENV_SEED + 3),
+        )
+        .with_jitter(0.3),
+        EnvKind::RfSparse => MarkovRf::new(
+            kind.label(),
+            Watts::from_milli(3.0),
+            Watts::from_micro(5.0),
+            Seconds::new(2.0),
+            Seconds::new(180.0),
+            seed(ENV_SEED + 4),
+        )
+        .with_jitter(0.2),
+        other => unreachable!("{other:?} streams no RF field"),
     }
 }
 
 /// One named, fully reproducible deployment description.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Scenario {
     /// Registry key.
     pub name: &'static str,
@@ -345,26 +352,6 @@ impl Scenario {
         self
     }
 
-    /// This scenario with the defense armed (or disarmed).
-    pub fn with_defended(mut self, defended: bool) -> Self {
-        self.defended = defended;
-        self
-    }
-
-    /// This scenario under a hardware-drift fault campaign (the fault
-    /// registry's campaign axis).
-    pub fn with_fault(mut self, fault: FaultCampaign) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// This scenario with the kernel invariant auditor armed (or
-    /// disarmed).
-    pub fn with_audited(mut self, audited: bool) -> Self {
-        self.audited = audited;
-        self
-    }
-
     /// Deterministic seed for this scenario's fault plan: the workload
     /// seed (already name- and salt-derived, so fleet nodes get
     /// distinct plans for free through `seed_salt`) remixed through a
@@ -375,33 +362,52 @@ impl Scenario {
     }
 
     /// The healthy-twin scenario a faulted run is scored against: the
-    /// same environment, buffer, workload, and horizon with no fault
-    /// campaign and no auditor. `None` for unfaulted scenarios. The
-    /// fault report divides faulted FoM by the twin's to get *FoM
-    /// retained under faults*.
+    /// registered entry equal to this one with no fault campaign and no
+    /// auditor. `None` for unfaulted scenarios. The fault report
+    /// divides faulted FoM by the twin's to get *FoM retained under
+    /// faults*.
     pub fn healthy_twin(&self) -> Option<&'static str> {
-        if self.fault == FaultCampaign::None {
-            return None;
-        }
-        match self.buffer {
-            BufferKind::Static10mF => Some("rf-ge-hour-10mf-de"),
-            BufferKind::Dewdrop => Some("rf-ge-hour-dewdrop-de"),
-            _ => None,
-        }
+        self.registered_twin(Scenario {
+            fault: FaultCampaign::None,
+            audited: false,
+            ..*self
+        })
     }
 
     /// The benign-twin scenario this adversarial scenario is scored
-    /// against: same workload, buffer axis, horizon, and converter, but
-    /// the unwrapped environment. `None` for benign scenarios. The
-    /// report divides attacked FoM by the twin's to get *FoM retained
-    /// under attack*.
+    /// against: the registered entry equal to this one with the
+    /// attack's field unwrapped ([`EnvKind::benign`]) and no defense.
+    /// `None` for benign scenarios and for attacks whose unwrapped cell
+    /// is not registered. The report divides attacked FoM by the twin's
+    /// to get *FoM retained under attack*.
     pub fn benign_twin(&self) -> Option<&'static str> {
-        match self.env {
-            EnvKind::AttackBootStrike | EnvKind::AttackBaitSwitch | EnvKind::AttackBudget => {
-                Some("rf-ge-hour-react-de")
-            }
-            _ => None,
+        self.registered_twin(Scenario {
+            env: self.env.benign(),
+            defended: false,
+            ..*self
+        })
+    }
+
+    /// The registered entry equal to `twin` on every axis but its name,
+    /// description and seed salt (a report pairs replicates by salt
+    /// itself). `None` when `twin` is this scenario, i.e. the reset axis
+    /// was already at rest.
+    fn registered_twin(&self, twin: Scenario) -> Option<&'static str> {
+        if twin == *self {
+            return None;
         }
+        SCENARIOS
+            .iter()
+            .chain(&FAULT_SCENARIOS)
+            .find(|s| {
+                **s == Scenario {
+                    name: s.name,
+                    description: s.description,
+                    seed_salt: s.seed_salt,
+                    ..twin
+                }
+            })
+            .map(|s| s.name)
     }
 
     /// Whether a non-zero seed salt changes this scenario's run at
@@ -511,8 +517,94 @@ const DT_FINE: Seconds = Seconds::new(0.001);
 /// 10 ms fine steps, for day/week horizons.
 const DT_LONG: Seconds = Seconds::new(0.01);
 
-/// The built-in scenario registry.
-pub const SCENARIOS: [Scenario; 17] = [
+// Entries other entries are one-axis edits of. Writing a variant as
+// `Scenario { name, description, <axis>, ..BASE }` keeps it equal to its
+// base on every other axis, which twin derivation relies on.
+
+/// The benign office-field cell the stateful adversaries are scored
+/// against, and the base of the other hour-long office-field cells.
+const RF_GE_HOUR_REACT: Scenario = Scenario {
+    name: "rf-ge-hour-react-de",
+    description: "an hour of office RF bursts, continuous encryption on REACT",
+    env: EnvKind::RfGilbertElliott,
+    buffer: BufferKind::React,
+    workload: WorkloadKind::DataEncryption,
+    converter: ConverterKind::RfRectifier,
+    horizon: Seconds::new(3600.0),
+    dt: DT_FINE,
+    seed_salt: 0,
+    defended: false,
+    fault: FaultCampaign::None,
+    audited: false,
+};
+
+const RF_GE_HOUR_10MF: Scenario = Scenario {
+    name: "rf-ge-hour-10mf-de",
+    description: "the same office field on the best static buffer, healthy 10 mF campaign twin",
+    buffer: BufferKind::Static10mF,
+    ..RF_GE_HOUR_REACT
+};
+
+const RF_GE_HOUR_DEWDROP: Scenario = Scenario {
+    name: "rf-ge-hour-dewdrop-de",
+    description: "healthy Dewdrop twin the drift campaign is scored against",
+    buffer: BufferKind::Dewdrop,
+    ..RF_GE_HOUR_REACT
+};
+
+const ATTACK_BOOTSTRIKE: Scenario = Scenario {
+    name: "attack-bootstrike-hour-de",
+    description: "boot-triggered adversary striking after each cold start, undefended",
+    env: EnvKind::AttackBootStrike,
+    ..RF_GE_HOUR_REACT
+};
+
+const ATTACK_BAITSWITCH: Scenario = Scenario {
+    name: "attack-baitswitch-hour-de",
+    description: "spoof-baiter cutting power once the victim commits, undefended",
+    env: EnvKind::AttackBaitSwitch,
+    ..RF_GE_HOUR_REACT
+};
+
+const ATTACK_BUDGET: Scenario = Scenario {
+    name: "attack-budget-hour-de",
+    description: "budget-limited adversary rationing blackout seconds, undefended",
+    env: EnvKind::AttackBudget,
+    ..RF_GE_HOUR_REACT
+};
+
+const FAULT_FADE_OFFSET: Scenario = Scenario {
+    name: "fault-fade-offset-hour-10mf-de",
+    description: "capacitance fade then comparator offset mid-run, undefended kernel",
+    fault: FaultCampaign::FadeOffset,
+    ..RF_GE_HOUR_10MF
+};
+
+const FAULT_DERATE: Scenario = Scenario {
+    name: "fault-derate-hour-10mf-de",
+    description: "harvester derating to 60 % mid-run, undefended kernel",
+    fault: FaultCampaign::Derate,
+    ..RF_GE_HOUR_10MF
+};
+
+const FAULT_STUCK_CLOSED: Scenario = Scenario {
+    name: "fault-stuck-closed-hour-10mf-de",
+    description: "power switch welding closed mid-run, undefended kernel",
+    fault: FaultCampaign::StuckClosed,
+    ..RF_GE_HOUR_10MF
+};
+
+const FAULT_DRIFT: Scenario = Scenario {
+    name: "fault-drift-hour-dewdrop-de",
+    description: "stochastic drift events (fade/leakage/derate/offset) on Dewdrop",
+    fault: FaultCampaign::Drift,
+    ..RF_GE_HOUR_DEWDROP
+};
+
+/// The built-in scenario registry: exactly the scenario report's rows.
+/// No two entries differ only in their buffer, because the report
+/// supplies the buffer axis itself.
+pub const SCENARIOS: [Scenario; 16] = [
     Scenario {
         name: "rf-sparse-week",
         description: "persistence: a week in a sparse RF field, streamed segment by segment",
@@ -569,34 +661,7 @@ pub const SCENARIOS: [Scenario; 17] = [
         fault: FaultCampaign::None,
         audited: false,
     },
-    Scenario {
-        name: "rf-ge-hour-react-de",
-        description: "an hour of office RF bursts, continuous encryption on REACT",
-        env: EnvKind::RfGilbertElliott,
-        buffer: BufferKind::React,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::None,
-        audited: false,
-    },
-    Scenario {
-        name: "rf-ge-hour-10mf-de",
-        description: "the same office field on the best static buffer",
-        env: EnvKind::RfGilbertElliott,
-        buffer: BufferKind::Static10mF,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::None,
-        audited: false,
-    },
+    RF_GE_HOUR_REACT,
     Scenario {
         name: "mobility-day-10mf-sc",
         description: "one commuter day of periodic sensing on a 10 mF buffer",
@@ -656,89 +721,26 @@ pub const SCENARIOS: [Scenario; 17] = [
     // ---- Red-vs-blue family: each stateful adversary paired with an
     // undefended and a defended entry, scored as FoM retained against
     // the benign rf-ge-hour twin. ----
-    Scenario {
-        name: "attack-bootstrike-hour-de",
-        description: "boot-triggered adversary striking after each cold start, undefended",
-        env: EnvKind::AttackBootStrike,
-        buffer: BufferKind::React,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::None,
-        audited: false,
-    },
+    ATTACK_BOOTSTRIKE,
     Scenario {
         name: "attack-bootstrike-hour-de-defended",
         description: "the boot-triggered adversary against the detect-and-degrade defense",
-        env: EnvKind::AttackBootStrike,
-        buffer: BufferKind::React,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
         defended: true,
-        fault: FaultCampaign::None,
-        audited: false,
+        ..ATTACK_BOOTSTRIKE
     },
-    Scenario {
-        name: "attack-baitswitch-hour-de",
-        description: "spoof-baiter cutting power once the victim commits, undefended",
-        env: EnvKind::AttackBaitSwitch,
-        buffer: BufferKind::React,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::None,
-        audited: false,
-    },
+    ATTACK_BAITSWITCH,
     Scenario {
         name: "attack-baitswitch-hour-de-defended",
         description: "the spoof-baiter against the detect-and-degrade defense",
-        env: EnvKind::AttackBaitSwitch,
-        buffer: BufferKind::React,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
         defended: true,
-        fault: FaultCampaign::None,
-        audited: false,
+        ..ATTACK_BAITSWITCH
     },
-    Scenario {
-        name: "attack-budget-hour-de",
-        description: "budget-limited adversary rationing blackout seconds, undefended",
-        env: EnvKind::AttackBudget,
-        buffer: BufferKind::React,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::None,
-        audited: false,
-    },
+    ATTACK_BUDGET,
     Scenario {
         name: "attack-budget-hour-de-defended",
         description: "the budget-limited adversary against the detect-and-degrade defense",
-        env: EnvKind::AttackBudget,
-        buffer: BufferKind::React,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
         defended: true,
-        fault: FaultCampaign::None,
-        audited: false,
+        ..ATTACK_BUDGET
     },
     Scenario {
         name: "react-plateau-sc",
@@ -757,138 +759,42 @@ pub const SCENARIOS: [Scenario; 17] = [
 ];
 
 /// The fault-campaign registry: hardware-drift campaigns on the office
-/// RF field, each paired as an unaudited and an audited entry, plus
-/// the healthy Dewdrop twin the Dewdrop campaign is scored against.
+/// RF field, each paired as an unaudited and an audited entry, plus the
+/// healthy 10 mF and Dewdrop twins the campaigns are scored against.
 /// Kept separate from [`SCENARIOS`] so the benign scenario and fleet
-/// baselines stay byte-identical; the fault report and the
-/// `fault-smoke` CI gate run this registry.
-pub const FAULT_SCENARIOS: [Scenario; 9] = [
-    Scenario {
-        name: "fault-fade-offset-hour-10mf-de",
-        description: "capacitance fade then comparator offset mid-run, undefended kernel",
-        env: EnvKind::RfGilbertElliott,
-        buffer: BufferKind::Static10mF,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::FadeOffset,
-        audited: false,
-    },
+/// baselines stay byte-identical; `report fault` runs this registry as
+/// declared and gates it against `ci/fault-baseline.json`.
+pub const FAULT_SCENARIOS: [Scenario; 10] = [
+    FAULT_FADE_OFFSET,
     Scenario {
         name: "fault-fade-offset-hour-10mf-de-audited",
         description: "the fade-then-offset campaign with the invariant auditor armed",
-        env: EnvKind::RfGilbertElliott,
-        buffer: BufferKind::Static10mF,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::FadeOffset,
         audited: true,
+        ..FAULT_FADE_OFFSET
     },
-    Scenario {
-        name: "fault-derate-hour-10mf-de",
-        description: "harvester derating to 60 % mid-run, undefended kernel",
-        env: EnvKind::RfGilbertElliott,
-        buffer: BufferKind::Static10mF,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::Derate,
-        audited: false,
-    },
+    FAULT_DERATE,
     Scenario {
         name: "fault-derate-hour-10mf-de-audited",
         description: "the derating campaign with the invariant auditor armed",
-        env: EnvKind::RfGilbertElliott,
-        buffer: BufferKind::Static10mF,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::Derate,
         audited: true,
+        ..FAULT_DERATE
     },
-    Scenario {
-        name: "fault-stuck-closed-hour-10mf-de",
-        description: "power switch welding closed mid-run, undefended kernel",
-        env: EnvKind::RfGilbertElliott,
-        buffer: BufferKind::Static10mF,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::StuckClosed,
-        audited: false,
-    },
+    FAULT_STUCK_CLOSED,
     Scenario {
         name: "fault-stuck-closed-hour-10mf-de-audited",
         description: "the welded-switch campaign with the invariant auditor armed",
-        env: EnvKind::RfGilbertElliott,
-        buffer: BufferKind::Static10mF,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::StuckClosed,
         audited: true,
+        ..FAULT_STUCK_CLOSED
     },
-    Scenario {
-        name: "fault-drift-hour-dewdrop-de",
-        description: "stochastic drift events (fade/leakage/derate/offset) on Dewdrop",
-        env: EnvKind::RfGilbertElliott,
-        buffer: BufferKind::Dewdrop,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::Drift,
-        audited: false,
-    },
+    FAULT_DRIFT,
     Scenario {
         name: "fault-drift-hour-dewdrop-de-audited",
         description: "the stochastic drift campaign with the invariant auditor armed",
-        env: EnvKind::RfGilbertElliott,
-        buffer: BufferKind::Dewdrop,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::Drift,
         audited: true,
+        ..FAULT_DRIFT
     },
-    Scenario {
-        name: "rf-ge-hour-dewdrop-de",
-        description: "healthy Dewdrop twin the drift campaign is scored against",
-        env: EnvKind::RfGilbertElliott,
-        buffer: BufferKind::Dewdrop,
-        workload: WorkloadKind::DataEncryption,
-        converter: ConverterKind::RfRectifier,
-        horizon: Seconds::new(3600.0),
-        dt: DT_FINE,
-        seed_salt: 0,
-        defended: false,
-        fault: FaultCampaign::None,
-        audited: false,
-    },
+    RF_GE_HOUR_DEWDROP,
+    RF_GE_HOUR_10MF,
 ];
 
 /// The full built-in registry.
@@ -910,16 +816,35 @@ pub fn find_scenario(name: &str) -> Option<&'static Scenario> {
         .find(|s| s.name == name)
 }
 
-/// Runs a selection of scenarios, fanning the runs out over worker
-/// threads exactly like the experiment matrix (`parallel = false` keeps
-/// them serial for timing comparisons). Results come back in input
-/// order.
-pub fn run_scenarios(scenarios: &[Scenario], parallel: bool) -> Vec<RunOutcome> {
-    if parallel {
-        scenarios.par_iter().map(Scenario::run).collect()
-    } else {
-        scenarios.iter().map(Scenario::run).collect()
+/// A report cell's stable identity, `scenario/buffer/s<seed>` (the
+/// buffer by its label). [`resolve_cell`] parses it back.
+pub fn cell_id(scenario: &str, buffer: &str, seed: u64) -> String {
+    format!("{scenario}/{buffer}/s{seed}")
+}
+
+/// Resolves a bare scenario name (its registered buffer, salt 0) or a
+/// full [`cell_id`] to the scenario that cell runs: the registered
+/// entry with the id's buffer and seed salt.
+pub fn resolve_cell(id: &str) -> Result<Scenario, String> {
+    if !id.contains('/') {
+        return find_scenario(id)
+            .copied()
+            .ok_or_else(|| format!("unknown scenario {id:?}"));
     }
+    let mut parts = id.rsplitn(3, '/');
+    let (seed_part, buffer_part, scenario_part) = match (parts.next(), parts.next(), parts.next()) {
+        (Some(s), Some(b), Some(sc)) => (s, b, sc),
+        _ => return Err(format!("cell id {id:?} is not scenario/buffer/s<seed>")),
+    };
+    let seed: u64 = seed_part
+        .strip_prefix('s')
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("cell id {id:?}: seed field {seed_part:?} is not s<number>"))?;
+    let buffer = BufferKind::from_label(buffer_part)
+        .ok_or_else(|| format!("cell id {id:?}: unknown buffer {buffer_part:?}"))?;
+    let base = find_scenario(scenario_part)
+        .ok_or_else(|| format!("cell id {id:?}: unknown scenario {scenario_part:?}"))?;
+    Ok(base.with_buffer(buffer).with_seed_salt(seed))
 }
 
 #[cfg(test)]
@@ -977,6 +902,133 @@ mod tests {
     }
 
     #[test]
+    fn no_two_report_rows_differ_only_in_buffer() {
+        for (i, a) in scenario_registry().iter().enumerate() {
+            for b in &scenario_registry()[i + 1..] {
+                let a_on_b = Scenario {
+                    name: b.name,
+                    description: b.description,
+                    buffer: b.buffer,
+                    ..*a
+                };
+                assert_ne!(
+                    a_on_b, *b,
+                    "{} and {} differ only in buffer",
+                    a.name, b.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_variant_is_a_one_axis_edit_of_its_declared_base() {
+        let all = scenario_registry().iter().chain(fault_scenario_registry());
+        let mut variants = 0;
+        for s in all.filter(|s| s.defended || s.audited) {
+            let base_name = s
+                .name
+                .strip_suffix("-defended")
+                .or_else(|| s.name.strip_suffix("-audited"))
+                .unwrap_or_else(|| panic!("{}: variant name lacks its axis suffix", s.name));
+            let base = find_scenario(base_name).expect("declared base is registered");
+            assert!(!base.defended && !base.audited, "{base_name}");
+            let reset = Scenario {
+                name: base.name,
+                description: base.description,
+                defended: false,
+                audited: false,
+                ..*s
+            };
+            assert_eq!(reset, *base, "{} drifted from its base", s.name);
+            assert_eq!(s.benign_twin(), base.benign_twin(), "{}", s.name);
+            assert_eq!(s.healthy_twin(), base.healthy_twin(), "{}", s.name);
+            variants += 1;
+        }
+        assert_eq!(variants, 7);
+    }
+
+    #[test]
+    fn derived_twins_pair_exactly_the_attacked_and_faulted_cells() {
+        let mut pairs: Vec<(&str, &str)> = Vec::new();
+        for s in scenario_registry().iter().chain(fault_scenario_registry()) {
+            pairs.extend(s.benign_twin().map(|twin| (s.name, twin)));
+            pairs.extend(s.healthy_twin().map(|twin| (s.name, twin)));
+        }
+        let react = "rf-ge-hour-react-de";
+        let static10 = "rf-ge-hour-10mf-de";
+        let dewdrop = "rf-ge-hour-dewdrop-de";
+        assert_eq!(
+            pairs,
+            [
+                ("attack-bootstrike-hour-de", react),
+                ("attack-bootstrike-hour-de-defended", react),
+                ("attack-baitswitch-hour-de", react),
+                ("attack-baitswitch-hour-de-defended", react),
+                ("attack-budget-hour-de", react),
+                ("attack-budget-hour-de-defended", react),
+                ("fault-fade-offset-hour-10mf-de", static10),
+                ("fault-fade-offset-hour-10mf-de-audited", static10),
+                ("fault-derate-hour-10mf-de", static10),
+                ("fault-derate-hour-10mf-de-audited", static10),
+                ("fault-stuck-closed-hour-10mf-de", static10),
+                ("fault-stuck-closed-hour-10mf-de-audited", static10),
+                ("fault-drift-hour-dewdrop-de", dewdrop),
+                ("fault-drift-hour-dewdrop-de-audited", dewdrop),
+            ]
+        );
+    }
+
+    #[test]
+    fn attack_environments_unwrap_to_their_rf_field() {
+        for s in scenario_registry() {
+            let attacked = s.env.label().starts_with("attack/");
+            assert_eq!(s.env.benign() != s.env, attacked, "{}", s.name);
+            assert_eq!(s.env.benign().benign(), s.env.benign(), "{}", s.name);
+        }
+    }
+
+    #[test]
+    fn every_cell_id_resolves_to_its_scenario() {
+        let report = crate::scenario_report::expand_cells(
+            scenario_registry(),
+            &crate::scenario_report::REPORT_BUFFERS,
+            &crate::scenario_report::REPORT_SEEDS,
+        );
+        for s in report.iter().chain(&crate::scenario_report::fault_cells()) {
+            let id = cell_id(s.name, s.buffer.label(), s.seed_salt);
+            assert_eq!(resolve_cell(&id), Ok(*s), "{id}");
+        }
+        // A bare name is the registered entry.
+        let bare = find_scenario("rf-ge-hour-10mf-de").copied();
+        assert_eq!(resolve_cell("rf-ge-hour-10mf-de").ok(), bare);
+    }
+
+    #[test]
+    fn malformed_cell_ids_are_rejected() {
+        for (id, message) in [
+            ("no-such-scenario", r#"unknown scenario "no-such-scenario""#),
+            (
+                "rf-sparse-week/s0",
+                r#"cell id "rf-sparse-week/s0" is not scenario/buffer/s<seed>"#,
+            ),
+            (
+                "rf-sparse-week/REACT/0",
+                r#"cell id "rf-sparse-week/REACT/0": seed field "0" is not s<number>"#,
+            ),
+            (
+                "rf-sparse-week/Nope/s0",
+                r#"cell id "rf-sparse-week/Nope/s0": unknown buffer "Nope""#,
+            ),
+            (
+                "no-such/REACT/s0",
+                r#"cell id "no-such/REACT/s0": unknown scenario "no-such""#,
+            ),
+        ] {
+            assert_eq!(resolve_cell(id), Err(message.to_string()), "{id}");
+        }
+    }
+
+    #[test]
     fn audited_fault_scenario_injects_and_detects() {
         let mut s = *find_scenario("fault-fade-offset-hour-10mf-de-audited").expect("registered");
         s.horizon = Seconds::new(2400.0); // past both events, still quick
@@ -988,7 +1040,11 @@ mod tests {
 
     #[test]
     fn every_environment_builds_and_streams() {
-        for s in scenario_registry() {
+        let unfaulted = scenario_registry()
+            .iter()
+            .chain(fault_scenario_registry())
+            .filter(|s| s.fault == FaultCampaign::None);
+        for s in unfaulted {
             let mut env = s.source();
             let mut t = 0.0;
             // Walk a few segments and spot-check the contract.

@@ -33,13 +33,15 @@ use rayon::prelude::*;
 use react_buffers::BufferKind;
 use react_env::dark_stats;
 use react_telemetry::{FallbackReason, Regime, StepAttribution};
-use react_units::{Seconds, Watts};
+use react_units::Watts;
 use serde::{Deserialize, Serialize};
 
 use crate::fom::{figure_of_merit, fom_per_hour};
 use crate::metrics::RunOutcome;
 use crate::report::TextTable;
-use crate::scenario::{find_scenario, scenario_registry, Scenario};
+use crate::scenario::{
+    cell_id, fault_scenario_registry, find_scenario, scenario_registry, Scenario,
+};
 
 /// The report's buffer axis: the paper's reactive designs plus the
 /// static and adaptive-enable baselines.
@@ -167,7 +169,7 @@ impl PartialEq for ScenarioCell {
 impl ScenarioCell {
     /// Stable identity within a report (`scenario/buffer/s<seed>`).
     pub fn id(&self) -> String {
-        format!("{}/{}/s{}", self.scenario, self.buffer, self.seed)
+        cell_id(&self.scenario, &self.buffer, self.seed)
     }
 
     /// The adaptive kernel's step-collapse factor on this cell.
@@ -198,7 +200,7 @@ pub struct PoisonedCell {
 impl PoisonedCell {
     /// Stable identity, aligned with [`ScenarioCell::id`].
     pub fn id(&self) -> String {
-        format!("{}/{}/s{}", self.scenario, self.buffer, self.seed)
+        cell_id(&self.scenario, &self.buffer, self.seed)
     }
 }
 
@@ -228,7 +230,7 @@ impl ResilienceRow {
     /// Stable identity of the attacked cell, aligned with
     /// [`ScenarioCell::id`].
     pub fn id(&self) -> String {
-        format!("{}/{}/s{}", self.scenario, self.buffer, self.seed)
+        cell_id(&self.scenario, &self.buffer, self.seed)
     }
 }
 
@@ -265,7 +267,7 @@ impl SurvivalRow {
     /// Stable identity of the faulted cell, aligned with
     /// [`ScenarioCell::id`].
     pub fn id(&self) -> String {
-        format!("{}/{}/s{}", self.scenario, self.buffer, self.seed)
+        cell_id(&self.scenario, &self.buffer, self.seed)
     }
 }
 
@@ -449,10 +451,9 @@ impl ScenarioReport {
     /// seed, [`Scenario::healthy_twin`] scenario) and computes the
     /// fraction of the figure of merit that survived the fault
     /// campaign. Cells whose twin is absent from the report are
-    /// skipped — a partial matrix cannot score survival. The twin may
-    /// live in either report (fault reports carry their own healthy
-    /// twins; the benign registry baseline carries the rest), so the
-    /// lookup searches this report's cells only.
+    /// skipped — a partial matrix cannot score survival. The fault
+    /// registry carries every healthy twin, so the lookup searches this
+    /// report's cells only.
     pub fn survival(&self) -> Vec<SurvivalRow> {
         self.cells
             .iter()
@@ -568,27 +569,12 @@ fn dedup_keys<K: PartialEq>(keys: impl Iterator<Item = K>) -> Vec<K> {
     seen
 }
 
-/// The report's environment rows: the registry deduplicated by
-/// (environment, workload, horizon, converter, defended) — two
-/// registry entries that differ only in their declared buffer collapse
-/// into one row, because the report supplies the buffer axis itself.
-/// Defended/undefended twins are distinct rows: the defense changes
-/// the simulation, not just the buffer.
+/// The report's environment rows as an owned list: exactly
+/// [`scenario_registry`], whose entries never differ only in buffer, so
+/// the report's buffer axis duplicates no row. New callers use
+/// [`scenario_registry`]; `perfbench/` still calls this.
 pub fn report_scenarios() -> Vec<Scenario> {
-    let mut rows: Vec<Scenario> = Vec::new();
-    for s in scenario_registry() {
-        let duplicate = rows.iter().any(|r| {
-            r.env.label() == s.env.label()
-                && r.workload == s.workload
-                && r.horizon == s.horizon
-                && r.converter == s.converter
-                && r.defended == s.defended
-        });
-        if !duplicate {
-            rows.push(*s);
-        }
-    }
-    rows
+    scenario_registry().to_vec()
 }
 
 /// Best-effort string form of a panic payload.
@@ -626,32 +612,14 @@ pub fn expand_cells(rows: &[Scenario], buffers: &[BufferKind], seeds: &[u64]) ->
 /// The fault-campaign cell list: every [`FAULT_SCENARIOS`] entry run
 /// *as declared* (its own buffer — faulted scenarios are not expanded
 /// over a buffer axis, because each campaign's healthy twin is
-/// buffer-specific), plus any healthy twins that live in the benign
-/// registry, so [`ScenarioReport::survival`] can score every campaign
-/// in-report. Cells are grouped by buffer in first-appearance order.
-/// This is what `report fault` runs and gates against
-/// `ci/fault-baseline.json`.
+/// buffer-specific). The registry carries every healthy twin, so
+/// [`ScenarioReport::survival`] scores every campaign in-report. Cells
+/// are grouped by buffer in first-appearance order. This is what
+/// `report fault` runs and gates against `ci/fault-baseline.json`.
 ///
 /// [`FAULT_SCENARIOS`]: crate::scenario::FAULT_SCENARIOS
-pub fn fault_cells(horizon_cap: Option<Seconds>) -> Vec<Scenario> {
-    let mut cells: Vec<Scenario> = crate::scenario::fault_scenario_registry().to_vec();
-    // Pull in healthy twins the fault registry itself doesn't carry.
-    let twins: Vec<Scenario> = cells
-        .iter()
-        .filter_map(|s| s.healthy_twin())
-        .filter_map(find_scenario)
-        .copied()
-        .collect();
-    for twin in twins {
-        if !cells.iter().any(|s| s.name == twin.name) {
-            cells.push(twin);
-        }
-    }
-    if let Some(cap) = horizon_cap {
-        for s in &mut cells {
-            s.horizon = s.horizon.min(cap);
-        }
-    }
+pub fn fault_cells() -> Vec<Scenario> {
+    let mut cells = fault_scenario_registry().to_vec();
     let groups: Vec<BufferKind> = dedup_keys(cells.iter().map(|s| s.buffer));
     cells.sort_by_key(|s| groups.iter().position(|&b| b == s.buffer));
     cells
@@ -662,8 +630,7 @@ pub fn fault_cells(horizon_cap: Option<Seconds>) -> Vec<Scenario> {
 /// together with its recorder — `|s| (s.run(), ())` for a plain run,
 /// `|s| s.run_recorded(StepAttribution::default())` for step
 /// attribution (see [`Scenario::run_recorded`]). Cells fan out
-/// over worker threads when `parallel`, and results come back in cell
-/// order regardless.
+/// over worker threads, and results come back in cell order.
 ///
 /// Every cell runs inside `catch_unwind`: a panicking runner poisons
 /// that one cell (recorded in [`ScenarioReport::poisoned`]) while the
@@ -671,7 +638,6 @@ pub fn fault_cells(horizon_cap: Option<Seconds>) -> Vec<Scenario> {
 /// recorders are aligned with `report.cells`; poisoned cells have none.
 pub fn build_report<R: Send>(
     cells: &[Scenario],
-    parallel: bool,
     runner: &(dyn Fn(&Scenario) -> (RunOutcome, R) + Sync),
 ) -> (ScenarioReport, Vec<R>) {
     let cell = |s: &Scenario| -> Result<(ScenarioCell, R), PoisonedCell> {
@@ -713,11 +679,8 @@ pub fn build_report<R: Send>(
         };
         Ok((cell, recorder))
     };
-    let results: Vec<Result<(ScenarioCell, R), PoisonedCell>> = if parallel {
-        cells.par_iter().map(cell).collect()
-    } else {
-        cells.iter().map(cell).collect()
-    };
+    let results: Vec<Result<(ScenarioCell, R), PoisonedCell>> =
+        cells.par_iter().map(cell).collect();
     let mut report = ScenarioReport::default();
     let mut recorders = Vec::with_capacity(results.len());
     for r in results {
@@ -758,11 +721,7 @@ pub fn build_report<R: Send>(
             longest_dark_s: stats.longest_dark_s,
         }
     };
-    report.environments = if parallel {
-        env_rows.par_iter().map(summary).collect()
-    } else {
-        env_rows.iter().map(summary).collect()
-    };
+    report.environments = env_rows.par_iter().map(summary).collect();
     (report, recorders)
 }
 
@@ -891,13 +850,12 @@ pub fn render_class_sinks(cells: &[CellAttribution]) -> TextTable {
         ],
     );
     let matrix_total = merged_attribution(cells).total_steps().max(1);
-    // Cells whose registry scenario runs any `attack/*` environment
+    // Cells whose registry scenario runs any attack environment
     // (stateful adversary or fixed-schedule wrapper alike) never
     // qualify as a sink; synthetic cells outside the registry count as
     // benign.
-    let benign = |c: &CellAttribution| {
-        find_scenario(&c.scenario).is_none_or(|s| !s.env.label().starts_with("attack/"))
-    };
+    let benign =
+        |c: &CellAttribution| find_scenario(&c.scenario).is_none_or(|s| s.env.benign() == s.env);
     struct ClassSink<'a> {
         label: String,
         total: u64,
@@ -1132,16 +1090,8 @@ mod tests {
     use react_units::Seconds;
 
     /// Unrecorded report over rows × buffers × seeds.
-    fn plain(
-        rows: &[Scenario],
-        buffers: &[BufferKind],
-        seeds: &[u64],
-        parallel: bool,
-    ) -> ScenarioReport {
-        build_report(&expand_cells(rows, buffers, seeds), parallel, &|s| {
-            (s.run(), ())
-        })
-        .0
+    fn plain(rows: &[Scenario], buffers: &[BufferKind], seeds: &[u64]) -> ScenarioReport {
+        build_report(&expand_cells(rows, buffers, seeds), &|s| (s.run(), ())).0
     }
 
     fn tiny_report() -> ScenarioReport {
@@ -1149,12 +1099,7 @@ mod tests {
         // unit test while exercising the whole reduction path.
         let mut s = *find_scenario("rf-ge-hour-10mf-de").expect("registered");
         s.horizon = Seconds::new(240.0);
-        plain(
-            &[s],
-            &[BufferKind::Static10mF, BufferKind::React],
-            &[0],
-            false,
-        )
+        plain(&[s], &[BufferKind::Static10mF, BufferKind::React], &[0])
     }
 
     #[test]
@@ -1176,11 +1121,19 @@ mod tests {
     fn report_is_deterministic_and_parallel_invariant() {
         let mut s = *find_scenario("rf-ge-hour-10mf-de").expect("registered");
         s.horizon = Seconds::new(240.0);
-        let serial = plain(&[s], &[BufferKind::Static10mF], &[0, 1], false);
-        let parallel = plain(&[s], &[BufferKind::Static10mF], &[0, 1], true);
-        assert_eq!(serial, parallel);
+        let cells = expand_cells(&[s], &[BufferKind::Static10mF], &[0, 1]);
+        let parallel = build_report(&cells, &|s| (s.run(), ())).0;
+        assert_eq!(parallel, build_report(&cells, &|s| (s.run(), ())).0);
+        // Each parallel cell equals a serial run of the same scenario.
+        assert_eq!(parallel.cells.len(), cells.len());
+        for (cell, s) in parallel.cells.iter().zip(&cells) {
+            let m = s.run().metrics;
+            assert_eq!(cell.fom, figure_of_merit(s.workload, &m), "{}", cell.id());
+            assert_eq!(cell.boots, m.boots, "{}", cell.id());
+            assert_eq!(cell.engine_steps, m.engine_steps, "{}", cell.id());
+        }
         // Different seeds genuinely re-seed the stochastic field.
-        assert_ne!(serial.cells[0].fom, serial.cells[1].fom);
+        assert_ne!(parallel.cells[0].fom, parallel.cells[1].fom);
     }
 
     #[test]
@@ -1205,31 +1158,12 @@ mod tests {
     }
 
     #[test]
-    fn report_rows_dedup_buffer_only_registry_twins() {
-        let rows = report_scenarios();
-        // The two rf-ge-hour entries differ only in buffer: one row.
-        assert_eq!(
-            rows.iter()
-                .filter(|s| s.name.starts_with("rf-ge-hour"))
-                .count(),
-            1
-        );
-        // Same environment with a different workload/horizon stays.
-        assert_eq!(
-            rows.iter()
-                .filter(|s| s.env.label() == "mobility/commuter")
-                .count(),
-            2
-        );
-    }
-
-    #[test]
     fn deterministic_cells_skip_salt_replicates() {
         // Paper trace + DE: neither environment nor workload draws on
         // the salt — one cell and one env row despite two seeds.
         let paper = *find_scenario("paper-rfcart-de").expect("registered");
         assert!(!paper.seed_salt_matters());
-        let r = plain(&[paper], &[BufferKind::Static770uF], &[0, 1], false);
+        let r = plain(&[paper], &[BufferKind::Static770uF], &[0, 1]);
         assert_eq!(r.cells.len(), 1);
         assert_eq!(r.environments.len(), 1);
         // Mobility + PF: the environment is deterministic but the
@@ -1237,25 +1171,9 @@ mod tests {
         let mut commute = *find_scenario("mobility-week-pf").expect("registered");
         commute.horizon = Seconds::new(600.0);
         assert!(commute.seed_salt_matters());
-        let r = plain(&[commute], &[BufferKind::Static770uF], &[0, 1], false);
+        let r = plain(&[commute], &[BufferKind::Static770uF], &[0, 1]);
         assert_eq!(r.cells.len(), 2);
         assert_eq!(r.environments.len(), 1);
-    }
-
-    #[test]
-    fn report_rows_keep_defended_twins() {
-        let rows = report_scenarios();
-        for name in [
-            "attack-bootstrike-hour-de",
-            "attack-bootstrike-hour-de-defended",
-            "attack-baitswitch-hour-de",
-            "attack-baitswitch-hour-de-defended",
-        ] {
-            assert!(
-                rows.iter().any(|s| s.name == name),
-                "{name} collapsed in dedup"
-            );
-        }
     }
 
     #[test]
@@ -1264,7 +1182,7 @@ mod tests {
         s.horizon = Seconds::new(240.0);
         let healthy = tiny_report();
         let cells = expand_cells(&[s], &[BufferKind::Static10mF, BufferKind::React], &[0]);
-        let (r, recorders) = build_report(&cells, true, &|s| {
+        let (r, recorders) = build_report(&cells, &|s| {
             if s.buffer == BufferKind::React {
                 panic!("injected fault: buffer model diverged");
             }
@@ -1300,12 +1218,7 @@ mod tests {
         benign.horizon = horizon;
         attacked.horizon = horizon;
         defended.horizon = horizon;
-        let r = plain(
-            &[benign, attacked, defended],
-            &[BufferKind::React],
-            &[0],
-            false,
-        );
+        let r = plain(&[benign, attacked, defended], &[BufferKind::React], &[0]);
         let rows = r.resilience();
         assert_eq!(rows.len(), 2, "{rows:?}");
         assert!(rows.iter().any(|row| row.defended));
@@ -1345,7 +1258,6 @@ mod tests {
             &[audited, unaudited, healthy],
             &[BufferKind::Static10mF],
             &[0],
-            false,
         );
         let rows = r.survival();
         assert_eq!(rows.len(), 2, "{rows:?}");

@@ -10,7 +10,8 @@
 //! ```
 //!
 //! Trace mode writes each trace as `time_s,power_w` CSV for plotting.
-//! `env` alone lists every registry scenario; with a scenario name it
+//! `env` alone lists every scenario of both registries (the report rows
+//! and the fault campaigns with their healthy twins); with a scenario name it
 //! materializes that scenario's environment at a coarse 1 s grid over
 //! the requested horizon (default: the scenario's own, capped at one
 //! week) and prints summary statistics. `report` runs the scenario
@@ -20,7 +21,7 @@
 
 use react_repro::core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
 use react_repro::core::{
-    build_report, expand_cells, find_scenario, report_scenarios, scenario_registry,
+    build_report, expand_cells, fault_scenario_registry, find_scenario, scenario_registry,
 };
 use react_repro::env::materialize;
 use react_repro::prelude::*;
@@ -40,7 +41,7 @@ fn main() {
 /// interactive look.
 fn report_mode(scenario: Option<String>, horizon: Option<String>) {
     let mut rows = match &scenario {
-        None => report_scenarios(),
+        None => scenario_registry().to_vec(),
         Some(name) => match find_scenario(name) {
             Some(s) => vec![*s],
             None => {
@@ -56,7 +57,7 @@ fn report_mode(scenario: Option<String>, horizon: Option<String>) {
         }
     }
     let cells = expand_cells(&rows, &REPORT_BUFFERS, &REPORT_SEEDS);
-    let (report, _) = build_report(&cells, true, &|s| (s.run(), ()));
+    let (report, _) = build_report(&cells, &|s| (s.run(), ()));
     print!("{}", report.render_environments().render());
     println!();
     print!("{}", report.render_cells().render());
@@ -64,17 +65,17 @@ fn report_mode(scenario: Option<String>, horizon: Option<String>) {
     print!("{}", report.render_normalized().render());
 }
 
-/// Lists registry scenarios, or materializes one environment and
-/// prints its summary statistics.
+/// Lists the scenarios of both registries, or materializes one
+/// environment and prints its summary statistics.
 fn env_mode(scenario: Option<String>, horizon: Option<String>) {
     let Some(name) = scenario else {
         println!(
-            "{:<30} {:<20} {:<8} {:<3} {:>12} {:>7}   description",
+            "{:<40} {:<20} {:<8} {:<3} {:>12} {:>7}   description",
             "scenario", "environment", "buffer", "wl", "horizon (s)", "dt (ms)"
         );
-        for s in scenario_registry() {
+        for s in scenario_registry().iter().chain(fault_scenario_registry()) {
             println!(
-                "{:<30} {:<20} {:<8} {:<3} {:>12.0} {:>7.0}   {}",
+                "{:<40} {:<20} {:<8} {:<3} {:>12.0} {:>7.0}   {}",
                 s.name,
                 s.env.label(),
                 s.buffer.label(),

@@ -13,8 +13,12 @@
 //!    now exercises `TraceSource`-wrapped paper traces on all four
 //!    workloads, since every trace replay routes through it).
 
+use react_repro::circuit::FaultCampaign;
+use react_repro::core::fom::figure_of_merit;
 use react_repro::core::scenario::WEEK;
-use react_repro::core::{find_scenario, run_scenarios, scenario_registry, KernelMode, Scenario};
+use react_repro::core::{
+    build_report, fault_scenario_registry, find_scenario, scenario_registry, KernelMode, Scenario,
+};
 use react_repro::units::Seconds;
 
 fn rel_close(a: f64, b: f64, rel: f64, abs: f64) -> bool {
@@ -147,8 +151,9 @@ fn environment_disconnects_at_the_horizon() {
     assert!(out.metrics.ops_completed > 0);
 }
 
-/// The registry expands into the same parallel runner the matrix uses,
-/// preserving input order and determinism.
+/// A registry selection runs through the report's parallel runner,
+/// preserving input order, and each parallel cell equals a serial
+/// `Scenario::run` of the same scenario.
 #[test]
 fn registry_selection_runs_in_parallel_and_is_deterministic() {
     let mut picks: Vec<Scenario> = ["rf-ge-hour-10mf-de", "attack-blackout-hour-react-rt"]
@@ -158,20 +163,26 @@ fn registry_selection_runs_in_parallel_and_is_deterministic() {
     for s in &mut picks {
         s.horizon = Seconds::new(240.0); // unit-test sized
     }
-    let parallel = run_scenarios(&picks, true);
-    let serial = run_scenarios(&picks, false);
-    assert_eq!(parallel.len(), picks.len());
-    for (p, s) in parallel.iter().zip(&serial) {
-        assert_eq!(p.metrics.ops_completed, s.metrics.ops_completed);
-        assert_eq!(p.metrics.boots, s.metrics.boots);
-        assert_eq!(p.metrics.engine_steps, s.metrics.engine_steps);
+    let (parallel, _) = build_report(&picks, &|s| (s.run(), ()));
+    assert_eq!(parallel.cells.len(), picks.len());
+    for (p, s) in parallel.cells.iter().zip(&picks) {
+        let serial = s.run().metrics;
+        assert_eq!(p.scenario, s.name);
+        assert_eq!(p.boots, serial.boots, "{}", s.name);
+        assert_eq!(p.engine_steps, serial.engine_steps, "{}", s.name);
+        assert_eq!(p.fom, figure_of_merit(s.workload, &serial), "{}", s.name);
     }
 }
 
-/// Every registry entry is well-formed and its environment streams.
+/// Every unfaulted entry of either registry is well-formed and its
+/// environment streams.
 #[test]
 fn registry_is_well_formed() {
-    let all = scenario_registry();
+    let all: Vec<&Scenario> = scenario_registry()
+        .iter()
+        .chain(fault_scenario_registry())
+        .filter(|s| s.fault == FaultCampaign::None)
+        .collect();
     assert!(all.len() >= 8, "registry shrank to {}", all.len());
     assert!(
         all.iter().any(|s| s.horizon >= WEEK),

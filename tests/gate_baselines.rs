@@ -144,7 +144,7 @@ fn quick_fleet_spec_matches_the_committed_fleet_baseline() {
 
 #[test]
 fn fault_matrix_passes_the_committed_fault_gate() {
-    let (report, _) = build_report(&fault_cells(None), true, &|s| (s.run(), ()));
+    let (report, _) = build_report(&fault_cells(), &|s| (s.run(), ()));
     assert!(report.poisoned.is_empty(), "{:?}", report.poisoned);
     let path = committed(Kind::Fault);
     assert_eq!(run_gate(Kind::Fault, &report, Some(&path), None), EXIT_OK);

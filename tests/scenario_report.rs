@@ -3,9 +3,10 @@
 //! full matrix is the `report scenario` binary's job, gated in CI).
 
 use react_repro::buffers::BufferKind;
+use react_repro::circuit::FaultCampaign;
 use react_repro::core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
 use react_repro::core::{
-    build_report, compare_reports, expand_cells, find_scenario, report_scenarios,
+    build_report, cell_id, compare_reports, expand_cells, fault_scenario_registry, find_scenario,
     scenario_registry, KernelMode, Scenario, Tolerances,
 };
 use react_repro::harvest::ConverterKind;
@@ -16,15 +17,17 @@ fn rel_close(a: f64, b: f64, rel: f64, abs: f64) -> bool {
     (a - b).abs() <= rel * a.abs().max(b.abs()) + abs
 }
 
-/// Acceptance: at least three registry scenarios declare a non-ideal
-/// converter, and each still collapses its MCU-off phases through the
-/// adaptive kernel's closed-form fast path — engine steps stay well
-/// under the fixed-`dt` step count even after truncating the horizon
-/// to keep the test quick.
+/// Acceptance: at least three unfaulted scenarios (of either registry)
+/// declare a non-ideal converter, and each still collapses its MCU-off
+/// phases through the adaptive kernel's closed-form fast path — engine
+/// steps stay well under the fixed-`dt` step count even after
+/// truncating the horizon to keep the test quick.
 #[test]
 fn non_ideal_converter_scenarios_keep_the_fast_path() {
     let non_ideal: Vec<&Scenario> = scenario_registry()
         .iter()
+        .chain(fault_scenario_registry())
+        .filter(|s| s.fault == FaultCampaign::None)
         .filter(|s| s.converter != ConverterKind::Ideal)
         .collect();
     assert!(
@@ -206,7 +209,7 @@ fn report_slice_gates_like_ci() {
         s.horizon = Seconds::new(300.0);
     }
     let cells = expand_cells(&rows, &[BufferKind::Static770uF, BufferKind::React], &[0]);
-    let (report, _) = build_report(&cells, true, &|s| (s.run(), ()));
+    let (report, _) = build_report(&cells, &|s| (s.run(), ()));
     assert_eq!(report.cells.len(), 4);
     assert!(compare_reports(&report, &report, &Tolerances::default()).is_empty());
 
@@ -227,15 +230,14 @@ fn report_axes_match_committed_baseline_shape() {
     assert_eq!(REPORT_BUFFERS.len(), 4);
     assert!(REPORT_BUFFERS.contains(&BufferKind::Dewdrop));
     assert_eq!(REPORT_SEEDS, [0, 1]);
-    let rows = report_scenarios();
-    assert!(rows.len() >= 8, "registry dedup collapsed too far");
+    let rows = scenario_registry();
+    assert!(rows.len() >= 8, "registry shrank to {} rows", rows.len());
     // Every row × buffer × seed cell id is unique.
     let mut ids = std::collections::HashSet::new();
-    for s in &rows {
+    for s in rows {
         for b in REPORT_BUFFERS {
             for seed in REPORT_SEEDS {
-                let cell = s.with_buffer(b).with_seed_salt(seed);
-                assert!(ids.insert(format!("{}/{}/s{}", cell.name, b.label(), seed)));
+                assert!(ids.insert(cell_id(s.name, b.label(), seed)));
             }
         }
     }

@@ -9,9 +9,9 @@ use proptest::prelude::*;
 use react_repro::buffers::BufferKind;
 use react_repro::core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
 use react_repro::core::{
-    build_report, calib, expand_cells, find_scenario, render_class_sinks, report_scenarios,
-    run_fleet, CellAttribution, FleetRunOptions, FleetSpec, KernelMode, RunMetrics, Scenario,
-    Simulator,
+    build_report, calib, expand_cells, find_scenario, render_class_sinks, run_fleet,
+    scenario_registry, CellAttribution, FleetRunOptions, FleetSpec, KernelMode, RunMetrics,
+    Scenario, Simulator,
 };
 use react_repro::env::{PowerSource, Segment};
 use react_repro::harvest::{Converter, PowerReplay};
@@ -69,7 +69,7 @@ fn truncated(name: &str, horizon_s: f64) -> Scenario {
 /// emits, and those stay within two per engine step.
 #[test]
 fn recording_is_bit_identical_across_report_matrix() {
-    for base in report_scenarios() {
+    for base in scenario_registry() {
         for buffer in REPORT_BUFFERS {
             let mut s = base.with_buffer(buffer);
             s.horizon = s.horizon.min(Seconds::new(60.0));
@@ -106,7 +106,7 @@ proptest! {
         pick in 0usize..64,
         salt in 0u64..100,
     ) {
-        let scenarios = report_scenarios();
+        let scenarios = scenario_registry();
         let base = scenarios[pick % scenarios.len()];
         let buffer = REPORT_BUFFERS[pick / scenarios.len() % REPORT_BUFFERS.len()];
         let mut s = base.with_buffer(buffer).with_seed_salt(salt);
@@ -457,7 +457,7 @@ fn attributed_report_covers_every_cell() {
     let mut scenarios = vec![truncated("react-plateau-sc", 900.0)];
     scenarios.push(truncated("rf-ge-hour-react-de", 120.0));
     let cells = expand_cells(&scenarios, &REPORT_BUFFERS[..2], &REPORT_SEEDS);
-    let (report, profiles) = build_report(&cells, true, &|s: &Scenario| {
+    let (report, profiles) = build_report(&cells, &|s: &Scenario| {
         s.run_recorded(StepAttribution::default())
     });
     assert!(report.poisoned.is_empty());
