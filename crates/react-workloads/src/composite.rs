@@ -15,7 +15,6 @@ use react_units::{Joules, Seconds};
 
 use crate::costs;
 use crate::events::EventSchedule;
-use crate::sc::SoundMeter;
 use crate::{LoadDemand, WakeHint, Workload, WorkloadEnv};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -30,7 +29,6 @@ enum Phase {
 #[derive(Clone, Debug)]
 pub struct SenseAndSend {
     deadlines: EventSchedule,
-    meter: SoundMeter,
     mic_power: Peripheral,
     radio: Peripheral,
     phase: Phase,
@@ -54,7 +52,6 @@ impl SenseAndSend {
         let mcu_active = react_units::Amps::from_milli(1.5);
         Self {
             deadlines: EventSchedule::periodic(costs::SC_PERIOD, horizon),
-            meter: SoundMeter::new(0xC0_55EED),
             mic_power: Peripheral::microphone(),
             tx_energy: costs::op_energy_estimate(
                 radio.rated_current() + mcu_active,
@@ -146,9 +143,6 @@ impl Workload for SenseAndSend {
             Phase::Computing(remaining) => {
                 let left = remaining - env.dt;
                 if left.get() <= 0.0 {
-                    // Real DSP on the acquired window; only the count
-                    // matters to this workload.
-                    self.meter.measure();
                     self.measurements += 1;
                     self.buffered += 1;
                     self.phase = Phase::Idle;

@@ -11,9 +11,12 @@
 //! | [`PacketForward`] (PF)  | high | high | receive + forward ([`radio`]) |
 //!
 //! Workloads implement [`Workload`] and are driven by the simulator in
-//! `react-core`. Each runs *real* software (FIPS-verified AES, a designed
-//! FIR filter, CRC-framed packets) with datasheet-derived time/energy
-//! costs from [`costs`].
+//! `react-core`, which bills each op the datasheet-derived time and
+//! energy in [`costs`]. The kernels are real, tested software
+//! (FIPS-verified AES, a designed FIR filter, CRC-framed packets), and
+//! they run when a caller asks for their output: a workload only counts
+//! its ops, and [`SenseCompute::last_level`] and
+//! [`DataEncryption::digest`] recompute the result from that count.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 

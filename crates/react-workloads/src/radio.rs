@@ -2,8 +2,9 @@
 //!
 //! The paper's radio benchmarks move buffered data to a base station and
 //! forward packets between nodes (§4.2). We implement a small framed
-//! protocol — preamble, length, payload, CRC-16/CCITT — so the workloads
-//! exercise real encode/decode paths and can detect corrupted receptions.
+//! protocol — preamble, length, payload, CRC-16/CCITT — that can detect
+//! corrupted receptions. RT bills each burst this format's wire bytes;
+//! PF's channel is noiseless, so its receptions always decode.
 
 /// Frame preamble bytes (sync word).
 pub const PREAMBLE: [u8; 2] = [0xAA, 0x7E];

@@ -13,8 +13,14 @@ use react_mcu::Peripheral;
 use react_units::{Joules, Seconds};
 
 use crate::costs;
-use crate::radio::Packet;
 use crate::{LoadDemand, WakeHint, Workload, WorkloadEnv};
+
+/// Packets per burst.
+const BURST_PACKETS: u64 = 16;
+
+/// Wire bytes of one burst: [`BURST_PACKETS`] frames of a 60-byte
+/// payload plus the 8-byte [`radio`](crate::radio) header and CRC.
+const BURST_BYTES: u64 = BURST_PACKETS * (8 + 60);
 
 /// The Radio Transmission workload.
 #[derive(Clone, Debug)]
@@ -25,8 +31,6 @@ pub struct RadioTransmit {
     op_remaining: Option<Seconds>,
     ops: u64,
     failed: u64,
-    sequence: u16,
-    bytes_sent: u64,
 }
 
 impl RadioTransmit {
@@ -44,8 +48,6 @@ impl RadioTransmit {
             op_remaining: None,
             ops: 0,
             failed: 0,
-            sequence: 0,
-            bytes_sent: 0,
         }
     }
 
@@ -54,22 +56,9 @@ impl RadioTransmit {
         self.energy_needed
     }
 
-    /// Total payload bytes successfully delivered.
+    /// Total wire bytes of the completed bursts.
     pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    fn complete_burst(&mut self) {
-        // Encode the real 16-packet burst the radio would send.
-        for _ in 0..16 {
-            let payload: Vec<u8> = (0..60)
-                .map(|i| (self.sequence as u8).wrapping_add(i))
-                .collect();
-            let wire = Packet::new(1, self.sequence, payload).encode();
-            self.bytes_sent += wire.len() as u64;
-            self.sequence = self.sequence.wrapping_add(1);
-        }
-        self.ops += 1;
+        self.ops * BURST_BYTES
     }
 }
 
@@ -97,7 +86,7 @@ impl Workload for RadioTransmit {
         if let Some(remaining) = self.op_remaining {
             let left = remaining - env.dt;
             if left.get() <= 0.0 {
-                self.complete_burst();
+                self.ops += 1;
                 self.op_remaining = None;
             } else {
                 self.op_remaining = Some(left);
@@ -142,6 +131,7 @@ impl Workload for RadioTransmit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radio::Packet;
     use react_units::Volts;
 
     fn env(usable_mj: f64, longevity: bool) -> WorkloadEnv {
@@ -162,7 +152,13 @@ mod tests {
         }
         // 0.7 s at 0.3 s per burst → 2 complete bursts.
         assert_eq!(rt.ops_completed(), 2);
-        assert!(rt.bytes_sent() > 0);
+        assert_eq!(rt.bytes_sent(), 2 * BURST_BYTES);
+    }
+
+    #[test]
+    fn burst_bytes_match_the_encoded_frames() {
+        let frame = Packet::new(1, 0, vec![0; 60]).encode();
+        assert_eq!(BURST_BYTES, frame.len() as u64 * BURST_PACKETS);
     }
 
     #[test]

@@ -23,42 +23,23 @@ enum Phase {
 /// Samples per acquisition window (10 ms at the SPU0414's 16 kHz).
 const WINDOW: usize = 160;
 
-/// SC's measurement: acquire a microphone window, low-pass it, and
-/// reduce it to its mean-square level. [`SenseAndSend`](crate::SenseAndSend)
-/// senses with the same meter.
-#[derive(Clone, Debug)]
-pub(crate) struct SoundMeter {
-    mic: Microphone,
-    filter: FirFilter,
-}
-
-impl SoundMeter {
-    pub(crate) fn new(mic_seed: u64) -> Self {
-        Self {
-            mic: Microphone::spu0414(mic_seed),
-            filter: FirFilter::lowpass(0.0625, 63),
-        }
-    }
-
-    /// Runs the real DSP on the next window and returns its level.
-    pub(crate) fn measure(&mut self) -> f64 {
-        let window = self.mic.acquire(WINDOW);
-        let filtered = self.filter.apply(&window);
-        filtered.iter().map(|x| x * x).sum::<f64>() / filtered.len() as f64
-    }
-}
+/// Seed of measurement window 0; window `k` draws its noise from
+/// `MIC_SEED + k`.
+const MIC_SEED: u64 = 0x5C_5EED;
 
 /// The Sense-and-Compute workload.
+///
+/// Its simulated cost comes from [`costs`]; the DSP itself runs only
+/// when [`last_level`](Self::last_level) asks for its output.
 #[derive(Clone, Debug)]
 pub struct SenseCompute {
     deadlines: EventSchedule,
-    meter: SoundMeter,
     mic_power: Peripheral,
     phase: Phase,
+    /// Completed measurements; measurement `k` filtered window `k`.
     ops: u64,
     failed: u64,
     missed: u64,
-    last_level: f64,
 }
 
 impl SenseCompute {
@@ -67,24 +48,25 @@ impl SenseCompute {
     pub fn new(horizon: Seconds) -> Self {
         Self {
             deadlines: EventSchedule::periodic(costs::SC_PERIOD, horizon),
-            meter: SoundMeter::new(0x5C_5EED),
             mic_power: Peripheral::microphone(),
             phase: Phase::Idle,
             ops: 0,
             failed: 0,
             missed: 0,
-            last_level: 0.0,
         }
     }
 
-    /// The filtered signal level from the most recent measurement.
+    /// The filtered signal level of the most recent completed
+    /// measurement (0.0 before the first): acquires its microphone
+    /// window, low-passes it and returns the mean square. A failed
+    /// measurement consumes no window.
     pub fn last_level(&self) -> f64 {
-        self.last_level
-    }
-
-    fn complete_measurement(&mut self) {
-        self.last_level = self.meter.measure();
-        self.ops += 1;
+        let Some(window) = self.ops.checked_sub(1) else {
+            return 0.0;
+        };
+        let samples = Microphone::spu0414(MIC_SEED.wrapping_add(window)).acquire(WINDOW);
+        let filtered = FirFilter::lowpass(0.0625, 63).apply(&samples);
+        filtered.iter().map(|x| x * x).sum::<f64>() / filtered.len() as f64
     }
 }
 
@@ -135,7 +117,7 @@ impl Workload for SenseCompute {
             Phase::Computing(remaining) => {
                 let left = remaining - env.dt;
                 if left.get() <= 0.0 {
-                    self.complete_measurement();
+                    self.ops += 1;
                     self.phase = Phase::Idle;
                 } else {
                     self.phase = Phase::Computing(left);
@@ -253,6 +235,31 @@ mod tests {
         sc.on_power_down(Seconds::new(5.001));
         assert_eq!(sc.ops_failed(), 1);
         assert_eq!(sc.ops_completed(), 0);
+    }
+
+    /// The level the eager meter reported for window `k`: one
+    /// microphone acquiring windows `0..=k` in turn.
+    fn eager_level(window: u64) -> f64 {
+        let mut mic = Microphone::spu0414(MIC_SEED);
+        for _ in 0..window {
+            mic.acquire(WINDOW);
+        }
+        let filtered = FirFilter::lowpass(0.0625, 63).apply(&mic.acquire(WINDOW));
+        filtered.iter().map(|x| x * x).sum::<f64>() / filtered.len() as f64
+    }
+
+    #[test]
+    fn failed_measurement_consumes_no_window() {
+        let mut sc = SenseCompute::new(Seconds::new(60.0));
+        assert_eq!(sc.last_level(), 0.0);
+        sc.step(&env(5.0, 0.001)); // starts sampling
+        sc.on_power_down(Seconds::new(5.001));
+        assert_eq!(sc.last_level(), 0.0);
+        sc.on_power_up(Seconds::new(9.0));
+        run(&mut sc, 9.0, 11.0); // services the 10 s deadline
+        assert_eq!((sc.ops_completed(), sc.ops_failed()), (1, 1));
+        assert_eq!(sc.last_level().to_bits(), eager_level(0).to_bits());
+        assert_ne!(sc.last_level(), eager_level(1));
     }
 
     #[test]

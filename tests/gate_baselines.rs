@@ -4,7 +4,9 @@
 //! drifted baseline to exit 1, a malformed one to exit 2 and poisoned
 //! cells to exit 3. A schema change that strands a committed baseline
 //! fails here instead of in a CI gate. The fault gate runs in full: its
-//! matrix is small enough for a debug build.
+//! matrix is small enough for a debug build. The one other `ci/` file,
+//! the benchmark digest pin, must name every benchmark workload and be
+//! read by a CI step.
 
 use std::path::{Path, PathBuf};
 
@@ -30,6 +32,10 @@ fn temp_file(name: &str, contents: &str) -> String {
     path.display().to_string()
 }
 
+/// The one `ci/` file no `report` kind loads: the benchmark digests the
+/// build-test workflow compares perfbench's output with.
+const PERFBENCH_DIGESTS: &str = "ci/perfbench-digests.txt";
+
 #[test]
 fn every_ci_file_is_claimed_by_exactly_one_kind() {
     let mut files: Vec<PathBuf> = std::fs::read_dir(workspace().join("ci"))
@@ -38,7 +44,9 @@ fn every_ci_file_is_claimed_by_exactly_one_kind() {
         .collect();
     files.sort();
     assert!(!files.is_empty());
-    for file in &files {
+    let digests = workspace().join(PERFBENCH_DIGESTS);
+    assert!(files.contains(&digests), "{PERFBENCH_DIGESTS} is missing");
+    for file in files.iter().filter(|f| **f != digests) {
         let claims: Vec<Kind> = Kind::ALL
             .into_iter()
             .filter(|k| workspace().join(k.baseline()) == *file)
@@ -56,6 +64,34 @@ fn every_ci_file_is_claimed_by_exactly_one_kind() {
             "{kind:?} has no committed baseline"
         );
     }
+}
+
+#[test]
+fn perfbench_digests_pin_every_benchmark_workload_and_ci_reads_them() {
+    let text = read(&workspace().join(PERFBENCH_DIGESTS).display().to_string());
+    let names: Vec<&str> = text
+        .lines()
+        .map(|line| match line.split(' ').collect::<Vec<_>>()[..] {
+            ["digest", name, hex]
+                if hex.len() == 16
+                    && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) =>
+            {
+                name
+            }
+            _ => panic!("{PERFBENCH_DIGESTS}: malformed line {line:?}"),
+        })
+        .collect();
+    assert_eq!(names, ["fine-burst", "dark-week", "fleet"]);
+    let workflow = read(
+        &workspace()
+            .join(".github/workflows/ci.yml")
+            .display()
+            .to_string(),
+    );
+    assert!(
+        workflow.contains(PERFBENCH_DIGESTS),
+        "no CI step reads {PERFBENCH_DIGESTS}"
+    );
 }
 
 #[test]
