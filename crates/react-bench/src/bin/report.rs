@@ -8,6 +8,7 @@
 //! report fleet [--quick] [--checkpoint <path>] [--nodes <n>] [--scenario <name>]
 //!                               # salted fleet          -> FLEET_report.json, FLEET_attribution.{json,txt}
 //! report attribution            # kernel-overhead budget of SCENARIO_attribution.json
+//! report paper                  # Tables 2–5, Figs. 1/6/7, §5.1, §3.3.1 -> PAPER_report.json, PAPER_ledgers.csv, <table>.{txt,csv}
 //! ```
 //!
 //! Every kind produces its current report, prints it, and hands it to
@@ -49,6 +50,13 @@
 //!   `report scenario` wrote and budgets each fallback class in engine
 //!   steps per simulated hour, two-sided
 //!   ([`react_bench::gate::AttributionBudget`]).
+//! * **paper** regenerates the paper's evaluation
+//!   ([`react_bench::paper`]): Tables 2–5, Fig. 7 with REACT's
+//!   improvement over each baseline, the Fig. 1 and Fig. 6 summaries and
+//!   series, the ablations, the §5.1 overhead and the §3.3.1 switching
+//!   loss, running each workload matrix once. Every run is seeded, so
+//!   the gate compares every value exactly. `PAPER_ledgers.csv` holds
+//!   the energy ledger of every matrix cell.
 //!
 //! Every kind gates deterministic quantities, so a gate never fails on
 //! timer noise; wall-clock performance is measured by `perfbench/`.
@@ -62,7 +70,8 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use react_bench::gate::{run_gate, AttributionBudget, Kind, EXIT_ERROR};
+use react_bench::gate::{run_gate, AttributionBudget, Gate, Kind, EXIT_ERROR};
+use react_bench::paper::{self, PaperReport};
 use react_bench::{fleet_spec, read_artifact, save_named_artifact};
 use react_core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
 use react_core::{
@@ -74,7 +83,7 @@ use react_telemetry::StepAttribution;
 use react_units::Seconds;
 use serde::Serialize;
 
-const USAGE: &str = "usage: report <scenario|fault|fleet|attribution> \
+const USAGE: &str = "usage: report <scenario|fault|fleet|attribution|paper> \
                      [--check <baseline.json>] [--write-baseline <path>] [options]";
 
 /// Flags that take a value; every other flag is a switch.
@@ -322,6 +331,31 @@ fn fleet(cli: &Cli) -> Result<FleetReport, String> {
     Ok(report)
 }
 
+fn paper() -> Result<PaperReport, String> {
+    let started = Instant::now();
+    let (sections, ledgers) = paper::build();
+    let elapsed = started.elapsed().as_secs_f64();
+    let report = PaperReport::new(&sections);
+    let mut files = vec![("PAPER_ledgers.csv".to_string(), ledgers)];
+    for s in sections {
+        println!("{}", s.text);
+        if let Some(csv) = s.csv {
+            files.push((format!("{}.csv", s.name), csv));
+        }
+        files.push((format!("{}.txt", s.name), s.text));
+    }
+    files.push(("PAPER_report.json".into(), report.to_baseline()?));
+    for (name, contents) in &files {
+        save_named_artifact(name, contents).map_err(|e| format!("write {name}: {e}"))?;
+    }
+    println!(
+        "{} values in {elapsed:.1} s wall-clock; {} artifacts written to target/paper-artifacts/",
+        report.values.len(),
+        files.len()
+    );
+    Ok(report)
+}
+
 fn run(args: &[String]) -> Result<u8, String> {
     let cli = Cli::parse(args)?;
     let (kind, check, write) = (
@@ -339,6 +373,7 @@ fn run(args: &[String]) -> Result<u8, String> {
                 .map_err(|e| format!("{file}: {e}"))?;
             run_gate(kind, &budget, check, write)
         }
+        Kind::Paper => run_gate(kind, &paper()?, check, write),
     })
 }
 

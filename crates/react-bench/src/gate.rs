@@ -14,6 +14,7 @@
 //! | `fault`       | [`ScenarioReport`]    | the same, over the fault-campaign matrix     |
 //! | `fleet`       | [`FleetReport`]       | fingerprint, then the percentile summary     |
 //! | `attribution` | [`AttributionBudget`] | fallback steps per simulated hour, two-sided |
+//! | `paper`       | [`PaperReport`]       | every paper-table value, exactly, by key     |
 //!
 //! Every gate compares deterministic quantities — outcomes, counters
 //! and step rates — so none of them can fail on timer noise. Wall-clock
@@ -25,6 +26,8 @@ use react_core::{
     ScenarioReport, Tolerances,
 };
 use serde::{Deserialize, Serialize};
+
+use crate::paper::PaperReport;
 
 /// Exit code: the gate passed (or nothing was gated).
 pub const EXIT_OK: u8 = 0;
@@ -47,11 +50,19 @@ pub enum Kind {
     Fleet,
     /// The scenario matrix's kernel-overhead budget.
     Attribution,
+    /// The paper's tables and figures.
+    Paper,
 }
 
 impl Kind {
     /// Every kind, in the order the usage text lists them.
-    pub const ALL: [Kind; 4] = [Kind::Scenario, Kind::Fault, Kind::Fleet, Kind::Attribution];
+    pub const ALL: [Kind; 5] = [
+        Kind::Scenario,
+        Kind::Fault,
+        Kind::Fleet,
+        Kind::Attribution,
+        Kind::Paper,
+    ];
 
     /// The kind's command-line name.
     pub fn name(self) -> &'static str {
@@ -60,6 +71,7 @@ impl Kind {
             Kind::Fault => "fault",
             Kind::Fleet => "fleet",
             Kind::Attribution => "attribution",
+            Kind::Paper => "paper",
         }
     }
 
@@ -86,6 +98,7 @@ impl Kind {
             Kind::Scenario | Kind::Fault => check::<ScenarioReport>(text),
             Kind::Fleet => check::<FleetReport>(text),
             Kind::Attribution => check::<AttributionBudget>(text),
+            Kind::Paper => check::<PaperReport>(text),
         }
     }
 }

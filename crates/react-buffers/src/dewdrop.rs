@@ -6,7 +6,7 @@
 //! next task quantum and starts there. Energy stays fully fungible, but
 //! the reactivity–longevity tradeoff of the capacitor size itself remains
 //! (§2.4). This crate includes it as an extension baseline for the
-//! ablation benches; it is not part of the paper's evaluated set.
+//! ablations; it is not part of the paper's evaluated set.
 
 use react_circuit::{Capacitor, CapacitorSpec, EnergyLedger};
 use react_units::{Amps, Farads, Joules, Seconds, Volts, Watts};

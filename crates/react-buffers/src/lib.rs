@@ -8,8 +8,7 @@
 //! * [`MorphyBuffer`] — the Morphy \[49\] fully-interconnected
 //!   switched-capacitor network used as the dynamic-buffer comparison.
 //! * [`DewdropBuffer`] / [`CapybaraBuffer`] — extension baselines from
-//!   the related-work discussion (§2.3–2.4), used by the ablation
-//!   benches.
+//!   the related-work discussion (§2.3–2.4), used by the ablations.
 //!
 //! All designs implement [`EnergyBuffer`] and are driven step-by-step by
 //! the simulator in `react-core`.

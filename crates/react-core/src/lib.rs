@@ -19,7 +19,7 @@
 //!   never materializing samples).
 //! * [`RunMetrics`] / [`RunOutcome`] — what each run measures.
 //! * [`fom`] — figures of merit and REACT-normalized scores (Fig. 7).
-//! * [`report`] — text/CSV table rendering for the bench harnesses.
+//! * [`report`] — text/CSV table rendering for the report tables.
 //! * [`calib`] — every calibration constant, with provenance.
 //!
 //! # Examples

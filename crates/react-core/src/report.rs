@@ -1,8 +1,8 @@
-//! Plain-text table rendering and CSV output for the bench harnesses.
+//! Plain-text table rendering and CSV output for the report tables.
 
 use std::fmt::Write as _;
 
-/// A simple column-aligned text table (the benches print the paper's
+/// A simple column-aligned text table (`report` prints the paper's
 /// tables with it).
 #[derive(Clone, Debug, Default)]
 pub struct TextTable {

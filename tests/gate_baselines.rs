@@ -4,13 +4,14 @@
 //! drifted baseline to exit 1, a malformed one to exit 2 and poisoned
 //! cells to exit 3. A schema change that strands a committed baseline
 //! fails here instead of in a CI gate. The fault gate runs in full: its
-//! matrix is small enough for a debug build. The one other `ci/` file,
-//! the benchmark digest pin, must name every benchmark workload and be
-//! read by a CI step.
+//! matrix is small enough for a debug build; the paper gate builds its
+//! cheap sections. The one other `ci/` file, the benchmark digest pin,
+//! must name every benchmark workload and be read by a CI step.
 
 use std::path::{Path, PathBuf};
 
 use react_bench::gate::{run_gate, Gate, Kind, EXIT_ERROR, EXIT_OK, EXIT_POISONED, EXIT_VIOLATION};
+use react_bench::paper::{self, PaperReport};
 use react_repro::core::{build_report, fault_cells, FleetReport, PoisonedCell, ScenarioReport};
 
 fn workspace() -> &'static Path {
@@ -125,6 +126,28 @@ fn shared_path_maps_drift_to_1_and_malformed_baselines_to_2() {
         EXIT_VIOLATION
     );
 
+    let paper_path = committed(Kind::Paper);
+    let paper = PaperReport::parse(&read(&paper_path)).expect("paper baseline loads");
+    assert_eq!(
+        run_gate(Kind::Paper, &paper, Some(&paper_path), None),
+        EXIT_OK
+    );
+    let mut changed = paper.clone();
+    changed.values[0].value += 1.0;
+    let mut dropped = paper.clone();
+    dropped.values.pop();
+    for (name, drifted) in [("changed", changed), ("dropped", dropped)] {
+        let drifted_path = temp_file(
+            &format!("{name}-paper-baseline.json"),
+            &drifted.to_baseline().expect("serializes"),
+        );
+        assert_eq!(
+            run_gate(Kind::Paper, &paper, Some(&drifted_path), None),
+            EXIT_VIOLATION,
+            "{name}"
+        );
+    }
+
     let truncated = temp_file("truncated-baseline.json", r#"{"environments":["#);
     let wrong_shape = committed(Kind::Attribution);
     let missing = workspace().join("ci/no-such-baseline.json");
@@ -176,6 +199,20 @@ fn quick_fleet_spec_matches_the_committed_fleet_baseline() {
         FleetReport::parse(&read(&committed(Kind::Fleet))).expect("fleet baseline loads");
     let spec = react_bench::fleet_spec(None, None, true).expect("quick fleet spec");
     assert_eq!(spec.fingerprint(), baseline.fingerprint);
+}
+
+#[test]
+fn paper_gate_builds_table3_and_switching_loss_as_committed() {
+    let fresh = PaperReport::new(&[paper::table3(), paper::switching_loss()]);
+    let baseline =
+        PaperReport::parse(&read(&committed(Kind::Paper))).expect("paper baseline loads");
+    let pinned: Vec<_> = baseline
+        .values
+        .into_iter()
+        .filter(|v| v.key.starts_with("table3/") || v.key.starts_with("switching_loss/"))
+        .collect();
+    assert!(!pinned.is_empty());
+    assert_eq!(fresh.values, pinned);
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! The paper's qualitative claims, checked on reduced-scale runs.
 //!
-//! Full-scale table regeneration lives in the bench harnesses
-//! (`cargo bench -p react-bench`); these tests pin the *shape* of each
-//! claim so a regression that inverts a paper result fails CI.
+//! The full-scale tables and figures are regenerated and pinned value
+//! for value by `report paper` (`react_bench::paper`, gated against
+//! `ci/paper-baseline.json`); these tests pin the *shape* of each claim
+//! so a regression that inverts a paper result fails CI.
 
 use react_repro::buffers::{
     BufferKind, EnergyBuffer, MorphyBuffer, ReactBuffer, ReactConfig, StaticBuffer,
@@ -173,4 +174,26 @@ fn morphy_min_config_smaller_than_llb() {
             .abs()
             < 1e-9
     );
+}
+
+/// §5.1: REACT's software poller costs DE a small share of its
+/// throughput on continuous power (paper: 1.8 % at 10 Hz).
+#[test]
+fn software_poller_costs_between_half_and_five_percent_of_de() {
+    let with = react_bench::paper::overhead_de_ops(true) as f64;
+    let without = react_bench::paper::overhead_de_ops(false) as f64;
+    let penalty = 100.0 * (1.0 - with / without);
+    assert!(
+        penalty > 0.5 && penalty < 5.0,
+        "software penalty {penalty}%"
+    );
+}
+
+/// Fig. 6: under RF Mobile's bursts REACT expands beyond its 770 µF
+/// last-level buffer.
+#[test]
+fn react_expands_beyond_its_llb_under_rf_mobile() {
+    let run = react_bench::paper::fig6_run(BufferKind::React);
+    let peak = react_bench::paper::peak_capacitance(&run);
+    assert!(peak > 770e-6, "REACT peak capacitance {peak} F");
 }
