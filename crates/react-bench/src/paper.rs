@@ -293,7 +293,7 @@ fn fig7(matrices: &[&ExperimentMatrix]) -> Section {
 
 /// A static supercap buffer of `c_mf` on the boost charger with no
 /// load beyond the MCU's own 1.5 mA active draw (§2.1).
-fn fig1_run(c_mf: f64, trace: PaperTrace, probe: bool) -> RunOutcome {
+pub fn fig1_run(c_mf: f64, trace: PaperTrace, probe: bool) -> RunOutcome {
     let spec = CapacitorSpec::supercap_scaled(Farads::from_milli(c_mf));
     let buffer: Box<dyn EnergyBuffer> = Box::new(StaticBuffer::new(format!("{c_mf} mF"), spec));
     let workload = Box::new(ConstantLoad::new(Amps::ZERO));

@@ -42,45 +42,40 @@ pub use buffer::{
     power_intake, reference_idle_advance, BufferKind, EnergyBuffer, CHARGE_CURRENT_LIMIT,
     CONVERSION_FLOOR,
 };
+use react_units::{PollTick, Seconds, TickSpan};
 
-/// Replays a poll accumulator (`acc += dt` per step, reset to exactly
-/// `0.0` on `acc ≥ period`) over `steps` uniform steps in O(steps per
-/// window) instead of O(steps): after the first reset the pattern is
-/// periodic *bit-exactly*, because every window re-accumulates the
-/// same `dt` sequence from the same exact zero. The controller
-/// buffers' dead-band bulk strides use this so week-long sleeps don't
-/// pay a per-step bookkeeping loop.
-pub(crate) fn bulk_poll_acc(acc0: f64, steps: u64, dt: f64, period: f64) -> f64 {
-    let mut acc = acc0;
-    let mut used = 0u64;
-    while used < steps {
-        acc += dt;
-        used += 1;
-        if acc >= period {
-            acc = 0.0;
-            break;
-        }
-    }
-    if used == steps {
-        return acc;
-    }
-    // Steps per window from an exact-zero start (constant thereafter).
-    let mut n_pp = 0u64;
-    let mut probe = 0.0;
-    loop {
-        probe += dt;
-        n_pp += 1;
-        if probe >= period {
-            break;
-        }
-    }
-    let rem = (steps - used) % n_pp;
-    let mut acc = 0.0;
-    for _ in 0..rem {
-        acc += dt;
-    }
-    acc
+/// Commits the poll ticks of a controller segment that advanced `t_adv`
+/// of `seg` (replayed from `acc`/`elapsed`), and returns whether the
+/// poll fires with the controller ready. A finished segment with no
+/// `cooldown` left commits by assignment; a draining cooldown or a stop
+/// mid-segment replays per step (a poll can only land on the segment's
+/// last step).
+pub(crate) fn commit_segment_ticks(
+    tick: &PollTick,
+    seg: TickSpan,
+    t_adv: f64,
+    total: Seconds,
+    acc: &mut Seconds,
+    elapsed: &mut f64,
+    cooldown: &mut Seconds,
+) -> bool {
+    let finished = t_adv >= seg.elapsed.get() - *elapsed - 1e-15;
+    let span = if finished && cooldown.get() <= 0.0 {
+        seg
+    } else {
+        let steps = if finished {
+            seg.steps
+        } else {
+            (t_adv / tick.dt().get()).round().max(1.0) as u64
+        };
+        tick.replay(*acc, Seconds::new(*elapsed), total, steps, |h| {
+            *cooldown = (*cooldown - h).max(Seconds::ZERO);
+        })
+    };
+    (*acc, *elapsed) = (span.acc, span.elapsed.get());
+    span.fired && finished && cooldown.get() <= 0.0
 }
+
 pub use capybara::CapybaraBuffer;
 pub use dewdrop::DewdropBuffer;
 pub use morphy::{transition_path as morphy_transition_path, MorphyBuffer};

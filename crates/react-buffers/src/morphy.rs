@@ -15,10 +15,23 @@
 
 use react_circuit::{CapacitorSpec, ChainNetwork, EnergyLedger, Partition};
 use react_telemetry::FallbackReason;
-use react_units::{Amps, Coulombs, Farads, Joules, Seconds, Volts, Watts};
+use react_units::{Amps, Coulombs, Farads, Joules, PollTick, Seconds, Volts, Watts};
 
 use crate::charge_ode::{self, ChargeOde};
 use crate::{power_intake, EnergyBuffer};
+
+/// Margin (V) inside the comparator thresholds where the strides
+/// integrate the dead band in bulk.
+const BAND_GUARD: f64 = 0.02;
+
+/// What a stride walk carries from segment to segment instead of
+/// re-deriving it from the network: the terminal capacitance, voltage
+/// and stored energy, valid until a ladder move.
+struct Walk {
+    c_eq: f64,
+    v: f64,
+    e: f64,
+}
 
 /// The Morphy buffer: network + always-powered controller.
 #[derive(Clone, Debug)]
@@ -29,7 +42,9 @@ pub struct MorphyBuffer {
     rail_clamp: Volts,
     v_high: Volts,
     v_low: Volts,
-    poll_period: Seconds,
+    /// The 10 Hz poll, counted in fine steps (retuned to each stride's
+    /// step).
+    tick: PollTick,
     poll_acc: Seconds,
     /// Settling window after a switch before another is allowed —
     /// prevents the controller thrashing on its own voltage transients.
@@ -58,7 +73,7 @@ impl MorphyBuffer {
             rail_clamp: Volts::new(3.6),
             v_high: Volts::new(3.5),
             v_low: Volts::new(1.9),
-            poll_period: Seconds::new(0.1),
+            tick: PollTick::new(Seconds::from_milli(1.0), Seconds::new(0.1)),
             poll_acc: Seconds::ZERO,
             cooldown: Seconds::new(0.3),
             cooldown_left: Seconds::ZERO,
@@ -148,6 +163,223 @@ impl MorphyBuffer {
         } else if v <= self.v_low && self.level > 0 {
             self.reconfigure_to(self.level - 1);
         }
+    }
+
+    /// The poll-to-poll segment walk both strides share: it stops once
+    /// the terminal falls to `v_floor` or rises to `v_top`. `load` is
+    /// `None` for the dark idle stride, which keeps walking through
+    /// ladder moves; the powered stride folds its LPM3 load into the
+    /// solver as a constant rail current and hands back at a ladder
+    /// move. Returns the elapsed time and why a zero-length walk was
+    /// refused.
+    fn walk_polls(
+        &mut self,
+        input: Watts,
+        load: Option<Amps>,
+        duration: Seconds,
+        v_floor: f64,
+        v_top: Option<f64>,
+        fine_dt: Seconds,
+    ) -> (f64, FallbackReason) {
+        let total = duration.get();
+        let dt = fine_dt.get();
+        let unit = self.network.unit_spec();
+        let k = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
+        let p_in = input.get().max(0.0);
+        self.tick = self.tick.at_dt(fine_dt);
+        let tick = self.tick;
+        let period = tick.period().get();
+        let mut walk = self.walk();
+        let mut elapsed = 0.0_f64;
+        // Telemetry: why a zero-length stride was refused (stop
+        // condition already satisfied unless a break says otherwise).
+        let mut refusal = FallbackReason::TransitionDue;
+        while elapsed < total {
+            let v_now = walk.v.max(0.0);
+            if v_now <= v_floor || v_top.is_some_and(|vt| v_now >= vt) {
+                break;
+            }
+            let ode = charge_ode::PoweredOde {
+                c: walk.c_eq,
+                g: walk.c_eq * k,
+                v_max: self.rail_clamp.get(),
+                p_in,
+                i_load: load.map_or(0.0, |i| i.get().max(0.0)),
+                p_drain: 0.0,
+                v_drain_min: f64::INFINITY,
+            };
+
+            // 0. Comparator dead band, in bulk: while the terminal sits
+            // strictly inside (v_low, v_high) with a guard margin, the
+            // externally powered 10 Hz poller reads "Ok" and the
+            // cooldown/accumulator are the only state that moves — whole
+            // spans integrate in one solve, with the accumulator
+            // advanced in closed form and the cooldown drained by the
+            // elapsed time. The idle stride uses the powered solver too,
+            // because its terminal can fall under leakage (ChargeOde only
+            // has a rising stop): with zero load it reduces to the idle
+            // ODE and gives both a falling stop at the lower band edge
+            // and a rising stop at the band top.
+            let band_lo = (self.v_low.get() + BAND_GUARD).max(v_floor);
+            let band_hi = self.v_high.get() - BAND_GUARD;
+            let band_stop_up = v_top.map_or(band_hi, |vt| vt.min(band_hi));
+            let whole = (((total - elapsed) / dt).floor() * dt).max(0.0);
+            if v_now > band_lo && v_now < band_stop_up && whole > 3.0 * period {
+                if let Some((t_adv, sol)) = charge_ode::integrate_powered_quantized(
+                    &ode,
+                    v_now,
+                    whole,
+                    band_lo,
+                    Some(band_stop_up),
+                    dt,
+                ) {
+                    if t_adv > 2.0 * period {
+                        let load = load.map(|_| sol.load_consumed);
+                        let (v_final, leaked, clipped) = (sol.v_final, sol.leaked, sol.clipped);
+                        self.commit_span(&mut walk, k, t_adv, v_final, leaked, clipped, load);
+                        self.poll_acc = tick.advance(self.poll_acc, (t_adv / dt).round() as u64);
+                        self.cooldown_left =
+                            (self.cooldown_left - Seconds::new(t_adv)).max(Seconds::ZERO);
+                        elapsed += t_adv;
+                        continue;
+                    }
+                }
+            }
+
+            // 1. Replay the poll ticks up to the next poll (bounded by
+            // the stride horizon), so poll times stay step-identical to
+            // the fine-step reference.
+            let seg = tick.segment(self.poll_acc, Seconds::new(elapsed), duration);
+
+            // 2. Closed-form integration of the inter-poll segment, with
+            // the stop crossings quantized up onto the fine-step grid.
+            let seg_horizon = seg.elapsed.get() - elapsed;
+            let span = match (load, v_top) {
+                (None, Some(v_stop)) => {
+                    let ode = ChargeOde {
+                        c: ode.c,
+                        g: ode.g,
+                        v_max: ode.v_max,
+                        p_in,
+                        p_drain: 0.0,
+                        v_drain_min: f64::INFINITY,
+                    };
+                    charge_ode::integrate_quantized(&ode, walk.v, seg_horizon, v_stop, dt)
+                        .map(|(t, sol)| (t, sol.v_final, sol.leaked, sol.clipped, None))
+                }
+                _ => charge_ode::integrate_powered_quantized(
+                    &ode,
+                    walk.v,
+                    seg_horizon,
+                    v_floor,
+                    v_top,
+                    dt,
+                )
+                .map(|(t, sol)| {
+                    let load = load.map(|_| sol.load_consumed);
+                    (t, sol.v_final, sol.leaked, sol.clipped, load)
+                }),
+            };
+            let Some((t_adv, v_final, leaked, clipped, load_consumed)) = span else {
+                refusal = FallbackReason::NoClosedForm;
+                break; // hand the rest back to the fine-step loop
+            };
+            if t_adv <= 0.0 {
+                refusal = FallbackReason::NoClosedForm;
+                break;
+            }
+
+            // 3. Commit the network and the energy books in one pass.
+            self.commit_span(&mut walk, k, t_adv, v_final, leaked, clipped, load_consumed);
+
+            // 4. Commit the controller bookkeeping; the threshold
+            // handler reads the settled terminal voltage and may
+            // reconfigure for the next segment.
+            if crate::commit_segment_ticks(
+                &tick,
+                seg,
+                t_adv,
+                duration,
+                &mut self.poll_acc,
+                &mut elapsed,
+                &mut self.cooldown_left,
+            ) {
+                let before = self.reconfigurations;
+                self.poll_controller();
+                if self.reconfigurations != before {
+                    if load.is_some() {
+                        // A ladder move changed the effective capacitance,
+                        // so the kernel's precomputed wake voltage (and
+                        // the workload's usable-energy picture) are
+                        // stale: hand control back so the next stride
+                        // re-derives them.
+                        break;
+                    }
+                    walk = self.walk();
+                }
+            }
+        }
+        (elapsed, refusal)
+    }
+
+    /// Stride-phase invariant: the chains share one terminal voltage
+    /// (the continuous equalization of the fine-step loop). Forced test
+    /// states may break it.
+    fn chains_unequal(&self) -> bool {
+        let (lo, hi) = self.network.chain_voltage_range();
+        let (lo, hi) = (lo.get(), hi.get());
+        hi - lo > 1e-9 * hi.abs().max(1.0)
+    }
+
+    fn walk(&self) -> Walk {
+        Walk {
+            c_eq: self.network.terminal_capacitance().get(),
+            v: self.network.terminal_voltage().get(),
+            e: self.network.stored_energy().get(),
+        }
+    }
+
+    /// Books one integrated span: the terminal lands on `v_final` while
+    /// the within-chain imbalance decays on its own e^{−2kt}, leaking
+    /// ½C_unit·Σw²·(1−e^{−2kT}) on top of the terminal's G_eff·v²
+    /// integral; the ledger closes against the committed energies. The
+    /// powered stride passes its `load` and closes on gross delivery.
+    #[allow(clippy::too_many_arguments)]
+    fn commit_span(
+        &mut self,
+        walk: &mut Walk,
+        k: f64,
+        t_adv: f64,
+        v_final: f64,
+        leaked: f64,
+        clipped: f64,
+        load: Option<f64>,
+    ) {
+        let decay = (-k * t_adv).exp();
+        let (imbalance, e_after, v_after) = self
+            .network
+            .commit_idle_solution(Volts::new(v_final), decay);
+        let c_unit = self.network.unit_spec().capacitance.get();
+        let leaked = leaked + 0.5 * c_unit * imbalance * (1.0 - decay * decay);
+        let delta_e = e_after.get() - walk.e;
+        self.ledger.leaked += Joules::new(leaked);
+        self.ledger.clipped += Joules::new(clipped);
+        match load {
+            None => {
+                let delivered = (delta_e + leaked).max(0.0);
+                self.ledger.delivered += Joules::new(delivered);
+                self.ledger.harvested += Joules::new(delivered + clipped);
+            }
+            Some(load) => {
+                let delivered_gross = (delta_e + leaked + load + clipped).max(0.0);
+                self.ledger.load_consumed += Joules::new(load);
+                self.ledger.delivered += Joules::new(delivered_gross - clipped);
+                self.ledger.harvested += Joules::new(delivered_gross);
+            }
+        }
+        self.note_dwell(t_adv);
+        walk.v = v_after.get();
+        walk.e = e_after.get();
     }
 }
 
@@ -253,11 +485,12 @@ impl EnergyBuffer for MorphyBuffer {
     /// at the same `g/C` rate regardless of length, and deposits split
     /// in proportion to chain capacitance — so each inter-poll segment
     /// integrates through the shared regime solver. At each 10 Hz poll
-    /// boundary (replayed step-for-step so poll times stay identical to
-    /// the fine-step reference) the controller's threshold handler
-    /// fires; a reconfiguration changes the effective capacitance (and
-    /// may boost the terminal past `v_stop` — the §3.3.4 reclamation
-    /// path), and integration resumes with the new ladder level.
+    /// boundary (its fine-step accumulator replayed bit for bit by
+    /// [`PollTick`], so poll times match the fine-step reference) the
+    /// controller's threshold handler fires; a reconfiguration changes
+    /// the effective capacitance (and may boost the terminal past
+    /// `v_stop` — the §3.3.4 reclamation path), and integration resumes
+    /// with the new ladder level.
     /// `v_stop` crossings are quantized up to the fine-step grid exactly
     /// like the static fast path.
     fn idle_advance(
@@ -267,185 +500,24 @@ impl EnergyBuffer for MorphyBuffer {
         v_stop: Volts,
         fine_dt: Seconds,
     ) -> Seconds {
-        let vs = v_stop.get();
-        let total = duration.get();
-        let dt = fine_dt.get();
-        assert!(dt > 0.0, "fine timestep must be positive");
-        if total <= 0.0 {
+        assert!(fine_dt.get() > 0.0, "fine timestep must be positive");
+        if duration.get() <= 0.0 {
             return Seconds::ZERO;
         }
-
-        // Idle-phase invariant: chains equalized at one terminal
-        // voltage. Forced test states may break it; the first reference
-        // step would dissipate the imbalance through the fabric, which
-        // is not worth a closed form — replay finely instead.
-        {
-            let chain_vs = self.network.chain_voltages();
-            let (lo, hi) = chain_vs.iter().fold((f64::MAX, f64::MIN), |(lo, hi), v| {
-                (lo.min(v.get()), hi.max(v.get()))
-            });
-            if hi - lo > 1e-9 * hi.abs().max(1.0) {
-                return crate::reference_idle_advance(self, input, duration, v_stop, fine_dt);
-            }
+        // The first reference step would dissipate un-equalized chains
+        // through the fabric, which is not worth a closed form — replay
+        // finely instead.
+        if self.chains_unequal() {
+            return crate::reference_idle_advance(self, input, duration, v_stop, fine_dt);
         }
-
-        let unit = *self.network.unit_spec();
-        let k = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
-        let p_in = input.get().max(0.0);
-
-        let period = self.poll_period.get();
-        let mut elapsed = 0.0_f64;
-        while elapsed < total {
-            let v_now = self.rail_voltage().get();
-            if v_now >= vs {
-                break;
-            }
-
-            // 0. Comparator dead band, in bulk: while the terminal sits
-            // strictly inside (v_low, v_high) with a guard margin, the
-            // externally powered 10 Hz poller reads "Ok" and the
-            // cooldown/accumulator are the only state that moves — whole
-            // spans integrate in one solve, with the accumulator
-            // replayed in closed form and the cooldown drained by the
-            // elapsed time. The powered solver is used because the idle
-            // terminal can fall under leakage (ChargeOde only has a
-            // rising stop): with zero load and drain it reduces to the
-            // idle ODE, and it gives both a falling stop at the lower
-            // band edge and a rising stop at the band top (cut at the
-            // wake threshold).
-            const BAND_GUARD: f64 = 0.02;
-            let band_lo = self.v_low.get() + BAND_GUARD;
-            let band_hi = self.v_high.get() - BAND_GUARD;
-            let band_stop_up = vs.min(band_hi);
-            let whole = (((total - elapsed) / dt).floor() * dt).max(0.0);
-            if v_now > band_lo && v_now < band_stop_up && whole > 3.0 * period {
-                let c_eq = self.network.terminal_capacitance().get();
-                let ode = charge_ode::PoweredOde {
-                    c: c_eq,
-                    g: c_eq * k,
-                    v_max: self.rail_clamp.get(),
-                    p_in,
-                    i_load: 0.0,
-                    p_drain: 0.0,
-                    v_drain_min: f64::INFINITY,
-                };
-                if let Some((t_adv, sol)) = charge_ode::integrate_powered_quantized(
-                    &ode,
-                    v_now,
-                    whole,
-                    band_lo,
-                    Some(band_stop_up),
-                    dt,
-                ) {
-                    if t_adv > 2.0 * period {
-                        let e_before = self.network.stored_energy();
-                        let imbalance = self.network.chain_imbalance();
-                        let decay = (-k * t_adv).exp();
-                        self.network
-                            .apply_idle_solution(Volts::new(sol.v_final), decay);
-                        let e_after = self.network.stored_energy();
-                        let leaked = sol.leaked
-                            + 0.5 * unit.capacitance.get() * imbalance * (1.0 - decay * decay);
-                        let delivered = ((e_after.get() - e_before.get()) + leaked).max(0.0);
-                        self.ledger.leaked += Joules::new(leaked);
-                        self.ledger.delivered += Joules::new(delivered);
-                        self.ledger.clipped += Joules::new(sol.clipped);
-                        self.ledger.harvested += Joules::new(delivered + sol.clipped);
-                        self.note_dwell(t_adv);
-                        let steps = (t_adv / dt).round() as u64;
-                        self.poll_acc = Seconds::new(crate::bulk_poll_acc(
-                            self.poll_acc.get(),
-                            steps,
-                            dt,
-                            period,
-                        ));
-                        self.cooldown_left =
-                            (self.cooldown_left - Seconds::new(t_adv)).max(Seconds::ZERO);
-                        elapsed += t_adv;
-                        continue;
-                    }
-                }
-            }
-
-            // 1. Replay the controller's per-step bookkeeping to find
-            // how many fine steps remain until the next poll fires
-            // (bounded by the stride horizon). This replicates the
-            // reference loop's float accumulation exactly, so poll
-            // times stay step-identical.
-            let mut acc = self.poll_acc.get();
-            let mut sim_elapsed = elapsed;
-            let mut seg_steps = 0usize;
-            while sim_elapsed < total {
-                let h = dt.min(total - sim_elapsed);
-                sim_elapsed += h;
-                acc += h;
-                seg_steps += 1;
-                if acc >= self.poll_period.get() {
-                    break;
-                }
-            }
-            let seg_horizon = sim_elapsed - elapsed;
-
-            // 2. Closed-form integration of the inter-poll segment.
-            let c_eq = self.network.terminal_capacitance().get();
-            let ode = ChargeOde {
-                c: c_eq,
-                g: c_eq * k,
-                v_max: self.rail_clamp.get(),
-                p_in,
-                p_drain: 0.0,
-                v_drain_min: f64::INFINITY,
-            };
-            let v0 = self.network.terminal_voltage().get();
-            let (t_adv, sol) = charge_ode::integrate_quantized(&ode, v0, seg_horizon, vs, dt)
-                .expect("drain-free charge ODE is total");
-            if t_adv <= 0.0 {
-                break; // defensive: v0 ≥ vs is caught at the loop top
-            }
-            let (steps_taken, finished_segment) = if t_adv >= seg_horizon - 1e-15 {
-                (seg_steps, true)
-            } else {
-                ((t_adv / dt).round().max(1.0) as usize, false)
-            };
-
-            // 3. Commit network state and energy books. The terminal
-            // moves per the solution; within-chain imbalance decays on
-            // its own e^{−2kt}, leaking ½C_unit·Σw²·(1−e^{−2kT}) on top
-            // of the terminal's G_eff·v² integral.
-            let e_before = self.network.stored_energy();
-            let imbalance = self.network.chain_imbalance();
-            let decay = (-k * t_adv).exp();
-            self.network
-                .apply_idle_solution(Volts::new(sol.v_final), decay);
-            let e_after = self.network.stored_energy();
-            let leaked =
-                sol.leaked + 0.5 * unit.capacitance.get() * imbalance * (1.0 - decay * decay);
-            let delivered = ((e_after.get() - e_before.get()) + leaked).max(0.0);
-            self.ledger.leaked += Joules::new(leaked);
-            self.ledger.delivered += Joules::new(delivered);
-            self.ledger.clipped += Joules::new(sol.clipped);
-            self.ledger.harvested += Joules::new(delivered + sol.clipped);
-            self.note_dwell(t_adv);
-
-            // 4. Commit the controller bookkeeping for the steps taken;
-            // a poll can only land on the segment's last step.
-            let mut fire = false;
-            for _ in 0..steps_taken {
-                let h = dt.min(total - elapsed);
-                elapsed += h;
-                self.cooldown_left = (self.cooldown_left - Seconds::new(h)).max(Seconds::ZERO);
-                self.poll_acc += Seconds::new(h);
-                if self.poll_acc >= self.poll_period {
-                    self.poll_acc = Seconds::ZERO;
-                    fire = true;
-                }
-            }
-            if fire && finished_segment && self.cooldown_left.get() <= 0.0 {
-                // The threshold handler reads the settled terminal
-                // voltage and may reconfigure for the next segment.
-                self.poll_controller();
-            }
-        }
+        let (elapsed, _) = self.walk_polls(
+            input,
+            None,
+            duration,
+            f64::NEG_INFINITY,
+            Some(v_stop.get()),
+            fine_dt,
+        );
         Seconds::new(elapsed)
     }
 
@@ -470,190 +542,17 @@ impl EnergyBuffer for MorphyBuffer {
         v_wake: Option<Volts>,
         fine_dt: Seconds,
     ) -> Option<Seconds> {
-        let vs = v_stop.get();
-        let vw = v_wake.map(Volts::get);
-        let total = duration.get();
-        let dt = fine_dt.get();
-        assert!(dt > 0.0, "fine timestep must be positive");
-        if total <= 0.0 {
+        assert!(fine_dt.get() > 0.0, "fine timestep must be positive");
+        if duration.get() <= 0.0 {
             return Some(Seconds::ZERO);
         }
-
-        // Sleep-phase invariant: chains equalized at one terminal
-        // voltage (the continuous equalization of the fine-step loop).
-        {
-            let chain_vs = self.network.chain_voltages();
-            let (lo, hi) = chain_vs.iter().fold((f64::MAX, f64::MIN), |(lo, hi), v| {
-                (lo.min(v.get()), hi.max(v.get()))
-            });
-            if hi - lo > 1e-9 * hi.abs().max(1.0) {
-                self.fallback = Some(FallbackReason::NoClosedForm);
-                return None;
-            }
+        if self.chains_unequal() {
+            self.fallback = Some(FallbackReason::NoClosedForm);
+            return None;
         }
-
-        let unit = *self.network.unit_spec();
-        let k = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
-        let p_in = input.get().max(0.0);
-        let i_load = load.get().max(0.0);
-
-        // Books one integrated span: terminal + within-chain imbalance
-        // decay, ledger closed against the committed energies, dwell.
-        macro_rules! commit_span {
-            ($sol:expr, $t_adv:expr) => {{
-                let sol = $sol;
-                let t_adv = $t_adv;
-                let e_before = self.network.stored_energy();
-                let imbalance = self.network.chain_imbalance();
-                let decay = (-k * t_adv).exp();
-                self.network
-                    .apply_idle_solution(Volts::new(sol.v_final), decay);
-                let e_after = self.network.stored_energy();
-                let leaked =
-                    sol.leaked + 0.5 * unit.capacitance.get() * imbalance * (1.0 - decay * decay);
-                let delivered_gross =
-                    ((e_after.get() - e_before.get()) + leaked + sol.load_consumed + sol.clipped)
-                        .max(0.0);
-                self.ledger.leaked += Joules::new(leaked);
-                self.ledger.load_consumed += Joules::new(sol.load_consumed);
-                self.ledger.clipped += Joules::new(sol.clipped);
-                self.ledger.delivered += Joules::new(delivered_gross - sol.clipped);
-                self.ledger.harvested += Joules::new(delivered_gross);
-                self.note_dwell(t_adv);
-            }};
-        }
-
-        let period = self.poll_period.get();
-        let mut elapsed = 0.0_f64;
-        // Telemetry: why a zero-length stride was refused (stop
-        // condition already satisfied unless a break says otherwise).
-        let mut refusal = FallbackReason::TransitionDue;
-        while elapsed < total {
-            let v_now = self.rail_voltage().get();
-            if v_now <= vs || vw.is_some_and(|vw| v_now >= vw) {
-                break;
-            }
-
-            // 0. Comparator dead band, in bulk: while the terminal sits
-            // strictly inside (v_low, v_high) with a guard margin, the
-            // 10 Hz poller reads "Ok" and the cooldown/accumulator are
-            // the only state that moves — whole spans integrate in one
-            // solve, with the accumulator replayed in closed form and
-            // the cooldown drained by the elapsed time.
-            const BAND_GUARD: f64 = 0.02;
-            let band_lo = (self.v_low.get() + BAND_GUARD).max(vs);
-            let band_hi = self.v_high.get() - BAND_GUARD;
-            let band_stop_up = vw.map_or(band_hi, |vw| vw.min(band_hi));
-            let whole = (((total - elapsed) / dt).floor() * dt).max(0.0);
-            if v_now > band_lo && v_now < band_stop_up && whole > 3.0 * period {
-                let c_eq = self.network.terminal_capacitance().get();
-                let ode = charge_ode::PoweredOde {
-                    c: c_eq,
-                    g: c_eq * k,
-                    v_max: self.rail_clamp.get(),
-                    p_in,
-                    i_load,
-                    p_drain: 0.0,
-                    v_drain_min: f64::INFINITY,
-                };
-                if let Some((t_adv, sol)) = charge_ode::integrate_powered_quantized(
-                    &ode,
-                    v_now,
-                    whole,
-                    band_lo,
-                    Some(band_stop_up),
-                    dt,
-                ) {
-                    if t_adv > 2.0 * period {
-                        commit_span!(sol, t_adv);
-                        let steps = (t_adv / dt).round() as u64;
-                        self.poll_acc = Seconds::new(crate::bulk_poll_acc(
-                            self.poll_acc.get(),
-                            steps,
-                            dt,
-                            period,
-                        ));
-                        self.cooldown_left =
-                            (self.cooldown_left - Seconds::new(t_adv)).max(Seconds::ZERO);
-                        elapsed += t_adv;
-                        continue;
-                    }
-                }
-            }
-
-            // 1. Fine steps until the next poll fires (replayed so poll
-            // times stay step-identical to the reference).
-            let mut acc = self.poll_acc.get();
-            let mut sim_elapsed = elapsed;
-            let mut seg_steps = 0usize;
-            while sim_elapsed < total {
-                let h = dt.min(total - sim_elapsed);
-                sim_elapsed += h;
-                acc += h;
-                seg_steps += 1;
-                if acc >= self.poll_period.get() {
-                    break;
-                }
-            }
-            let seg_horizon = sim_elapsed - elapsed;
-
-            // 2. Closed-form integration of the inter-poll segment.
-            let c_eq = self.network.terminal_capacitance().get();
-            let ode = charge_ode::PoweredOde {
-                c: c_eq,
-                g: c_eq * k,
-                v_max: self.rail_clamp.get(),
-                p_in,
-                i_load,
-                p_drain: 0.0,
-                v_drain_min: f64::INFINITY,
-            };
-            let v0 = self.network.terminal_voltage().get();
-            let Some((t_adv, sol)) =
-                charge_ode::integrate_powered_quantized(&ode, v0, seg_horizon, vs, vw, dt)
-            else {
-                refusal = FallbackReason::NoClosedForm;
-                break; // hand the rest back to the fine-step loop
-            };
-            if t_adv <= 0.0 {
-                refusal = FallbackReason::NoClosedForm;
-                break;
-            }
-            let (steps_taken, finished_segment) = if t_adv >= seg_horizon - 1e-15 {
-                (seg_steps, true)
-            } else {
-                ((t_adv / dt).round().max(1.0) as usize, false)
-            };
-
-            // 3. Commit network state and energy books (the within-chain
-            // imbalance decay mirrors the idle path).
-            commit_span!(sol, t_adv);
-
-            // 4. Controller bookkeeping; a poll lands only on the
-            // segment's last step.
-            let mut fire = false;
-            for _ in 0..steps_taken {
-                let h = dt.min(total - elapsed);
-                elapsed += h;
-                self.cooldown_left = (self.cooldown_left - Seconds::new(h)).max(Seconds::ZERO);
-                self.poll_acc += Seconds::new(h);
-                if self.poll_acc >= self.poll_period {
-                    self.poll_acc = Seconds::ZERO;
-                    fire = true;
-                }
-            }
-            if fire && finished_segment && self.cooldown_left.get() <= 0.0 {
-                let before = self.reconfigurations;
-                self.poll_controller();
-                if self.reconfigurations != before {
-                    // A ladder move changed the effective capacitance,
-                    // so the kernel's precomputed wake voltage (and the
-                    // workload's usable-energy picture) are stale: hand
-                    // control back so the next stride re-derives them.
-                    break;
-                }
-            }
-        }
+        let v_wake = v_wake.map(Volts::get);
+        let (elapsed, refusal) =
+            self.walk_polls(input, Some(load), duration, v_stop.get(), v_wake, fine_dt);
         if elapsed == 0.0 {
             self.fallback = Some(refusal);
         }
@@ -716,7 +615,7 @@ impl EnergyBuffer for MorphyBuffer {
         // target MCU's state.
         self.cooldown_left = (self.cooldown_left - dt).max(Seconds::ZERO);
         self.poll_acc += dt;
-        if self.poll_acc >= self.poll_period {
+        if self.poll_acc >= self.tick.period() {
             self.poll_acc = Seconds::ZERO;
             if self.cooldown_left.get() <= 0.0 {
                 self.poll_controller();

@@ -20,7 +20,7 @@ pub use config::{ConfigError, ReactConfig};
 
 use react_circuit::{BankMode, Capacitor, EnergyLedger, SeriesParallelBank};
 use react_telemetry::FallbackReason;
-use react_units::{Amps, Coulombs, Farads, Joules, Seconds, Volts, Watts};
+use react_units::{Amps, Coulombs, Farads, Joules, PollTick, Seconds, Volts, Watts};
 
 use crate::charge_ode::{self, ChargeOde};
 use crate::{power_intake, EnergyBuffer, CHARGE_CURRENT_LIMIT, CONVERSION_FLOOR};
@@ -45,12 +45,33 @@ const RESIDUAL_GUARD: f64 = 0.002;
 /// reconfigurations, so strides would be short regardless).
 const STAGED_INPUT_MAX: f64 = 2.0e-4;
 
+/// Margin (V) inside the comparator thresholds where the powered
+/// strides integrate the dead band in bulk.
+const BAND_GUARD: f64 = 0.02;
+
+fn connected(bank: &&SeriesParallelBank) -> bool {
+    bank.mode() != BankMode::Disconnected
+}
+
+/// Places a connected bank's terminal at `v`.
+fn set_terminal(bank: &mut SeriesParallelBank, v: f64) {
+    let unit_v = match bank.mode() {
+        BankMode::Series => v / bank.spec().count as f64,
+        BankMode::Parallel => v,
+        BankMode::Disconnected => unreachable!("connected banks only"),
+    };
+    bank.set_unit_voltage(Volts::new(unit_v));
+}
+
 /// The REACT buffer: LLB + banks + instrumentation + controller FSM.
 #[derive(Clone, Debug)]
 pub struct ReactBuffer {
     config: ReactConfig,
     llb: Capacitor,
     banks: Vec<SeriesParallelBank>,
+    /// The software poll, counted in fine steps (retuned to each
+    /// stride's step).
+    tick: PollTick,
     poll_acc: Seconds,
     ledger: EnergyLedger,
     reconfigurations: u64,
@@ -82,6 +103,7 @@ impl ReactBuffer {
                 .iter()
                 .map(|&b| SeriesParallelBank::new(b))
                 .collect(),
+            tick: PollTick::new(Seconds::from_milli(1.0), config.poll_period),
             config,
             poll_acc: Seconds::ZERO,
             ledger: EnergyLedger::new(),
@@ -143,7 +165,7 @@ impl ReactBuffer {
                 .banks
                 .iter()
                 .enumerate()
-                .filter(|(_, b)| b.mode() != BankMode::Disconnected)
+                .filter(|(_, b)| connected(b))
                 .map(|(i, b)| (i, b.terminal_voltage()))
                 .filter(|(_, v)| v.get() > self.llb.voltage().get() + EPS)
                 .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite voltages"));
@@ -177,7 +199,7 @@ impl ReactBuffer {
             .banks
             .iter()
             .enumerate()
-            .filter(|(_, b)| b.mode() != BankMode::Disconnected)
+            .filter(|(_, b)| connected(b))
             .map(|(i, b)| (i, b.terminal_voltage()))
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite voltages"));
 
@@ -284,6 +306,71 @@ impl ReactBuffer {
         }
     }
 
+    /// The LLB's and every connected bank's stored energy, summed in
+    /// bank order.
+    fn pack_energy(&self) -> f64 {
+        self.llb.energy().get()
+            + self
+                .banks
+                .iter()
+                .filter(connected)
+                .map(|b| b.stored_energy().get())
+                .sum::<f64>()
+    }
+
+    /// Disconnected banks keep leaking on their own exponentials
+    /// (`dv/dt = −(g/C)·v` per unit capacitor); consecutive banks with
+    /// the same rate share one `exp`.
+    fn decay_disconnected(&mut self, t_adv: f64) {
+        let mut decay = (f64::NAN, 0.0);
+        for bank in &mut self.banks {
+            if bank.mode() != BankMode::Disconnected {
+                continue;
+            }
+            let unit = bank.spec().unit;
+            let k = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
+            if k > 0.0 && bank.unit_voltage().get() > 0.0 {
+                if decay.0 != k {
+                    decay = (k, (-k * t_adv).exp());
+                }
+                let e_before = bank.stored_energy();
+                bank.set_unit_voltage(Volts::new(bank.unit_voltage().get() * decay.1));
+                self.ledger.leaked += e_before - bank.stored_energy();
+            }
+        }
+    }
+
+    /// Books one equalized span: the LLB and every connected bank land
+    /// on `fin.v_final`, the ledger closes against the committed pack
+    /// energy (`e_pack`, carried from span to span), disconnected banks
+    /// decay, and dwell accrues.
+    fn commit_equalized(
+        &mut self,
+        fin: &charge_ode::PoweredSolution,
+        t_adv: f64,
+        e_pack: &mut f64,
+    ) {
+        self.llb.set_voltage(Volts::new(fin.v_final));
+        for bank in self.banks.iter_mut() {
+            if bank.mode() != BankMode::Disconnected {
+                set_terminal(bank, fin.v_final);
+            }
+        }
+        let e_after = self.pack_energy();
+        let delta_e = e_after - *e_pack;
+        *e_pack = e_after;
+        let delivered_gross =
+            (delta_e + fin.leaked + fin.load_consumed + fin.drained + fin.clipped).max(0.0);
+        self.ledger.leaked += Joules::new(fin.leaked);
+        self.ledger.load_consumed += Joules::new(fin.load_consumed);
+        self.ledger.overhead_consumed += Joules::new(fin.drained);
+        self.ledger.clipped += Joules::new(fin.clipped);
+        self.ledger.delivered += Joules::new(delivered_gross - fin.clipped);
+        self.ledger.harvested += Joules::new(delivered_gross);
+        self.decay_disconnected(t_adv);
+        self.note_dwell(t_adv);
+    }
+
     /// Staged closed-form sleep integration for the *un-equalized* bank
     /// state: one or more connected banks sit below the pack (freshly
     /// connected drained banks still charging up behind their blocking
@@ -326,7 +413,7 @@ impl ReactBuffer {
             .banks
             .iter()
             .enumerate()
-            .filter(|(i, b)| !lows.contains(i) && b.mode() != BankMode::Disconnected)
+            .filter(|(i, b)| !lows.contains(i) && connected(b))
             .map(|(i, _)| i)
             .collect();
         let llb_spec = *self.llb.spec();
@@ -415,8 +502,9 @@ impl ReactBuffer {
         // along the front's own trajectory the excess has closed forms
         // per converter regime: `i²·dt·t/2C` through the
         // constant-current region and `(p·dt/4)·ln(v1²/v0²)` through
-        // constant-power. Booking it keeps staged strides step-faithful
-        // to the reference discretization.
+        // constant-power. Booking it (on a front that does not clip)
+        // keeps staged strides step-faithful to the reference
+        // discretization.
         let euler_intake_excess = |v0: f64, v1: f64, c: f64| -> f64 {
             if p_in <= 0.0 || v1 <= v0 || c <= 0.0 {
                 return 0.0;
@@ -437,31 +525,36 @@ impl ReactBuffer {
             }
             excess
         };
+        let front_solve = |ode: &ChargeOde, v0: f64, t: f64| {
+            let mut fin = charge_ode::integrate(ode, v0, t, None)?;
+            if fin.clipped == 0.0 {
+                let e = euler_intake_excess(v0, fin.v_final, ode.c);
+                fin.v_final = (fin.v_final * fin.v_final + 2.0 * e / ode.c)
+                    .sqrt()
+                    .min(rail_clamp);
+            }
+            Some(fin)
+        };
 
         // Books one decoupled span: the pack and the front land on
         // their own closed-form finals, the remaining low banks decay
         // on their leaks, and the ledger closes against the committed
-        // energies exactly (∫q·dt = ΔE on each trajectory, summed).
+        // energies exactly (∫q·dt = ΔE on each trajectory, summed; the
+        // group energy carries from span to span).
+        let group_energy = |this: &Self| -> f64 {
+            this.llb.energy().get()
+                + pack
+                    .iter()
+                    .chain(lows.iter())
+                    .map(|&i| this.banks[i].stored_energy().get())
+                    .sum::<f64>()
+        };
+        let mut e_group = group_energy(self);
         macro_rules! commit_staged {
             ($pack_fin:expr, $front_fin:expr, $t_adv:expr) => {{
                 let pack_fin = $pack_fin;
                 let front_fin = $front_fin;
                 let t_adv = $t_adv;
-                let group_energy = |banks: &[SeriesParallelBank]| -> Joules {
-                    pack.iter()
-                        .chain(lows.iter())
-                        .map(|&i| banks[i].stored_energy())
-                        .sum()
-                };
-                let set_terminal = |bank: &mut SeriesParallelBank, v: f64| {
-                    let unit_v = match bank.mode() {
-                        BankMode::Series => v / bank.spec().count as f64,
-                        BankMode::Parallel => v,
-                        BankMode::Disconnected => unreachable!("staged banks are connected"),
-                    };
-                    bank.set_unit_voltage(Volts::new(unit_v));
-                };
-                let e_before = self.llb.energy() + group_energy(&self.banks);
                 self.llb.set_voltage(Volts::new(pack_fin.v_final));
                 for &i in &pack {
                     set_terminal(&mut self.banks[i], pack_fin.v_final);
@@ -480,8 +573,9 @@ impl ReactBuffer {
                     set_terminal(&mut self.banks[i], low_v[j]);
                     decay_leaked += (e_b - self.banks[i].stored_energy()).get();
                 }
-                let e_after = self.llb.energy() + group_energy(&self.banks);
-                let delta_e = (e_after - e_before).get();
+                let e_after = group_energy(self);
+                let delta_e = e_after - e_group;
+                e_group = e_after;
                 let leaked = pack_fin.leaked + front_fin.leaked + decay_leaked;
                 let clipped = pack_fin.clipped + front_fin.clipped;
                 let delivered_gross =
@@ -493,19 +587,7 @@ impl ReactBuffer {
                 self.ledger.clipped += Joules::new(clipped);
                 self.ledger.delivered += Joules::new(delivered_gross - clipped);
                 self.ledger.harvested += Joules::new(delivered_gross);
-                for (i, bank) in self.banks.iter_mut().enumerate() {
-                    if pack.contains(&i) || lows.contains(&i) {
-                        continue;
-                    }
-                    let unit = bank.spec().unit;
-                    let k = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
-                    if k > 0.0 && bank.unit_voltage().get() > 0.0 {
-                        let e_b = bank.stored_energy();
-                        let v_unit = bank.unit_voltage().get() * (-k * t_adv).exp();
-                        bank.set_unit_voltage(Volts::new(v_unit));
-                        self.ledger.leaked += e_b - bank.stored_energy();
-                    }
-                }
+                self.decay_disconnected(t_adv);
                 self.note_dwell(t_adv);
                 v_pack = pack_fin.v_final;
                 v_front = front_fin.v_final;
@@ -523,7 +605,9 @@ impl ReactBuffer {
             }
         };
 
-        let period = self.config.poll_period.get();
+        self.tick = self.tick.at_dt(fine_dt);
+        let tick = self.tick;
+        let period = tick.period().get();
         let mut elapsed = 0.0_f64;
         let mut refusal = FallbackReason::TransitionDue;
         let mut coupled = false;
@@ -593,7 +677,6 @@ impl ReactBuffer {
             // 0. Comparator dead band, in bulk — same guard bounds as
             // the equalized path, additionally cut at the predicted
             // topology events.
-            const BAND_GUARD: f64 = 0.02;
             let band_lo = (self.config.v_low.get() + BAND_GUARD).max(vs);
             let band_hi = self.config.v_high.get() - BAND_GUARD;
             let band_stop_up = vw.map_or(band_hi, |vw| vw.min(band_hi));
@@ -610,27 +693,13 @@ impl ReactBuffer {
                         dt,
                     ) {
                         if t_adv > 2.0 * period {
-                            let Some(mut front_fin) =
-                                charge_ode::integrate(&fr_ode, v_front, t_adv, None)
-                            else {
+                            let Some(front_fin) = front_solve(&fr_ode, v_front, t_adv) else {
                                 refusal = FallbackReason::NoClosedForm;
                                 break;
                             };
-                            if front_fin.clipped == 0.0 {
-                                let e = euler_intake_excess(v_front, front_fin.v_final, fr_ode.c);
-                                front_fin.v_final = (front_fin.v_final * front_fin.v_final
-                                    + 2.0 * e / fr_ode.c)
-                                    .sqrt()
-                                    .min(rail_clamp);
-                            }
                             commit_staged!(pack_fin, front_fin, t_adv);
-                            let steps = (t_adv / dt).round() as u64;
-                            self.poll_acc = Seconds::new(crate::bulk_poll_acc(
-                                self.poll_acc.get(),
-                                steps,
-                                dt,
-                                period,
-                            ));
+                            self.poll_acc =
+                                tick.advance(self.poll_acc, (t_adv / dt).round() as u64);
                             elapsed += t_adv;
                             continue;
                         }
@@ -638,22 +707,9 @@ impl ReactBuffer {
                 }
             }
 
-            // 1. Replay the controller's per-step bookkeeping to find
-            // how many fine steps remain until the next poll fires.
-            let mut acc = self.poll_acc.get();
-            let mut sim_elapsed = elapsed;
-            let mut seg_steps = 0usize;
-            while sim_elapsed < total {
-                let h = dt.min(total - sim_elapsed);
-                sim_elapsed += h;
-                acc += h;
-                seg_steps += 1;
-                if acc >= period {
-                    break;
-                }
-            }
-            let seg_polls = acc >= period;
-            let seg_horizon = sim_elapsed - elapsed;
+            // 1. Replay the poll ticks up to the next poll.
+            let seg = tick.segment(self.poll_acc, Seconds::new(elapsed), duration);
+            let seg_horizon = seg.elapsed.get() - elapsed;
 
             // 2. All decoupled closed forms over the segment, cut at
             // the earliest topology event so no committed span ever
@@ -669,27 +725,17 @@ impl ReactBuffer {
                 refusal = FallbackReason::NoClosedForm;
                 break;
             }
-            let (steps_taken, finished_segment) = if t_adv >= seg_horizon - 1e-15 {
-                (seg_steps, true)
-            } else {
-                ((t_adv / dt).round().max(1.0) as usize, false)
-            };
-            let Some(mut front_fin) = charge_ode::integrate(&fr_ode, v_front, t_adv, None) else {
+            let finished = t_adv >= seg_horizon - 1e-15;
+            let Some(front_fin) = front_solve(&fr_ode, v_front, t_adv) else {
                 refusal = FallbackReason::NoClosedForm;
                 break;
             };
-            if front_fin.clipped == 0.0 {
-                let e = euler_intake_excess(v_front, front_fin.v_final, fr_ode.c);
-                front_fin.v_final = (front_fin.v_final * front_fin.v_final + 2.0 * e / fr_ode.c)
-                    .sqrt()
-                    .min(rail_clamp);
-            }
 
             // Guard band: resolve the poll against the reconstructed
             // LLB voltage; only the residual sliver still refuses.
             let v_poll = pack_fin.v_final + llb_offset;
-            if seg_polls
-                && finished_segment
+            if seg.fired
+                && finished
                 && ((v_poll - self.config.v_high.get()).abs() < RESIDUAL_GUARD
                     || (v_poll - self.config.v_low.get()).abs() < RESIDUAL_GUARD)
             {
@@ -704,19 +750,17 @@ impl ReactBuffer {
             // 3. Commit every trajectory and the energy books.
             commit_staged!(pack_fin, front_fin, t_adv);
 
-            // 4. Controller bookkeeping; a poll can only land on the
-            // segment's last step.
-            let mut fire = false;
-            for _ in 0..steps_taken {
-                let h = dt.min(total - elapsed);
-                elapsed += h;
-                self.poll_acc += Seconds::new(h);
-                if self.poll_acc >= self.config.poll_period {
-                    self.poll_acc = Seconds::ZERO;
-                    fire = true;
-                }
-            }
-            if fire && finished_segment {
+            // 4. Controller bookkeeping.
+            let mut no_cooldown = Seconds::ZERO;
+            if crate::commit_segment_ticks(
+                &tick,
+                seg,
+                t_adv,
+                duration,
+                &mut self.poll_acc,
+                &mut elapsed,
+                &mut no_cooldown,
+            ) {
                 let before = self.reconfigurations;
                 self.poll_controller_at(Volts::new(v_pack + llb_offset));
                 if self.reconfigurations != before {
@@ -777,7 +821,7 @@ impl EnergyBuffer for ReactBuffer {
         let bank_min = self
             .banks
             .iter()
-            .filter(|b| b.mode() != BankMode::Disconnected)
+            .filter(connected)
             .map(|b| b.terminal_voltage())
             .fold(f64::MAX, |m, v| m.min(v.get()));
         Volts::new(self.llb.voltage().get().min(bank_min))
@@ -901,11 +945,7 @@ impl EnergyBuffer for ReactBuffer {
         // Forced test states can leave banks connected with the MCU flag
         // already clear; their diode routing has no closed form, so
         // replay the reference loop for them.
-        if self
-            .banks
-            .iter()
-            .any(|b| b.mode() != BankMode::Disconnected)
-        {
+        if self.banks.iter().any(|b| connected(&b)) {
             return crate::reference_idle_advance(self, input, duration, v_stop, fine_dt);
         }
 
@@ -938,18 +978,7 @@ impl EnergyBuffer for ReactBuffer {
         self.ledger.clipped += Joules::new(fin.clipped);
         self.ledger.harvested += delivered + Joules::new(fin.clipped);
 
-        // Disconnected banks keep leaking on their own exponentials
-        // (`dv/dt = −(g/C)·v` per unit capacitor).
-        for bank in &mut self.banks {
-            let unit = bank.spec().unit;
-            let k = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
-            if k > 0.0 && bank.unit_voltage().get() > 0.0 {
-                let e_before = bank.stored_energy();
-                let v_unit = bank.unit_voltage().get() * (-k * t_adv).exp();
-                bank.set_unit_voltage(Volts::new(v_unit));
-                self.ledger.leaked += e_before - bank.stored_energy();
-            }
-        }
+        self.decay_disconnected(t_adv);
 
         // The reference resets the poll accumulator on every MCU-off
         // step; all capacitance dwell lands at level 0 (banks open).
@@ -973,8 +1002,9 @@ impl EnergyBuffer for ReactBuffer {
     /// limit has zero diode loss), with the comparator/instrumentation
     /// draw (plus the per-connected-bank overhead) as a constant-power
     /// drain and the sleep load as a constant current. At each poll
-    /// boundary the threshold handler runs (replayed step-for-step so
-    /// poll times stay identical to the reference); a reconfiguration
+    /// boundary the threshold handler runs (its accumulator replayed
+    /// bit for bit by [`PollTick`], so poll times match the reference);
+    /// a reconfiguration
     /// changes the bank topology, so the stride ends there and the
     /// kernel re-strides from the new state. Un-equalized connected
     /// banks (a bank charging up from below the LLB, forced test
@@ -1007,27 +1037,19 @@ impl EnergyBuffer for ReactBuffer {
         // the LLB (forced test states — continuous diode conduction
         // would have equalized it) has no closed form.
         let llb_v = self.llb.voltage().get();
-        let connected: Vec<usize> = self
-            .banks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.mode() != BankMode::Disconnected)
-            .map(|(i, _)| i)
-            .collect();
         let equalize_tol = 0.01 * llb_v.abs().max(1.0);
-        let low_banks: Vec<usize> = connected
-            .iter()
-            .copied()
-            .filter(|&i| self.banks[i].terminal_voltage().get() < llb_v - equalize_tol)
-            .collect();
-        if connected
-            .iter()
-            .any(|&i| self.banks[i].terminal_voltage().get() > llb_v + equalize_tol)
-        {
+        let (mut any_low, mut any_high, mut n_connected) = (false, false, 0usize);
+        for bank in self.banks.iter().filter(connected) {
+            let v = bank.terminal_voltage().get();
+            any_low |= v < llb_v - equalize_tol;
+            any_high |= v > llb_v + equalize_tol;
+            n_connected += 1;
+        }
+        if any_high {
             self.fallback = Some(FallbackReason::NoClosedForm);
             return None;
         }
-        if !low_banks.is_empty() {
+        if any_low {
             // The staged decoupled solve only engages at micro-power
             // intake. Its per-step discretization corrections (the
             // charging front's `dq²/2C` quadrature) scale with the
@@ -1042,8 +1064,14 @@ impl EnergyBuffer for ReactBuffer {
                 self.fallback = Some(FallbackReason::NoClosedForm);
                 return None;
             }
+            let lows = (0..self.banks.len())
+                .filter(|&i| {
+                    let bank = &self.banks[i];
+                    connected(&bank) && bank.terminal_voltage().get() < llb_v - equalize_tol
+                })
+                .collect();
             return self
-                .staged_powered_advance(low_banks, input, load, duration, v_stop, v_wake, fine_dt);
+                .staged_powered_advance(lows, input, load, duration, v_stop, v_wake, fine_dt);
         }
 
         // Enter the stride from the charge-weighted combined voltage
@@ -1053,14 +1081,14 @@ impl EnergyBuffer for ReactBuffer {
         // are the reference microdynamics. The first committed span
         // lands everything on its `v_final`, and the second-order
         // equalization loss folds into that commit's energy closure.
-        let mut v_cur = if connected.is_empty() {
+        let mut v_cur = if n_connected == 0 {
             llb_v
         } else {
             let mut num = self.llb.capacitance().get() * llb_v;
             let mut den = self.llb.capacitance().get();
-            for &i in &connected {
-                let c = self.banks[i].terminal_capacitance().get();
-                num += c * self.banks[i].terminal_voltage().get();
+            for bank in self.banks.iter().filter(connected) {
+                let c = bank.terminal_capacitance().get();
+                num += c * bank.terminal_voltage().get();
                 den += c;
             }
             num / den
@@ -1081,73 +1109,33 @@ impl EnergyBuffer for ReactBuffer {
         // MCU-off transition (a fine step would set the same flag).
         self.mcu_was_running = true;
 
-        let p_in = input.get().max(0.0);
-        let i_load = load.get().max(0.0);
         let llb_spec = *self.llb.spec();
         let mut c_eq = llb_spec.capacitance.get();
         let mut g_eq = charge_ode::leakage_conductance(&llb_spec.leakage);
-        for &i in &connected {
+        for bank in self.banks.iter().filter(connected) {
             // A bank's terminal decays at its unit's g/C rate in both
             // modes, so its terminal conductance is k·C_terminal.
-            let unit = self.banks[i].spec().unit;
+            let unit = bank.spec().unit;
             let k = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
-            let c_term = self.banks[i].terminal_capacitance().get();
+            let c_term = bank.terminal_capacitance().get();
             c_eq += c_term;
             g_eq += k * c_term;
         }
-        let overhead = self.config.instrumentation_overhead.get()
-            + self.config.overhead_per_bank.get() * connected.len() as f64;
+        let ode = charge_ode::PoweredOde {
+            c: c_eq,
+            g: g_eq,
+            v_max: llb_spec.max_voltage.get(),
+            p_in: input.get().max(0.0),
+            i_load: load.get().max(0.0),
+            p_drain: self.config.instrumentation_overhead.get()
+                + self.config.overhead_per_bank.get() * n_connected as f64,
+            v_drain_min: INSTRUMENTATION_FLOOR,
+        };
 
-        // Books one integrated span: commits the combined capacitor,
-        // closes the ledger against the actual committed energies,
-        // decays disconnected banks, and accrues dwell.
-        macro_rules! commit_span {
-            ($fin:expr, $t_adv:expr) => {{
-                let fin = $fin;
-                let t_adv = $t_adv;
-                let bank_energy = |banks: &[react_circuit::SeriesParallelBank]| -> Joules {
-                    connected.iter().map(|&i| banks[i].stored_energy()).sum()
-                };
-                let e_before = self.llb.energy() + bank_energy(&self.banks);
-                self.llb.set_voltage(Volts::new(fin.v_final));
-                for &i in &connected {
-                    let bank = &mut self.banks[i];
-                    let unit_v = match bank.mode() {
-                        BankMode::Series => fin.v_final / bank.spec().count as f64,
-                        BankMode::Parallel => fin.v_final,
-                        BankMode::Disconnected => unreachable!("connected banks only"),
-                    };
-                    bank.set_unit_voltage(Volts::new(unit_v));
-                }
-                let e_after = self.llb.energy() + bank_energy(&self.banks);
-                let delta_e = (e_after - e_before).get();
-                let delivered_gross =
-                    (delta_e + fin.leaked + fin.load_consumed + fin.drained + fin.clipped).max(0.0);
-                self.ledger.leaked += Joules::new(fin.leaked);
-                self.ledger.load_consumed += Joules::new(fin.load_consumed);
-                self.ledger.overhead_consumed += Joules::new(fin.drained);
-                self.ledger.clipped += Joules::new(fin.clipped);
-                self.ledger.delivered += Joules::new(delivered_gross - fin.clipped);
-                self.ledger.harvested += Joules::new(delivered_gross);
-                for (i, bank) in self.banks.iter_mut().enumerate() {
-                    if connected.contains(&i) {
-                        continue;
-                    }
-                    let unit = bank.spec().unit;
-                    let k = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
-                    if k > 0.0 && bank.unit_voltage().get() > 0.0 {
-                        let e_before = bank.stored_energy();
-                        let v_unit = bank.unit_voltage().get() * (-k * t_adv).exp();
-                        bank.set_unit_voltage(Volts::new(v_unit));
-                        self.ledger.leaked += e_before - bank.stored_energy();
-                    }
-                }
-                self.note_dwell(t_adv);
-                v_cur = fin.v_final;
-            }};
-        }
-
-        let period = self.config.poll_period.get();
+        self.tick = self.tick.at_dt(fine_dt);
+        let tick = self.tick;
+        let period = tick.period().get();
+        let mut e_pack = self.pack_energy();
         let mut elapsed = 0.0_f64;
         // Telemetry: why a zero-length stride was refused (stop
         // condition already satisfied unless a break says otherwise).
@@ -1163,24 +1151,14 @@ impl EnergyBuffer for ReactBuffer {
             // margin the per-poll path uses — every poll reads "Ok"
             // and fires nothing, so whole spans of the sleep integrate
             // in ONE solve instead of poll-by-poll, with the poll
-            // accumulator replayed in closed form. The stride stops at
+            // accumulator advanced in closed form. The stride stops at
             // the band edges (quantized onto the step grid); threshold
             // approaches then fall to the per-poll walk below.
-            const BAND_GUARD: f64 = 0.02;
             let band_lo = (self.config.v_low.get() + BAND_GUARD).max(vs);
             let band_hi = self.config.v_high.get() - BAND_GUARD;
             let band_stop_up = vw.map_or(band_hi, |vw| vw.min(band_hi));
             let whole = (((total - elapsed) / dt).floor() * dt).max(0.0);
             if v_now > band_lo && v_now < band_stop_up && whole > 3.0 * period {
-                let ode = charge_ode::PoweredOde {
-                    c: c_eq,
-                    g: g_eq,
-                    v_max: llb_spec.max_voltage.get(),
-                    p_in,
-                    i_load,
-                    p_drain: overhead,
-                    v_drain_min: INSTRUMENTATION_FLOOR,
-                };
                 if let Some((t_adv, fin)) = charge_ode::integrate_powered_quantized(
                     &ode,
                     v_now,
@@ -1190,47 +1168,20 @@ impl EnergyBuffer for ReactBuffer {
                     dt,
                 ) {
                     if t_adv > 2.0 * period {
-                        commit_span!(fin, t_adv);
-                        let steps = (t_adv / dt).round() as u64;
-                        self.poll_acc = Seconds::new(crate::bulk_poll_acc(
-                            self.poll_acc.get(),
-                            steps,
-                            dt,
-                            period,
-                        ));
+                        self.commit_equalized(&fin, t_adv, &mut e_pack);
+                        v_cur = fin.v_final;
+                        self.poll_acc = tick.advance(self.poll_acc, (t_adv / dt).round() as u64);
                         elapsed += t_adv;
                         continue;
                     }
                 }
             }
 
-            // 1. Replay the controller's per-step bookkeeping to find
-            // how many fine steps remain until the next poll fires.
-            let mut acc = self.poll_acc.get();
-            let mut sim_elapsed = elapsed;
-            let mut seg_steps = 0usize;
-            while sim_elapsed < total {
-                let h = dt.min(total - sim_elapsed);
-                sim_elapsed += h;
-                acc += h;
-                seg_steps += 1;
-                if acc >= self.config.poll_period.get() {
-                    break;
-                }
-            }
-            let seg_polls = acc >= self.config.poll_period.get();
-            let seg_horizon = sim_elapsed - elapsed;
+            // 1. Replay the poll ticks up to the next poll.
+            let seg = tick.segment(self.poll_acc, Seconds::new(elapsed), duration);
+            let seg_horizon = seg.elapsed.get() - elapsed;
 
             // 2. Closed-form integration of the inter-poll segment.
-            let ode = charge_ode::PoweredOde {
-                c: c_eq,
-                g: g_eq,
-                v_max: llb_spec.max_voltage.get(),
-                p_in,
-                i_load,
-                p_drain: overhead,
-                v_drain_min: INSTRUMENTATION_FLOOR,
-            };
             let Some((t_adv, fin)) =
                 charge_ode::integrate_powered_quantized(&ode, v_now, seg_horizon, vs, vw, dt)
             else {
@@ -1241,8 +1192,8 @@ impl EnergyBuffer for ReactBuffer {
                 // A zero-length quantized advance with the rail pinned
                 // at a comparator edge is the guard band refusing the
                 // stride; anywhere else the closed form itself gave up.
-                refusal = if (v_now - self.config.v_high.get()).abs() < THRESHOLD_GUARD
-                    || (v_now - self.config.v_low.get()).abs() < THRESHOLD_GUARD
+                refusal = if (v_now - self.config.v_high.get()).abs() < BAND_GUARD
+                    || (v_now - self.config.v_low.get()).abs() < BAND_GUARD
                 {
                     FallbackReason::GuardBand
                 } else {
@@ -1250,11 +1201,6 @@ impl EnergyBuffer for ReactBuffer {
                 };
                 break;
             }
-            let (steps_taken, finished_segment) = if t_adv >= seg_horizon - 1e-15 {
-                (seg_steps, true)
-            } else {
-                ((t_adv / dt).round().max(1.0) as usize, false)
-            };
 
             // Comparator guard band: polls landing near a threshold
             // resolve against the *reconstructed* LLB voltage (pack
@@ -1264,11 +1210,10 @@ impl EnergyBuffer for ReactBuffer {
             // spread, well under a millivolt at sleep currents) could
             // genuinely flip the comparator — still falls back to fine
             // steps, which are the reference microdynamics.
-            const THRESHOLD_GUARD: f64 = 0.02;
             let v_poll = fin.v_final + llb_offset;
-            if seg_polls
-                && finished_segment
-                && !connected.is_empty()
+            if seg.fired
+                && t_adv >= seg_horizon - 1e-15
+                && n_connected > 0
                 && ((v_poll - self.config.v_high.get()).abs() < RESIDUAL_GUARD
                     || (v_poll - self.config.v_low.get()).abs() < RESIDUAL_GUARD)
             {
@@ -1281,21 +1226,20 @@ impl EnergyBuffer for ReactBuffer {
             }
 
             // 3. Commit the combined capacitor and the energy books.
-            commit_span!(fin, t_adv);
+            self.commit_equalized(&fin, t_adv, &mut e_pack);
+            v_cur = fin.v_final;
 
-            // 4. Controller bookkeeping for the steps taken; a poll can
-            // only land on the segment's last step.
-            let mut fire = false;
-            for _ in 0..steps_taken {
-                let h = dt.min(total - elapsed);
-                elapsed += h;
-                self.poll_acc += Seconds::new(h);
-                if self.poll_acc >= self.config.poll_period {
-                    self.poll_acc = Seconds::ZERO;
-                    fire = true;
-                }
-            }
-            if fire && finished_segment {
+            // 4. Controller bookkeeping.
+            let mut no_cooldown = Seconds::ZERO;
+            if crate::commit_segment_ticks(
+                &tick,
+                seg,
+                t_adv,
+                duration,
+                &mut self.poll_acc,
+                &mut elapsed,
+                &mut no_cooldown,
+            ) {
                 let before = self.reconfigurations;
                 // The comparator reads the reconstructed LLB voltage,
                 // not the committed pack average.
@@ -1314,22 +1258,22 @@ impl EnergyBuffer for ReactBuffer {
         Some(Seconds::new(elapsed))
     }
 
+    fn take_fallback(&mut self) -> Option<FallbackReason> {
+        self.fallback.take()
+    }
+
     /// With the LLB and every connected bank riding at one rail voltage
     /// (the equalized sleep-stride invariant), the usable pool is
     /// `½·C_active·(v² − v_floor²)` for `C_active` = LLB + connected
     /// terminals — the same inverse as a static buffer of that size.
     /// Disconnected banks are not promised to the application (§3.4.1),
     /// so they do not move the crossing.
-    fn take_fallback(&mut self) -> Option<FallbackReason> {
-        self.fallback.take()
-    }
-
     fn rail_voltage_for_usable(&self, energy: Joules, v_floor: Volts) -> Option<Volts> {
         let c_active = self.llb.capacitance()
             + self
                 .banks
                 .iter()
-                .filter(|b| b.mode() != BankMode::Disconnected)
+                .filter(connected)
                 .map(|b| b.terminal_capacitance())
                 .sum::<Farads>();
         let vf = v_floor.get().max(0.0);
@@ -1362,11 +1306,7 @@ impl EnergyBuffer for ReactBuffer {
         // 2. Load + REACT's own quiescent draw come from the LLB.
         let v = self.llb.voltage();
         if v.get() > INSTRUMENTATION_FLOOR {
-            let connected = self
-                .banks
-                .iter()
-                .filter(|b| b.mode() != BankMode::Disconnected)
-                .count() as f64;
+            let connected = self.banks.iter().filter(connected).count() as f64;
             let overhead =
                 self.config.instrumentation_overhead + self.config.overhead_per_bank * connected;
             let i_overhead = overhead / v;

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use react_units::{Amps, Coulombs, Farads, Joules, Seconds, Volts};
+use react_units::{Coulombs, Farads, Joules, Seconds, Volts};
 
 use crate::{Capacitor, CapacitorSpec, EqualizeOutcome};
 
@@ -114,16 +114,6 @@ impl ChainNetwork {
         }
     }
 
-    /// Number of capacitors.
-    pub fn len(&self) -> usize {
-        self.caps.len()
-    }
-
-    /// `true` if the network has no capacitors.
-    pub fn is_empty(&self) -> bool {
-        self.caps.is_empty()
-    }
-
     /// The active partition.
     pub fn partition(&self) -> &Partition {
         &self.partition
@@ -139,16 +129,12 @@ impl ChainNetwork {
     /// parallel, all chain voltages are equal after reconfiguration; we
     /// report the capacitance-weighted mean to stay well-defined mid-step.
     pub fn terminal_voltage(&self) -> Volts {
-        let c_unit = self.caps[0].spec().capacitance;
+        let c_unit = self.caps[0].spec().capacitance.get();
         let mut num = 0.0;
         let mut den = 0.0;
-        for (start, len) in self.chain_ranges() {
-            let chain_v: f64 = self.caps[start..start + len]
-                .iter()
-                .map(|c| c.voltage().get())
-                .sum();
-            let chain_c = c_unit.get() / len as f64;
-            num += chain_c * chain_v;
+        for chain in self.chains() {
+            let chain_c = c_unit / chain.len() as f64;
+            num += chain_c * chain_voltage(chain);
             den += chain_c;
         }
         Volts::new(num / den)
@@ -159,81 +145,63 @@ impl ChainNetwork {
         self.caps.iter().map(|c| c.energy()).sum()
     }
 
-    /// Per-capacitor voltages (diagnostics, tests).
-    pub fn unit_voltages(&self) -> Vec<Volts> {
-        self.caps.iter().map(|c| c.voltage()).collect()
-    }
-
     /// The unit capacitor spec shared by every capacitor.
     pub fn unit_spec(&self) -> &CapacitorSpec {
         self.caps[0].spec()
     }
 
-    /// Chain terminal voltages in partition order (the fast-path guard
+    /// Lowest and highest chain terminal voltage (the fast-path guard
     /// checks these agree before coarse-integrating).
-    pub fn chain_voltages(&self) -> Vec<Volts> {
-        self.chain_ranges()
-            .map(|(start, len)| {
-                Volts::new(
-                    self.caps[start..start + len]
-                        .iter()
-                        .map(|c| c.voltage().get())
-                        .sum(),
-                )
-            })
-            .collect()
+    pub fn chain_voltage_range(&self) -> (Volts, Volts) {
+        let (lo, hi) = self
+            .chains()
+            .map(chain_voltage)
+            .fold((f64::MAX, f64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        (Volts::new(lo), Volts::new(hi))
     }
 
-    /// Sum over capacitors of the squared deviation from their chain
-    /// mean voltage — the within-chain imbalance whose independent decay
-    /// the idle fast path tracks for exact leakage booking.
-    pub fn chain_imbalance(&self) -> f64 {
-        let ranges: Vec<(usize, usize)> = self.chain_ranges().collect();
-        let mut sum = 0.0;
-        for (start, len) in ranges {
-            let mean = self.caps[start..start + len]
-                .iter()
-                .map(|c| c.voltage().get())
-                .sum::<f64>()
-                / len as f64;
-            for cap in &self.caps[start..start + len] {
-                let w = cap.voltage().get() - mean;
-                sum += w * w;
-            }
-        }
-        sum
-    }
-
-    /// Applies a closed-form idle solution: every chain's terminal lands
-    /// on `v_end` while within-chain imbalance (each capacitor's offset
-    /// from its chain mean) decays by `decay = e^{−(g/C)·T}`. Only valid
-    /// when the chains share a common terminal voltage — the idle-phase
-    /// invariant the fast path checks with [`chain_voltages`].
+    /// Commits a closed-form idle solution in one pass: every chain's
+    /// terminal lands on `v_end` while within-chain imbalance (each
+    /// capacitor's offset from its chain mean) decays by
+    /// `decay = e^{−(g/C)·T}`. Only valid when the chains share a common
+    /// terminal voltage — the idle-phase invariant the fast path checks
+    /// with [`chain_voltage_range`].
     ///
-    /// [`chain_voltages`]: Self::chain_voltages
-    pub fn apply_idle_solution(&mut self, v_end: Volts, decay: f64) {
-        let ranges: Vec<(usize, usize)> = self.chain_ranges().collect();
-        for (start, len) in ranges {
-            let mean0 = self.caps[start..start + len]
-                .iter()
-                .map(|c| c.voltage().get())
-                .sum::<f64>()
-                / len as f64;
-            let mean1 = v_end.get() / len as f64;
-            for cap in &mut self.caps[start..start + len] {
+    /// Returns the within-chain imbalance *before* the commit (the sum
+    /// over capacitors of the squared offset from their chain mean,
+    /// whose decay the fast path books as leakage) and the stored energy
+    /// and terminal voltage *after* it, each summed in the same order as
+    /// [`stored_energy`] and [`terminal_voltage`] sum them.
+    ///
+    /// [`chain_voltage_range`]: Self::chain_voltage_range
+    /// [`stored_energy`]: Self::stored_energy
+    /// [`terminal_voltage`]: Self::terminal_voltage
+    pub fn commit_idle_solution(&mut self, v_end: Volts, decay: f64) -> (f64, Joules, Volts) {
+        let c_unit = self.caps[0].spec().capacitance.get();
+        let (mut imbalance, mut energy, mut num, mut den) = (0.0, 0.0, 0.0, 0.0);
+        for chain in chains_mut(&mut self.caps, self.partition.chains()) {
+            let n = chain.len() as f64;
+            let mean0 = chain_voltage(chain) / n;
+            let mean1 = v_end.get() / n;
+            for cap in chain.iter_mut() {
                 let w = cap.voltage().get() - mean0;
+                imbalance += w * w;
                 cap.set_voltage(Volts::new(mean1 + w * decay));
+                energy += cap.energy().get();
             }
+            let chain_c = c_unit / n;
+            num += chain_c * chain_voltage(chain);
+            den += chain_c;
         }
+        (imbalance, Joules::new(energy), Volts::new(num / den))
     }
 
     /// Sets every chain's terminal voltage to `v`, balancing the
     /// capacitors within each chain (test setup).
     pub fn set_chain_terminals(&mut self, v: Volts) {
-        let ranges: Vec<(usize, usize)> = self.chain_ranges().collect();
-        for (start, len) in ranges {
-            let unit_v = Volts::new(v.get() / len as f64);
-            for cap in &mut self.caps[start..start + len] {
+        for chain in chains_mut(&mut self.caps, self.partition.chains()) {
+            let unit_v = Volts::new(v.get() / chain.len() as f64);
+            for cap in chain {
                 cap.set_voltage(unit_v);
             }
         }
@@ -246,11 +214,13 @@ impl ChainNetwork {
         }
     }
 
-    fn chain_ranges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.partition.chains().iter().scan(0usize, |acc, &len| {
-            let start = *acc;
-            *acc += len;
-            Some((start, len))
+    /// The capacitors of each chain, in partition order.
+    fn chains(&self) -> impl Iterator<Item = &[Capacitor]> {
+        let mut rest = self.caps.as_slice();
+        self.partition.chains().iter().map(move |&len| {
+            let (chain, tail) = rest.split_at(len);
+            rest = tail;
+            chain
         })
     }
 
@@ -272,7 +242,7 @@ impl ChainNetwork {
             "partition must cover all capacitors"
         );
         self.partition = new;
-        self.equalize_chains()
+        self.equalize()
     }
 
     /// Equalizes chain terminal voltages (they are wired in parallel, so
@@ -281,36 +251,25 @@ impl ChainNetwork {
     /// Charge moves between chains; within a chain every capacitor sees
     /// the same transferred charge.
     pub fn equalize(&mut self) -> EqualizeOutcome {
-        self.equalize_chains()
-    }
-
-    fn equalize_chains(&mut self) -> EqualizeOutcome {
         let c_unit = self.caps[0].spec().capacitance.get();
         let e_before = self.stored_energy();
 
-        let ranges: Vec<(usize, usize)> = self.chain_ranges().collect();
         // Chain equivalent capacitance and voltage.
         let mut num = 0.0;
         let mut den = 0.0;
-        let mut chain_vs = Vec::with_capacity(ranges.len());
-        for &(start, len) in &ranges {
-            let v: f64 = self.caps[start..start + len]
-                .iter()
-                .map(|c| c.voltage().get())
-                .sum();
-            let c = c_unit / len as f64;
-            chain_vs.push(v);
-            num += c * v;
+        for chain in self.chains() {
+            let c = c_unit / chain.len() as f64;
+            num += c * chain_voltage(chain);
             den += c;
         }
         let v_star = num / den;
 
         let mut moved = 0.0;
-        for (&(start, len), &v) in ranges.iter().zip(&chain_vs) {
-            let c_chain = c_unit / len as f64;
-            let dq = c_chain * (v_star - v);
+        for chain in chains_mut(&mut self.caps, self.partition.chains()) {
+            let c_chain = c_unit / chain.len() as f64;
+            let dq = c_chain * (v_star - chain_voltage(chain));
             moved += dq.abs();
-            for cap in &mut self.caps[start..start + len] {
+            for cap in chain {
                 cap.shift_charge(Coulombs::new(dq));
             }
         }
@@ -330,11 +289,10 @@ impl ChainNetwork {
         let c_unit = self.caps[0].spec().capacitance.get();
         let c_total = self.terminal_capacitance().get();
         let mut clipped = Joules::ZERO;
-        let ranges: Vec<(usize, usize)> = self.chain_ranges().collect();
-        for (start, len) in ranges {
-            let c_chain = c_unit / len as f64;
+        for chain in chains_mut(&mut self.caps, self.partition.chains()) {
+            let c_chain = c_unit / chain.len() as f64;
             let chain_dq = dq.get() * (c_chain / c_total);
-            for cap in &mut self.caps[start..start + len] {
+            for cap in chain {
                 let head = cap.charge_headroom().get();
                 let store = chain_dq.min(head);
                 cap.shift_charge(Coulombs::new(store));
@@ -359,42 +317,46 @@ impl ChainNetwork {
         }
         let c_unit = self.caps[0].spec().capacitance.get();
         let c_total = self.terminal_capacitance().get();
-        let ranges: Vec<(usize, usize)> = self.chain_ranges().collect();
         // Requested uniform voltage drop across all (parallel) chains.
         let dv_req = dq.get() / c_total;
-        let v_min = ranges
-            .iter()
-            .map(|&(start, len)| {
-                self.caps[start..start + len]
-                    .iter()
-                    .map(|c| c.voltage().get())
-                    .sum::<f64>()
-            })
-            .fold(f64::MAX, f64::min);
+        let v_min = self.chains().map(chain_voltage).fold(f64::MAX, f64::min);
         let scale = if dv_req <= 0.0 {
             0.0
         } else {
             (v_min.max(0.0) / dv_req).min(1.0)
         };
-        for &(start, len) in &ranges {
-            let c_chain = c_unit / len as f64;
+        for chain in chains_mut(&mut self.caps, self.partition.chains()) {
+            let c_chain = c_unit / chain.len() as f64;
             let chain_dq = dq.get() * (c_chain / c_total) * scale;
-            for cap in &mut self.caps[start..start + len] {
+            for cap in chain {
                 cap.shift_charge(Coulombs::new(-chain_dq));
             }
         }
         Coulombs::new(dq.get() * scale)
     }
 
-    /// Draws terminal current for `dt`; returns the charge delivered.
-    pub fn draw(&mut self, current: Amps, dt: Seconds) -> Coulombs {
-        self.draw_charge(current * dt)
-    }
-
     /// One leakage step across all capacitors; returns energy lost.
     pub fn leak(&mut self, dt: Seconds) -> Joules {
         self.caps.iter_mut().map(|c| c.leak(dt)).sum()
     }
+}
+
+/// A chain's terminal voltage: the sum of its capacitors' voltages.
+fn chain_voltage(chain: &[Capacitor]) -> f64 {
+    chain.iter().map(|c| c.voltage().get()).sum()
+}
+
+/// The capacitors of each chain of lengths `lens`, mutably, in order.
+fn chains_mut<'a>(
+    caps: &'a mut [Capacitor],
+    lens: &'a [usize],
+) -> impl Iterator<Item = &'a mut [Capacitor]> {
+    let mut rest = caps;
+    lens.iter().map(move |&len| {
+        let (chain, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        chain
+    })
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! physically meaningful arithmetic (`Volts * Amps = Watts`,
 //! `Watts * Seconds = Joules`, `Farads * Volts = Coulombs`, …) so unit
 //! errors become type errors instead of silently wrong joule counts.
+//! [`PollTick`] counts a controller's poll period in fine steps.
 //!
 //! # Examples
 //!
@@ -25,8 +26,10 @@
 
 mod ops;
 mod scalar;
+mod tick;
 
 pub use scalar::{Amps, Coulombs, Farads, Hertz, Joules, Ohms, Seconds, Volts, Watts};
+pub use tick::{PollTick, TickSpan};
 
 /// Convenient glob import of every quantity type.
 pub mod prelude {

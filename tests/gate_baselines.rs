@@ -70,19 +70,29 @@ fn every_ci_file_is_claimed_by_exactly_one_kind() {
 #[test]
 fn perfbench_digests_pin_every_benchmark_workload_and_ci_reads_them() {
     let text = read(&workspace().join(PERFBENCH_DIGESTS).display().to_string());
-    let names: Vec<&str> = text
+    let pins: Vec<(&str, &str)> = text
         .lines()
         .map(|line| match line.split(' ').collect::<Vec<_>>()[..] {
-            ["digest", name, hex]
-                if hex.len() == 16
+            [seed, "digest", name, hex]
+                if seed.parse::<u64>().is_ok()
+                    && hex.len() == 16
                     && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) =>
             {
-                name
+                (seed, name)
             }
             _ => panic!("{PERFBENCH_DIGESTS}: malformed line {line:?}"),
         })
         .collect();
-    assert_eq!(names, ["fine-burst", "dark-week", "fleet"]);
+    assert_eq!(
+        pins,
+        [
+            ("0", "fine-burst"),
+            ("0", "dark-week"),
+            ("0", "fleet"),
+            ("1", "dark-week"),
+            ("2", "dark-week"),
+        ]
+    );
     let workflow = read(
         &workspace()
             .join(".github/workflows/ci.yml")
@@ -93,6 +103,16 @@ fn perfbench_digests_pin_every_benchmark_workload_and_ci_reads_them() {
         workflow.contains(PERFBENCH_DIGESTS),
         "no CI step reads {PERFBENCH_DIGESTS}"
     );
+    // CI runs every pinned workload at its seed and matches the line
+    // keyed by that seed; the fleet digest comes from `fleet-day`.
+    assert!(workflow.contains(r#"grep -qxF "$seed $line""#));
+    for (seed, name) in pins {
+        let workload = if name == "fleet" { "fleet-day" } else { name };
+        assert!(
+            workflow.contains(&format!(" {workload}:{seed}")),
+            "CI does not run {workload} at seed {seed}"
+        );
+    }
 }
 
 #[test]

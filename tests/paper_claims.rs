@@ -92,6 +92,25 @@ fn longevity_guarantee_eliminates_doomed_bursts() {
     assert!(react.ops_completed > small.ops_completed);
 }
 
+/// §2.1.2, Fig. 1: at night a small buffer reaches its turn-on voltage on
+/// the trickle a large one never stores up, so it is on for more of the
+/// night (paper: 1 mF 5.7 % vs 10 mF 3.3 %). Same runs as the paper
+/// gate's `fig1/night/*` rows.
+#[test]
+fn small_buffer_outlasts_large_at_night() {
+    let on_percent = |c_mf| {
+        100.0
+            * react_bench::paper::fig1_run(c_mf, PaperTrace::SolarNight, false)
+                .metrics
+                .duty_cycle()
+    };
+    let (small, large) = (on_percent(1.0), on_percent(10.0));
+    assert!(
+        small > large,
+        "night on-time: 1 mF {small:.2} % vs 10 mF {large:.2} %"
+    );
+}
+
 /// §3.3.1 + §5.5: Morphy's fully-connected fabric dissipates real energy
 /// every reconfiguration; REACT's isolated banks reconfigure for free.
 #[test]

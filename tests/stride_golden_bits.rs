@@ -1,0 +1,598 @@
+//! Bit-exact pins of the controller buffers' closed-form strides.
+//!
+//! Morphy's and REACT's `idle_advance`/`powered_advance` walk the week
+//! one 10 Hz controller poll at a time; every segment replays the poll
+//! accumulator, solves the charge ODE in closed form and commits the
+//! network and the energy books. These tests drive forced states through
+//! the public stride API and pin, by `to_bits`, what a stride returns
+//! and leaves behind: the advanced time, the rail voltage and every
+//! `EnergyLedger` field, plus the ladder/bank level and the
+//! reconfiguration count. A refactor of the walk that is meant to be
+//! outcome-neutral must leave every pin unchanged; the perfbench digest
+//! folds only end-of-run metrics, so a last-ULP drift in the books
+//! would pass it.
+//!
+//! Each case runs two strides, so the poll phase and cooldown one stride
+//! leaves behind shape the segments of the next.
+
+use react_repro::buffers::{EnergyBuffer, MorphyBuffer, ReactBuffer};
+use react_repro::circuit::BankMode;
+use react_repro::units::{Amps, Seconds, Volts, Watts};
+
+const DT: f64 = 1e-3;
+
+/// One stride's pins: advanced time, rail, the eight ledger fields,
+/// capacitance level and reconfiguration count.
+fn pins(buffer: &dyn EnergyBuffer, advanced: Option<Seconds>) -> Vec<u64> {
+    let l = buffer.ledger();
+    let mut out = vec![advanced.map_or(u64::MAX, |a| a.get().to_bits())];
+    out.extend(
+        [
+            buffer.rail_voltage(),
+            Volts::new(l.harvested.get()),
+            Volts::new(l.delivered.get()),
+            Volts::new(l.clipped.get()),
+            Volts::new(l.leaked.get()),
+            Volts::new(l.diode_loss.get()),
+            Volts::new(l.switch_loss.get()),
+            Volts::new(l.load_consumed.get()),
+            Volts::new(l.overhead_consumed.get()),
+        ]
+        .map(|v| v.get().to_bits()),
+    );
+    out.push(u64::from(buffer.capacitance_level()));
+    out.push(buffer.reconfiguration_count());
+    out
+}
+
+fn morphy(level: usize, v: f64) -> MorphyBuffer {
+    let mut m = MorphyBuffer::paper_implementation();
+    m.force_state(level, Volts::new(v));
+    m
+}
+
+fn idle(b: &mut dyn EnergyBuffer, input_w: f64, seconds: f64, v_stop: f64) -> Vec<u64> {
+    let adv = b.idle_advance(
+        Watts::new(input_w),
+        Seconds::new(seconds),
+        Volts::new(v_stop),
+        Seconds::new(DT),
+    );
+    pins(b, Some(adv))
+}
+
+fn powered(
+    b: &mut dyn EnergyBuffer,
+    input_w: f64,
+    load_a: f64,
+    seconds: f64,
+    v_stop: f64,
+    v_wake: Option<f64>,
+) -> Vec<u64> {
+    let adv = b.powered_advance(
+        Watts::new(input_w),
+        Amps::new(load_a),
+        Seconds::new(seconds),
+        Volts::new(v_stop),
+        v_wake.map(Volts::new),
+        Seconds::new(DT),
+    );
+    pins(b, adv)
+}
+
+fn check(label: &str, got: &[Vec<u64>], want: &[&[u64]]) {
+    let got_hex: Vec<Vec<String>> = got
+        .iter()
+        .map(|s| s.iter().map(|b| format!("{b:#018x}")).collect())
+        .collect();
+    assert_eq!(got.len(), want.len(), "{label}: stride count");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            g.as_slice(),
+            *w,
+            "{label}: stride {i} pins moved; now {:?}",
+            got_hex[i]
+        );
+    }
+}
+
+/// Morphy idle at ladder level 0, dark, below the comparator band: every
+/// poll reads "low" at the bottom of the ladder and does nothing. The
+/// horizons end mid-step and mid-period.
+#[test]
+fn morphy_idle_dark_below_band_at_level_0() {
+    let mut m = morphy(0, 1.0);
+    let got = [
+        idle(&mut m, 0.0, 12.3456, 3.3),
+        idle(&mut m, 2.0e-6, 7.77, 3.3),
+    ];
+    check("morphy idle level 0", &got, MORPHY_IDLE_LEVEL0);
+}
+
+/// Morphy powered at the top of the ladder, pinned on the rail clamp by
+/// a strong harvest: polls read "high" but there is no level to climb.
+#[test]
+fn morphy_powered_on_the_clamp_at_the_top() {
+    let mut m = morphy(10, 3.6);
+    let got = [
+        powered(&mut m, 0.05, 2.0e-6, 5.0, 1.8, None),
+        powered(&mut m, 0.05, 2.0e-6, 1.2345, 1.8, None),
+    ];
+    check("morphy powered top", &got, MORPHY_POWERED_TOP);
+}
+
+/// A ladder move starts the 0.3 s cooldown; the segments right after it
+/// drain the cooldown while polls are suppressed, then the controller
+/// boosts back down below `v_low`.
+#[test]
+fn morphy_cooldown_after_a_reconfigure() {
+    let mut m = morphy(0, 1.5);
+    assert!(m.defensive_reconfigure());
+    let mut got = vec![idle(&mut m, 0.0, 1.05, 3.3)];
+    let mut p = morphy(5, 2.5);
+    assert!(p.defensive_reconfigure());
+    got.push(powered(&mut p, 1.0e-4, 5.0e-6, 0.75, 1.0, None));
+    got.push(powered(&mut p, 1.0e-4, 5.0e-6, 2.0, 1.0, None));
+    check("morphy cooldown", &got, MORPHY_COOLDOWN);
+}
+
+/// Strides that stop mid-segment: idle at `v_stop`, powered at the
+/// brown-out `v_stop` and at the wake voltage.
+#[test]
+fn morphy_stops_mid_segment() {
+    let mut a = morphy(0, 1.0);
+    let mut b = morphy(0, 1.85);
+    let mut c = morphy(0, 1.5);
+    let got = [
+        idle(&mut a, 1.0e-3, 3.0, 1.5),
+        powered(&mut b, 0.0, 1.0e-3, 3.0, 1.8, None),
+        powered(&mut c, 1.0e-3, 1.0e-5, 3.0, 1.0, Some(1.7)),
+    ];
+    check("morphy mid-segment stop", &got, MORPHY_MID_SEGMENT);
+}
+
+/// Morphy's comparator dead band in bulk: the accumulator is replayed in
+/// closed form and the next stride's polls land on its phase.
+#[test]
+fn morphy_dead_band_bulk_then_polls() {
+    let mut m = morphy(4, 2.6);
+    let mut p = morphy(6, 2.4);
+    let got = [
+        idle(&mut m, 2.0e-5, 100.05, 3.3),
+        idle(&mut m, 2.0e-5, 0.437, 3.3),
+        powered(&mut p, 0.0, 3.0e-6, 80.0, 1.8, None),
+        powered(&mut p, 0.0, 3.0e-6, 0.5, 1.8, None),
+    ];
+    check("morphy dead band", &got, MORPHY_DEAD_BAND);
+}
+
+/// REACT's equalized walk: rising through `v_high` with only the LLB
+/// (the poll connects a bank and hands back), then an equalized pack
+/// falling through `v_low` (the poll boosts a bank), then the dead band
+/// in bulk.
+#[test]
+fn react_equalized_walk_through_reconfiguring_polls() {
+    let mut up = ReactBuffer::paper_prototype();
+    up.set_llb_voltage(Volts::new(3.3));
+    let mut down = ReactBuffer::paper_prototype();
+    down.set_llb_voltage(Volts::new(2.0));
+    down.force_bank_state(0, Volts::new(2.0), BankMode::Parallel);
+    down.force_bank_state(1, Volts::new(2.0 / 3.0), BankMode::Series);
+    let mut band = ReactBuffer::paper_prototype();
+    band.set_llb_voltage(Volts::new(2.7));
+    band.force_bank_state(0, Volts::new(0.9), BankMode::Series);
+    let got = [
+        powered(&mut up, 5.0e-3, 1.0e-6, 4.0, 1.8, None),
+        powered(&mut up, 5.0e-3, 1.0e-6, 0.3, 1.8, None),
+        powered(&mut down, 0.0, 2.0e-3, 4.0, 1.2, None),
+        powered(&mut down, 0.0, 2.0e-3, 0.25, 1.2, None),
+        powered(&mut band, 2.0e-5, 4.0e-6, 45.5, 1.8, Some(3.45)),
+        powered(&mut band, 2.0e-5, 4.0e-6, 0.333, 1.8, Some(3.45)),
+    ];
+    check("react equalized", &got, REACT_EQUALIZED);
+}
+
+/// Disconnected REACT banks holding charge leak on their own
+/// exponentials through every committed span, the supercap bank at a
+/// different rate than the ceramics.
+#[test]
+fn react_disconnected_banks_leak_through_the_walk() {
+    let mut r = ReactBuffer::paper_prototype();
+    r.set_llb_voltage(Volts::new(2.6));
+    r.force_bank_state(0, Volts::new(2.6), BankMode::Parallel);
+    r.force_bank_state(2, Volts::new(1.0), BankMode::Disconnected);
+    r.force_bank_state(3, Volts::new(0.8), BankMode::Disconnected);
+    r.force_bank_state(4, Volts::new(1.2), BankMode::Disconnected);
+    let got = [
+        powered(&mut r, 1.0e-5, 2.0e-6, 30.0, 1.8, None),
+        powered(&mut r, 1.0e-5, 2.0e-6, 0.55, 1.8, None),
+    ];
+    check("react disconnected leak", &got, REACT_DISCONNECTED);
+}
+
+/// REACT's staged path: an equalized parallel pack plus a freshly
+/// connected low series bank under micro-power intake.
+#[test]
+fn react_staged_walk() {
+    let mut r = ReactBuffer::paper_prototype();
+    r.set_llb_voltage(Volts::new(2.8));
+    r.force_bank_state(0, Volts::new(2.8), BankMode::Parallel);
+    r.force_bank_state(1, Volts::new(0.3), BankMode::Series);
+    let mut near = ReactBuffer::paper_prototype();
+    near.set_llb_voltage(Volts::new(1.95));
+    near.force_bank_state(0, Volts::new(1.95), BankMode::Parallel);
+    near.force_bank_state(1, Volts::new(0.1), BankMode::Series);
+    let got = [
+        powered(&mut r, 1.0e-4, 5.0e-5, 8.0, 1.2, None),
+        powered(&mut r, 1.0e-4, 5.0e-5, 0.45, 1.2, None),
+        powered(&mut near, 5.0e-5, 3.0e-4, 6.0, 1.2, None),
+    ];
+    check("react staged", &got, REACT_STAGED);
+}
+
+const MORPHY_IDLE_LEVEL0: &[&[u64]] = &[
+    &[
+        0x4028b0f27bb2fec5,
+        0x3fefd7f713f57c82,
+        0x3c42c18d00000000,
+        0x3c42c18d00000000,
+        0x0000000000000000,
+        0x3eb472a03249b64c,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+    ],
+    &[
+        0x401f147ae147ae14,
+        0x3ff0d7b531ee1547,
+        0x3ef04b7cab215565,
+        0x3ef04b7cab215565,
+        0x0000000000000000,
+        0x3ec1022a9909c152,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+    ],
+];
+const MORPHY_POWERED_TOP: &[&[u64]] = &[
+    &[
+        0x4014000000000000,
+        0x400ccccccccccccc,
+        0x3fd0000000000000,
+        0x3f3d529b14e28950,
+        0x3fcff156b2758eb6,
+        0x3f3af6a04248f49e,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f02dfd694ccab40,
+        0x0000000000000000,
+        0x000000000000000a,
+        0x0000000000000000,
+    ],
+    &[
+        0x3ff3c083126e978d,
+        0x400ccccccccccccc,
+        0x3fd3f34d6a161e50,
+        0x3f4247fe4e082a43,
+        0x3fd3ea296aef1a36,
+        0x3f40cf713327e0b5,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f0788d1ae04a0ff,
+        0x0000000000000000,
+        0x000000000000000a,
+        0x0000000000000000,
+    ],
+];
+const MORPHY_COOLDOWN: &[&[u64]] = &[
+    &[
+        0x3ff0cccccccccccd,
+        0x3fe40dac4b4b02a8,
+        0x3c024dc000000000,
+        0x3c024dc000000000,
+        0x0000000000000000,
+        0x3e79ddde9d5a921b,
+        0x0000000000000000,
+        0x3f25cca10d45c976,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000002,
+    ],
+    &[
+        0x3fd3333333333337,
+        0x3ff4f9980a04c3e0,
+        0x3eff75104d551f1b,
+        0x3eff75104d551f1b,
+        0x0000000000000000,
+        0x3ebb2810234ff516,
+        0x0000000000000000,
+        0x3f82053d0f61b610,
+        0x3ebfbd7948cc4ca0,
+        0x0000000000000000,
+        0x0000000000000005,
+        0x0000000000000002,
+    ],
+    &[
+        0x3fd3333333333337,
+        0x3ff8c00c2235e56a,
+        0x3f0f75104d551ddc,
+        0x3f0f75104d551ddc,
+        0x0000000000000000,
+        0x3ec50cd435fee8e0,
+        0x0000000000000000,
+        0x3f82969a0f7f8fe8,
+        0x3ed032f3b7bddc70,
+        0x0000000000000000,
+        0x0000000000000004,
+        0x0000000000000003,
+    ],
+];
+const MORPHY_MID_SEGMENT: &[&[u64]] = &[
+    &[
+        0x3fc4189374bc6a83,
+        0x3ff807e8f3236d2f,
+        0x3f24940bbb1f1f7f,
+        0x3f24940bbb1f1f7f,
+        0x0000000000000000,
+        0x3e5b39a181a2568f,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+    ],
+    &[
+        0x3f8a9fbe76c8b43c,
+        0x3ffcc491c80b4eb0,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3e32676295edc000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3ef8dd206c8711d8,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+    ],
+    &[
+        0x3fb4fdf3b645a1cf,
+        0x3ffb399a561ce4f8,
+        0x3f157eed45e91869,
+        0x3f157eed45e91869,
+        0x0000000000000000,
+        0x3e5679008b2cf000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3eb60d52cc2abb6b,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+    ],
+];
+const MORPHY_DEAD_BAND: &[&[u64]] = &[
+    &[
+        0x4059033333333333,
+        0x400651787e332c34,
+        0x3f606466b1e5c0b8,
+        0x3f606466b1e5c0b8,
+        0x0000000000000000,
+        0x3f47abf96bfcb5be,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000004,
+        0x0000000000000000,
+    ],
+    &[
+        0x3fdbf7ced916872b,
+        0x4006530bbc0d52ff,
+        0x3f6076baf259cf1f,
+        0x3f6076baf259cf1f,
+        0x0000000000000000,
+        0x3f47c8494ba0172b,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000004,
+        0x0000000000000000,
+    ],
+    &[
+        0x4054000000000000,
+        0x400229f76f525f97,
+        0x3c28000000000000,
+        0x3c28000000000000,
+        0x0000000000000000,
+        0x3f4894e53131f531,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f425cc7e8bde7b5,
+        0x0000000000000000,
+        0x0000000000000006,
+        0x0000000000000000,
+    ],
+    &[
+        0x3fe0000000000000,
+        0x40022855cd9e782b,
+        0x3c53a40000000000,
+        0x3c53a40000000000,
+        0x0000000000000000,
+        0x3f48ba10313a21cc,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f427958642037fb,
+        0x0000000000000000,
+        0x0000000000000006,
+        0x0000000000000000,
+    ],
+];
+const REACT_EQUALIZED: &[&[u64]] = &[
+    &[
+        0x3fc999999999999f,
+        0x400ccccccccccccc,
+        0x3f50624dd2f1a9fa,
+        0x3f4a34a7168344a0,
+        0x3f2a3fd23d803d4a,
+        0x3ebfaa16e76a0fea,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3ea75dd01471f38a,
+        0x3e8ad7f29abcaf4e,
+        0x0000000000000001,
+        0x0000000000000001,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x400ccccccccccccc,
+        0x3f50624dd2f1a9fa,
+        0x3f4a34a7168344a0,
+        0x3f2a3fd23d803d4a,
+        0x3ebfaa16e76a0fea,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3ea75dd01471f38a,
+        0x3e8ad7f29abcaf4e,
+        0x0000000000000001,
+        0x0000000000000001,
+    ],
+    &[
+        0x3fb999999999999f,
+        0x3ffdf3d61cdaccfc,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3ea4097fc326da00,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f396033cf61c431,
+        0x3ec7a7e765297a7c,
+        0x0000000000000002,
+        0x0000000000000001,
+    ],
+    &[
+        0x3fb999999999999f,
+        0x400042a34b7fe7d9,
+        0x3c1fdc0000000000,
+        0x3c1fdc0000000000,
+        0x0000000000000000,
+        0x3eb2c2a2142a5900,
+        0x3f3a4f2a63facfec,
+        0x0000000000000000,
+        0x3f487ee655aa0eea,
+        0x3ed1f39d7114953c,
+        0x0000000000000001,
+        0x0000000000000002,
+    ],
+    &[
+        0x4046c00000000000,
+        0x4003d2d819bcf41e,
+        0x3f4dd1a21ea35939,
+        0x3f4dd1a21ea35939,
+        0x0000000000000000,
+        0x3f3103bd7a60a27b,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f3edc424b6055e9,
+        0x3f45c48d632a71c3,
+        0x0000000000000001,
+        0x0000000000000000,
+    ],
+    &[
+        0x3fd54fdf3b645a1d,
+        0x4003cfaa72c65af3,
+        0x3f4e09805c5bcb90,
+        0x3f4e09805c5bcb90,
+        0x0000000000000000,
+        0x3f3120f1b0ba22d7,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f3f139df509eb93,
+        0x3f45ed5605fb5490,
+        0x0000000000000001,
+        0x0000000000000000,
+    ],
+];
+const REACT_DISCONNECTED: &[&[u64]] = &[
+    &[
+        0x403e000000000000,
+        0x40038bfa5f84618f,
+        0x3f33a92a30553252,
+        0x3f33a92a30553252,
+        0x0000000000000000,
+        0x3f3a8f0b523229e1,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f23d46758b65d74,
+        0x3f3cb46bacf7446f,
+        0x0000000000000002,
+        0x0000000000000000,
+    ],
+    &[
+        0x3fe199999999999a,
+        0x40038623f433e80e,
+        0x3f34057082491aff,
+        0x3f34057082491aff,
+        0x0000000000000000,
+        0x3f3b05351cba50df,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f242e88e7ac0db3,
+        0x3f3d3b24435640ff,
+        0x0000000000000002,
+        0x0000000000000000,
+    ],
+];
+const REACT_STAGED: &[&[u64]] = &[
+    &[
+        0x4020000000000000,
+        0x400456bbd75ccf3d,
+        0x3f4a3754ec99e4b0,
+        0x3f4a3754ec99e4b0,
+        0x0000000000000000,
+        0x3f16c0f416b7f601,
+        0x3d9eaad500000000,
+        0x0000000000000000,
+        0x3f51525397a8d7b1,
+        0x3f2d91e13e73d915,
+        0x0000000000000003,
+        0x0000000000000000,
+    ],
+    &[
+        0x3fdccccccccccccd,
+        0x400447ad14245e79,
+        0x3f4bb0d1b039e20f,
+        0x3f4bb0d1b039e20f,
+        0x0000000000000000,
+        0x3f17f6eac0b236b7,
+        0x3d9eaad500000000,
+        0x0000000000000000,
+        0x3f5241e7db0206c9,
+        0x3f2f3baf8390c3b1,
+        0x0000000000000003,
+        0x0000000000000000,
+    ],
+    &[
+        0x3fd3333333333337,
+        0x3ffe226305943034,
+        0x3eef7d03eb05ada1,
+        0x3eef7d03eb05ada1,
+        0x0000000000000000,
+        0x3ebadad20b96d15d,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f269c413fa07a9a,
+        0x3ee1bded8bdf1bdd,
+        0x0000000000000002,
+        0x0000000000000001,
+    ],
+];
