@@ -79,5 +79,5 @@ pub(crate) fn commit_segment_ticks(
 pub use capybara::CapybaraBuffer;
 pub use dewdrop::DewdropBuffer;
 pub use morphy::{transition_path as morphy_transition_path, MorphyBuffer};
-pub use react::{ConfigError, ReactBuffer, ReactConfig};
+pub use react::{ConfigError, ReactBuffer, ReactConfig, MAX_BANKS};
 pub use static_buf::StaticBuffer;

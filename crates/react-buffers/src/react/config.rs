@@ -4,6 +4,11 @@
 use react_circuit::{BankSpec, CapacitorSpec};
 use react_units::{Farads, Ohms, Seconds, Volts, Watts};
 
+/// The most configurable banks a [`ReactConfig`] may declare. The
+/// buffer's per-bank scratch lives in fixed-size arrays of this length
+/// (the paper's prototype has five banks).
+pub const MAX_BANKS: usize = 8;
+
 /// Error validating a [`ReactConfig`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
@@ -19,6 +24,8 @@ pub enum ConfigError {
     },
     /// No banks configured.
     NoBanks,
+    /// More banks than [`MAX_BANKS`].
+    TooManyBanks,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -30,6 +37,7 @@ impl std::fmt::Display for ConfigError {
                 "bank {bank} unit capacitance exceeds the Eq. 2 limit of {limit:.1}"
             ),
             Self::NoBanks => write!(f, "at least one configurable bank is required"),
+            Self::TooManyBanks => write!(f, "at most {MAX_BANKS} configurable banks are supported"),
         }
     }
 }
@@ -144,6 +152,9 @@ impl ReactConfig {
         if self.banks.is_empty() {
             return Err(ConfigError::NoBanks);
         }
+        if self.banks.len() > MAX_BANKS {
+            return Err(ConfigError::TooManyBanks);
+        }
         for (i, bank) in self.banks.iter().enumerate() {
             if let Some(limit) = self.eq2_unit_capacitance_limit(bank.count) {
                 if bank.unit.capacitance > limit {
@@ -235,6 +246,10 @@ mod tests {
         let mut c = ReactConfig::paper_prototype();
         c.banks.clear();
         assert_eq!(c.validate(), Err(ConfigError::NoBanks));
+        let mut c = ReactConfig::paper_prototype();
+        let bank = c.banks[0];
+        c.banks.resize(MAX_BANKS + 1, bank);
+        assert_eq!(c.validate(), Err(ConfigError::TooManyBanks));
     }
 
     #[test]

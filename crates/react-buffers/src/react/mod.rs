@@ -16,7 +16,7 @@
 
 mod config;
 
-pub use config::{ConfigError, ReactConfig};
+pub use config::{ConfigError, ReactConfig, MAX_BANKS};
 
 use react_circuit::{BankMode, Capacitor, EnergyLedger, SeriesParallelBank};
 use react_telemetry::FallbackReason;
@@ -51,6 +51,36 @@ const BAND_GUARD: f64 = 0.02;
 
 fn connected(bank: &&SeriesParallelBank) -> bool {
     bank.mode() != BankMode::Disconnected
+}
+
+/// A set of bank indices held inline, so the stride paths that gather
+/// banks never touch the heap.
+struct BankSet {
+    idx: [usize; MAX_BANKS],
+    len: usize,
+}
+
+impl BankSet {
+    /// The indices `keep` accepts, in bank order.
+    fn filtered(banks: &[SeriesParallelBank], keep: impl Fn(usize) -> bool) -> Self {
+        let mut set = Self {
+            idx: [0; MAX_BANKS],
+            len: 0,
+        };
+        for i in (0..banks.len()).filter(|&i| keep(i)) {
+            set.idx[set.len] = i;
+            set.len += 1;
+        }
+        set
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        &self.idx[..self.len]
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [usize] {
+        &mut self.idx[..self.len]
+    }
 }
 
 /// Places a connected bank's terminal at `v`.
@@ -158,16 +188,26 @@ impl ReactBuffer {
     /// above the LLB dumps charge into it until the voltages meet.
     fn drain_banks_into_llb(&mut self) {
         const EPS: f64 = 1e-6;
+        // Every bank's terminal voltage and the LLB's voltage and energy,
+        // computed once: a drain moves only its bank and the LLB, which
+        // are re-read after it for the next candidate and booking.
+        let mut v_banks = [Volts::ZERO; MAX_BANKS];
+        for (v, bank) in v_banks.iter_mut().zip(&self.banks) {
+            *v = bank.terminal_voltage();
+        }
+        let mut v_llb = self.llb.voltage();
+        let mut e_llb = None;
         // Bounded sweep: each bank needs at most one equalization per
         // call because diodes only conduct bank→LLB (the LLB only rises).
         for _ in 0..self.banks.len() {
             let candidate = self
                 .banks
                 .iter()
+                .zip(v_banks)
                 .enumerate()
-                .filter(|(_, b)| connected(b))
-                .map(|(i, b)| (i, b.terminal_voltage()))
-                .filter(|(_, v)| v.get() > self.llb.voltage().get() + EPS)
+                .filter(|(_, (b, _))| connected(b))
+                .map(|(i, (_, v))| (i, v))
+                .filter(|(_, v)| v.get() > v_llb.get() + EPS)
                 .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite voltages"));
             let Some((idx, v_bank)) = candidate else {
                 break;
@@ -175,14 +215,17 @@ impl ReactBuffer {
             let bank = &mut self.banks[idx];
             let c_bank = bank.terminal_capacitance();
             let c_llb = self.llb.capacitance();
-            let v_llb = self.llb.voltage();
-            let e_before = bank.stored_energy() + self.llb.energy();
+            let e_before = bank.stored_energy() + *e_llb.get_or_insert_with(|| self.llb.energy());
             let v_star = (c_bank * v_bank + c_llb * v_llb) / (c_bank + c_llb);
             let dq = c_bank * (v_bank - v_star);
             let got = bank.draw_charge(dq);
             self.llb.shift_charge(got);
-            let e_after = bank.stored_energy() + self.llb.energy();
+            let e_llb_after = self.llb.energy();
+            let e_after = bank.stored_energy() + e_llb_after;
             self.ledger.diode_loss += (e_before - e_after).max(Joules::ZERO);
+            v_banks[idx] = bank.terminal_voltage();
+            v_llb = self.llb.voltage();
+            e_llb = Some(e_llb_after);
         }
     }
 
@@ -203,10 +246,18 @@ impl ReactBuffer {
             .map(|(i, b)| (i, b.terminal_voltage()))
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite voltages"));
 
-        let e_before: Joules =
-            self.llb.energy() + self.banks.iter().map(|b| b.stored_energy()).sum::<Joules>();
+        // Every element's stored energy, computed once for both sides of
+        // the booking: the deposit moves exactly one of them.
+        let mut e_banks = [Joules::ZERO; MAX_BANKS];
+        for (e, bank) in e_banks.iter_mut().zip(&self.banks) {
+            *e = bank.stored_energy();
+        }
+        let e_banks = &mut e_banks[..self.banks.len()];
+        let e_llb = self.llb.energy();
+        let e_banks_before = e_banks.iter().copied().sum::<Joules>();
+        let e_before = e_llb + e_banks_before;
 
-        let clipped = match bank_candidate {
+        let (clipped, e_after) = match bank_candidate {
             Some((idx, v_bank)) if v_bank < llb_v => {
                 // Charge the bank, clamping its terminal at the rail.
                 let dq = power_intake(input, v_bank, dt);
@@ -214,16 +265,17 @@ impl ReactBuffer {
                 let headroom = bank.terminal_capacitance() * (self.config.rail_clamp - v_bank);
                 let store = dq.min(headroom.max(Coulombs::ZERO));
                 let clip_units = bank.deposit_charge(store);
-                clip_units + (dq - store) * self.config.rail_clamp
+                e_banks[idx] = bank.stored_energy();
+                let clipped = clip_units + (dq - store) * self.config.rail_clamp;
+                (clipped, e_llb + e_banks.iter().copied().sum::<Joules>())
             }
             _ => {
                 let dq = power_intake(input, llb_v, dt);
-                self.llb.deposit(dq / dt, dt)
+                let clipped = self.llb.deposit(dq / dt, dt);
+                (clipped, self.llb.energy() + e_banks_before)
             }
         };
 
-        let e_after: Joules =
-            self.llb.energy() + self.banks.iter().map(|b| b.stored_energy()).sum::<Joules>();
         let delivered = (e_after - e_before).max(Joules::ZERO);
         self.ledger.delivered += delivered;
         self.ledger.clipped += clipped;
@@ -394,7 +446,7 @@ impl ReactBuffer {
     #[allow(clippy::too_many_arguments)]
     fn staged_powered_advance(
         &mut self,
-        mut lows: Vec<usize>,
+        mut lows: BankSet,
         input: Watts,
         load: Amps,
         duration: Seconds,
@@ -409,19 +461,16 @@ impl ReactBuffer {
 
         // The pack: LLB plus every connected bank already equalized
         // with it (the low banks are excluded by construction).
-        let pack: Vec<usize> = self
-            .banks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| !lows.contains(i) && connected(b))
-            .map(|(i, _)| i)
-            .collect();
+        let pack = BankSet::filtered(&self.banks, |i| {
+            !lows.as_slice().contains(&i) && connected(&&self.banks[i])
+        });
+        let pack = pack.as_slice();
         let llb_spec = *self.llb.spec();
         let llb_v = self.llb.voltage().get();
         let mut c_pack = llb_spec.capacitance.get();
         let mut g_pack = charge_ode::leakage_conductance(&llb_spec.leakage);
         let mut charge = c_pack * llb_v;
-        for &i in &pack {
+        for &i in pack {
             let unit = self.banks[i].spec().unit;
             let k = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
             let c_term = self.banks[i].terminal_capacitance().get();
@@ -434,29 +483,25 @@ impl ReactBuffer {
         // as in the equalized path.
         let llb_offset = llb_v - v_pack;
 
-        // Low banks ascending by terminal voltage; per-bank terminal
-        // capacitance and leak rate ride along.
-        lows.sort_by(|&a, &b| {
+        // Low banks ascending by terminal voltage (a stable sort, which
+        // at this length is an in-place insertion sort); per-bank
+        // terminal capacitance and leak rate ride along.
+        lows.as_mut_slice().sort_by(|&a, &b| {
             self.banks[a]
                 .terminal_voltage()
                 .get()
                 .total_cmp(&self.banks[b].terminal_voltage().get())
         });
-        let mut low_v: Vec<f64> = lows
-            .iter()
-            .map(|&i| self.banks[i].terminal_voltage().get())
-            .collect();
-        let low_c: Vec<f64> = lows
-            .iter()
-            .map(|&i| self.banks[i].terminal_capacitance().get())
-            .collect();
-        let low_k: Vec<f64> = lows
-            .iter()
-            .map(|&i| {
-                let unit = self.banks[i].spec().unit;
-                charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get()
-            })
-            .collect();
+        let lows = lows.as_slice();
+        let (mut low_v, mut low_c, mut low_k) =
+            ([0.0; MAX_BANKS], [0.0; MAX_BANKS], [0.0; MAX_BANKS]);
+        for (j, &i) in lows.iter().enumerate() {
+            let bank = &self.banks[i];
+            let unit = bank.spec().unit;
+            low_v[j] = bank.terminal_voltage().get();
+            low_c[j] = bank.terminal_capacitance().get();
+            low_k[j] = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
+        }
         // The charging front: `lows[..front_len]` share the lowest
         // voltage and split the harvester intake, so they charge as one
         // combined capacitance at `v_front`.
@@ -556,7 +601,7 @@ impl ReactBuffer {
                 let front_fin = $front_fin;
                 let t_adv = $t_adv;
                 self.llb.set_voltage(Volts::new(pack_fin.v_final));
-                for &i in &pack {
+                for &i in pack {
                     set_terminal(&mut self.banks[i], pack_fin.v_final);
                 }
                 for j in 0..front_len {
@@ -1064,12 +1109,10 @@ impl EnergyBuffer for ReactBuffer {
                 self.fallback = Some(FallbackReason::NoClosedForm);
                 return None;
             }
-            let lows = (0..self.banks.len())
-                .filter(|&i| {
-                    let bank = &self.banks[i];
-                    connected(&bank) && bank.terminal_voltage().get() < llb_v - equalize_tol
-                })
-                .collect();
+            let lows = BankSet::filtered(&self.banks, |i| {
+                let bank = &self.banks[i];
+                connected(&bank) && bank.terminal_voltage().get() < llb_v - equalize_tol
+            });
             return self
                 .staged_powered_advance(lows, input, load, duration, v_stop, v_wake, fine_dt);
         }
@@ -1305,19 +1348,20 @@ impl EnergyBuffer for ReactBuffer {
 
         // 2. Load + REACT's own quiescent draw come from the LLB.
         let v = self.llb.voltage();
+        let mut e_llb = self.llb.energy();
         if v.get() > INSTRUMENTATION_FLOOR {
             let connected = self.banks.iter().filter(connected).count() as f64;
             let overhead =
                 self.config.instrumentation_overhead + self.config.overhead_per_bank * connected;
             let i_overhead = overhead / v;
             // Book the overhead separately from the application load.
-            let before = self.llb.energy();
+            let before = e_llb;
             self.llb.draw(i_overhead, dt);
-            self.ledger.overhead_consumed += before - self.llb.energy();
+            e_llb = self.llb.energy();
+            self.ledger.overhead_consumed += before - e_llb;
         }
-        let before = self.llb.energy();
         self.llb.draw(load, dt);
-        self.ledger.load_consumed += before - self.llb.energy();
+        self.ledger.load_consumed += e_llb - self.llb.energy();
 
         // 3. Output diodes hold the LLB up from the banks.
         self.drain_banks_into_llb();

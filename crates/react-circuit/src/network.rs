@@ -89,10 +89,30 @@ impl Partition {
 }
 
 /// The live network: per-capacitor charge plus the active partition.
+///
+/// The network keeps its derived sums current across every mutation
+/// instead of re-summing them on each query: the per-chain capacitances
+/// `c_unit/L` and the terminal capacitance (per partition), and the
+/// chain voltages, the terminal voltage and the stored energy (per
+/// charge change). Each is computed by the same expression, summed in
+/// the same order, as a fresh pass over the capacitors would, so every
+/// query answers bit for bit what it did when it re-summed. A fine step
+/// mutates the network four times (equalize, leak, draw, deposit) and
+/// queries it a dozen times; the queries are now free.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChainNetwork {
     caps: Vec<Capacitor>,
     partition: Partition,
+    /// `c_unit / L` for each chain, in partition order.
+    chain_c: Vec<f64>,
+    /// `Σ c_unit / L`: the terminal capacitance.
+    c_terminal: f64,
+    /// Each chain's terminal voltage (the sum of its capacitors').
+    chain_v: Vec<f64>,
+    /// Capacitance-weighted mean chain voltage.
+    v_terminal: f64,
+    /// Energy stored across all capacitors, summed in index order.
+    energy: f64,
 }
 
 impl ChainNetwork {
@@ -108,10 +128,44 @@ impl ChainNetwork {
             n,
             "partition must cover all {n} capacitors"
         );
-        Self {
+        let mut network = Self {
             caps: vec![Capacitor::new(unit); n],
             partition: start,
+            chain_c: Vec::new(),
+            c_terminal: 0.0,
+            chain_v: Vec::new(),
+            v_terminal: 0.0,
+            energy: 0.0,
+        };
+        network.refresh_partition();
+        network.refresh_charge();
+        network
+    }
+
+    /// Recomputes the per-partition sums: each chain's `c_unit / L` and
+    /// their total (the [`Partition::equivalent_capacitance`] sum).
+    fn refresh_partition(&mut self) {
+        let c_unit = self.caps[0].spec().capacitance.get();
+        self.chain_c.clear();
+        self.chain_c
+            .extend(self.partition.chains().iter().map(|&l| c_unit / l as f64));
+        self.c_terminal = self.chain_c.iter().sum();
+    }
+
+    /// Recomputes the per-charge sums after the capacitors moved: chain
+    /// voltages, the terminal voltage and the stored energy.
+    fn refresh_charge(&mut self) {
+        self.chain_v.clear();
+        let (mut start, mut num, mut den) = (0, 0.0, 0.0);
+        for (&len, &chain_c) in self.partition.chains().iter().zip(&self.chain_c) {
+            let v = chain_voltage(&self.caps[start..start + len]);
+            start += len;
+            self.chain_v.push(v);
+            num += chain_c * v;
+            den += chain_c;
         }
+        self.v_terminal = num / den;
+        self.energy = self.caps.iter().map(|c| c.energy().get()).sum();
     }
 
     /// The active partition.
@@ -120,29 +174,23 @@ impl ChainNetwork {
     }
 
     /// Equivalent capacitance at the terminals.
+    #[inline]
     pub fn terminal_capacitance(&self) -> Farads {
-        self.partition
-            .equivalent_capacitance(self.caps[0].spec().capacitance)
+        Farads::new(self.c_terminal)
     }
 
     /// Terminal voltage: the (common) chain voltage. With chains placed in
     /// parallel, all chain voltages are equal after reconfiguration; we
     /// report the capacitance-weighted mean to stay well-defined mid-step.
+    #[inline]
     pub fn terminal_voltage(&self) -> Volts {
-        let c_unit = self.caps[0].spec().capacitance.get();
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for chain in self.chains() {
-            let chain_c = c_unit / chain.len() as f64;
-            num += chain_c * chain_voltage(chain);
-            den += chain_c;
-        }
-        Volts::new(num / den)
+        Volts::new(self.v_terminal)
     }
 
     /// Total stored energy across all capacitors.
+    #[inline]
     pub fn stored_energy(&self) -> Joules {
-        self.caps.iter().map(|c| c.energy()).sum()
+        Joules::new(self.energy)
     }
 
     /// The unit capacitor spec shared by every capacitor.
@@ -154,9 +202,9 @@ impl ChainNetwork {
     /// checks these agree before coarse-integrating).
     pub fn chain_voltage_range(&self) -> (Volts, Volts) {
         let (lo, hi) = self
-            .chains()
-            .map(chain_voltage)
-            .fold((f64::MAX, f64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+            .chain_v
+            .iter()
+            .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
         (Volts::new(lo), Volts::new(hi))
     }
 
@@ -169,31 +217,27 @@ impl ChainNetwork {
     ///
     /// Returns the within-chain imbalance *before* the commit (the sum
     /// over capacitors of the squared offset from their chain mean,
-    /// whose decay the fast path books as leakage) and the stored energy
-    /// and terminal voltage *after* it, each summed in the same order as
-    /// [`stored_energy`] and [`terminal_voltage`] sum them.
+    /// whose decay the fast path books as leakage) and the
+    /// [`stored_energy`] and [`terminal_voltage`] *after* it.
     ///
     /// [`chain_voltage_range`]: Self::chain_voltage_range
     /// [`stored_energy`]: Self::stored_energy
     /// [`terminal_voltage`]: Self::terminal_voltage
     pub fn commit_idle_solution(&mut self, v_end: Volts, decay: f64) -> (f64, Joules, Volts) {
-        let c_unit = self.caps[0].spec().capacitance.get();
-        let (mut imbalance, mut energy, mut num, mut den) = (0.0, 0.0, 0.0, 0.0);
-        for chain in chains_mut(&mut self.caps, self.partition.chains()) {
+        let mut imbalance = 0.0;
+        let chains = chains_mut(&mut self.caps, self.partition.chains());
+        for (chain, &chain_v) in chains.zip(&self.chain_v) {
             let n = chain.len() as f64;
-            let mean0 = chain_voltage(chain) / n;
+            let mean0 = chain_v / n;
             let mean1 = v_end.get() / n;
-            for cap in chain.iter_mut() {
+            for cap in chain {
                 let w = cap.voltage().get() - mean0;
                 imbalance += w * w;
                 cap.set_voltage(Volts::new(mean1 + w * decay));
-                energy += cap.energy().get();
             }
-            let chain_c = c_unit / n;
-            num += chain_c * chain_voltage(chain);
-            den += chain_c;
         }
-        (imbalance, Joules::new(energy), Volts::new(num / den))
+        self.refresh_charge();
+        (imbalance, self.stored_energy(), self.terminal_voltage())
     }
 
     /// Sets every chain's terminal voltage to `v`, balancing the
@@ -205,6 +249,7 @@ impl ChainNetwork {
                 cap.set_voltage(unit_v);
             }
         }
+        self.refresh_charge();
     }
 
     /// Forces every capacitor to voltage `v` (test setup).
@@ -212,16 +257,7 @@ impl ChainNetwork {
         for cap in &mut self.caps {
             cap.set_voltage(v);
         }
-    }
-
-    /// The capacitors of each chain, in partition order.
-    fn chains(&self) -> impl Iterator<Item = &[Capacitor]> {
-        let mut rest = self.caps.as_slice();
-        self.partition.chains().iter().map(move |&len| {
-            let (chain, tail) = rest.split_at(len);
-            rest = tail;
-            chain
-        })
+        self.refresh_charge();
     }
 
     /// Reconfigures to a new partition. Capacitor assignment is by index:
@@ -242,6 +278,8 @@ impl ChainNetwork {
             "partition must cover all capacitors"
         );
         self.partition = new;
+        self.refresh_partition();
+        self.refresh_charge();
         self.equalize()
     }
 
@@ -251,28 +289,21 @@ impl ChainNetwork {
     /// Charge moves between chains; within a chain every capacitor sees
     /// the same transferred charge.
     pub fn equalize(&mut self) -> EqualizeOutcome {
-        let c_unit = self.caps[0].spec().capacitance.get();
         let e_before = self.stored_energy();
-
-        // Chain equivalent capacitance and voltage.
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for chain in self.chains() {
-            let c = c_unit / chain.len() as f64;
-            num += c * chain_voltage(chain);
-            den += c;
-        }
-        let v_star = num / den;
+        // The common voltage is the capacitance-weighted mean of the
+        // chain voltages: the terminal voltage.
+        let v_star = self.v_terminal;
 
         let mut moved = 0.0;
-        for chain in chains_mut(&mut self.caps, self.partition.chains()) {
-            let c_chain = c_unit / chain.len() as f64;
-            let dq = c_chain * (v_star - chain_voltage(chain));
+        let chains = chains_mut(&mut self.caps, self.partition.chains());
+        for ((chain, &c_chain), &chain_v) in chains.zip(&self.chain_c).zip(&self.chain_v) {
+            let dq = c_chain * (v_star - chain_v);
             moved += dq.abs();
             for cap in chain {
                 cap.shift_charge(Coulombs::new(dq));
             }
         }
+        self.refresh_charge();
 
         let e_after = self.stored_energy();
         EqualizeOutcome {
@@ -286,11 +317,10 @@ impl ChainNetwork {
     /// proportion to chain capacitance (they share the terminal voltage).
     /// Returns clipped energy if any capacitor hits its ceiling.
     pub fn deposit_charge(&mut self, dq: Coulombs) -> Joules {
-        let c_unit = self.caps[0].spec().capacitance.get();
-        let c_total = self.terminal_capacitance().get();
+        let c_total = self.c_terminal;
         let mut clipped = Joules::ZERO;
-        for chain in chains_mut(&mut self.caps, self.partition.chains()) {
-            let c_chain = c_unit / chain.len() as f64;
+        let chains = chains_mut(&mut self.caps, self.partition.chains());
+        for (chain, &c_chain) in chains.zip(&self.chain_c) {
             let chain_dq = dq.get() * (c_chain / c_total);
             for cap in chain {
                 let head = cap.charge_headroom().get();
@@ -302,6 +332,7 @@ impl ChainNetwork {
                 }
             }
         }
+        self.refresh_charge();
         clipped
     }
 
@@ -315,29 +346,31 @@ impl ChainNetwork {
         if dq.get() <= 0.0 {
             return Coulombs::ZERO;
         }
-        let c_unit = self.caps[0].spec().capacitance.get();
-        let c_total = self.terminal_capacitance().get();
+        let c_total = self.c_terminal;
         // Requested uniform voltage drop across all (parallel) chains.
         let dv_req = dq.get() / c_total;
-        let v_min = self.chains().map(chain_voltage).fold(f64::MAX, f64::min);
+        let v_min = self.chain_v.iter().copied().fold(f64::MAX, f64::min);
         let scale = if dv_req <= 0.0 {
             0.0
         } else {
             (v_min.max(0.0) / dv_req).min(1.0)
         };
-        for chain in chains_mut(&mut self.caps, self.partition.chains()) {
-            let c_chain = c_unit / chain.len() as f64;
+        let chains = chains_mut(&mut self.caps, self.partition.chains());
+        for (chain, &c_chain) in chains.zip(&self.chain_c) {
             let chain_dq = dq.get() * (c_chain / c_total) * scale;
             for cap in chain {
                 cap.shift_charge(Coulombs::new(-chain_dq));
             }
         }
+        self.refresh_charge();
         Coulombs::new(dq.get() * scale)
     }
 
     /// One leakage step across all capacitors; returns energy lost.
     pub fn leak(&mut self, dt: Seconds) -> Joules {
-        self.caps.iter_mut().map(|c| c.leak(dt)).sum()
+        let lost = self.caps.iter_mut().map(|c| c.leak(dt)).sum();
+        self.refresh_charge();
+        lost
     }
 }
 

@@ -20,6 +20,13 @@
 //!   form — the kernel drops back to fine `dt` steps, so workload
 //!   semantics are bit-identical.
 //!
+//! Both kernels read their input through one
+//! [`ReplayCursor`](react_harvest::ReplayCursor): a stride asks it for
+//! the converted source window at the clock, and a fine step asks it
+//! for the rail power at the clock, which it answers from that cached
+//! window until the step grid leaves the segment, so a fine step pays
+//! for its physics and not for a source lookup and a conversion.
+//!
 //! The engine is generic over the buffer, workload, power source and
 //! telemetry recorder (`Simulator<B, W, S, R>`), monomorphizing the hot
 //! loop for concrete types; the `Box<dyn …>` constructors used by
@@ -29,7 +36,7 @@
 use react_buffers::defense::{AttackDetector, DefenseConfig};
 use react_buffers::EnergyBuffer;
 use react_circuit::{FaultKind, FaultPlan};
-use react_harvest::{PowerReplay, PowerSource, TraceSource, VictimEvent};
+use react_harvest::{PowerReplay, PowerSource, ReplayCursor, TraceSource, VictimEvent};
 use react_mcu::{Mcu, McuSpec, PowerGate, PowerMode};
 use react_telemetry::{
     EventKind, FallbackReason, NullRecorder, Recorder, Regime, SimEvent, StrideKind,
@@ -329,18 +336,19 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> Simulato
 ///
 /// Each iteration of [`SimCore::advance`] is either one closed-form
 /// coarse stride (idle or LPM3-sleep fast path) or one fine `dt` step;
-/// [`SimCore::now`] exposes the cell clock between iterations.
+/// [`SimCore::now`] exposes the cell clock between iterations. The core
+/// owns the run's [`ReplayCursor`]: strides read a whole converted
+/// source window from it, fine steps the cached rail power at the
+/// clock, and the victim-event feedback goes through it to the source.
 pub struct SimCore<
     B = Box<dyn EnergyBuffer>,
     W = Box<dyn Workload>,
     S = TraceSource,
     R = NullRecorder,
 > {
-    replay: PowerReplay<S>,
-    /// The stepping source clone (what `PowerReplay::cursor` would
-    /// own): sources are stateful segment walkers, so the core streams
-    /// its private copy while the replay stays shareable.
-    source: S,
+    /// The run's input: the replay's source, walked one cached
+    /// converted segment at a time. Strides and fine steps both read it.
+    input: ReplayCursor<S>,
     buffer: B,
     mcu: Mcu,
     gate: PowerGate,
@@ -469,7 +477,6 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             .or_else(|| replay.source_duration())
             .ok_or(SimError::UnboundedSource)?;
         let hard_end = trace_end + max_drain;
-        let source = replay.source().clone();
 
         let metrics = RunMetrics {
             initial_stored: buffer.stored_energy(),
@@ -506,8 +513,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         let tele_reconfig_count = last_reconfig_count;
 
         Ok(Self {
-            replay,
-            source,
+            input: replay.into_cursor(),
             buffer,
             mcu,
             gate,
@@ -623,18 +629,8 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         let (p_rail, window_end) = if self.t >= self.trace_end {
             (react_units::Watts::ZERO, self.hard_end)
         } else {
-            let seg = self.source.segment(self.t);
-            let p = self
-                .replay
-                .rail_power_from(seg.power, self.buffer.input_voltage());
-            (p, seg.end.min(self.trace_end))
-        };
-        // Harvester derating scales rail power; the healthy 1.0 path
-        // leaves the value untouched bit-for-bit.
-        let p_rail = if self.derate != 1.0 {
-            react_units::Watts::new(p_rail.get() * self.derate)
-        } else {
-            p_rail
+            let (p, end) = self.input.rail_window(self.t, self.buffer.input_voltage());
+            (self.derated(p), end.min(self.trace_end))
         };
         let mut end = window_end.min(self.hard_end);
         // Closed forms never integrate across a pending fault event —
@@ -648,6 +644,18 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             end = end.min(self.t + aud.max_stride());
         }
         (p_rail, end)
+    }
+
+    /// Harvester derating scales rail power; the healthy 1.0 path leaves
+    /// the value untouched bit-for-bit. Strides and fine steps both
+    /// apply it, so every kernel and step shape sees the same faulted
+    /// rail.
+    fn derated(&self, p_rail: react_units::Watts) -> react_units::Watts {
+        if self.derate != 1.0 {
+            react_units::Watts::new(p_rail.get() * self.derate)
+        } else {
+            p_rail
+        }
     }
 
     /// Applies every fault event whose time has arrived, in schedule
@@ -758,7 +766,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             let rc = self.buffer.reconfiguration_count();
             if rc > self.last_reconfig_count {
                 self.last_reconfig_count = rc;
-                self.source.observe(VictimEvent::Reconfig { at: self.t });
+                self.input.observe(VictimEvent::Reconfig { at: self.t });
             }
         }
         if R::ENABLED {
@@ -1087,7 +1095,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
                     self.off_max = self.off_max.max((self.t - start).get());
                 }
                 if self.feedback {
-                    self.source.observe(VictimEvent::Boot { at: self.t });
+                    self.input.observe(VictimEvent::Boot { at: self.t });
                 }
                 if R::ENABLED {
                     self.recorder.record(&SimEvent {
@@ -1167,11 +1175,11 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
                 }
                 self.hold_until = None;
                 if self.feedback {
-                    self.source.observe(VictimEvent::BrownOut { at: self.t });
+                    self.input.observe(VictimEvent::BrownOut { at: self.t });
                     if self.radio_on {
                         // Power loss keys the radio off with it.
                         self.radio_on = false;
-                        self.source.observe(VictimEvent::RadioOff { at: self.t });
+                        self.input.observe(VictimEvent::RadioOff { at: self.t });
                     }
                 }
                 if let Some(det) = self.detector.as_mut() {
@@ -1246,7 +1254,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
                         let keyed = peripheral_current >= RADIO_SENSE_CURRENT;
                         if keyed != self.radio_on {
                             self.radio_on = keyed;
-                            self.source.observe(if keyed {
+                            self.input.observe(if keyed {
                                 VictimEvent::RadioOn { at: self.t }
                             } else {
                                 VictimEvent::RadioOff { at: self.t }
@@ -1274,22 +1282,14 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         // Harvest + buffer physics. The converter delivers *power*;
         // the buffer converts it to charge at its input node's
         // voltage (for REACT the lowest connected element, §3.2.1).
-        // Past the horizon the environment is disconnected (see the
-        // idle path above).
+        // Past the horizon the environment is disconnected (see
+        // `stride_window`). Inside a source segment the cursor answers
+        // from its cached conversion.
         let input = if self.t >= self.trace_end {
             react_units::Watts::ZERO
         } else {
-            let available = self.source.power_at(self.t);
-            let p = self
-                .replay
-                .rail_power_from(available, self.buffer.input_voltage());
-            // Harvester derating, matching `stride_window` so both
-            // kernels (and both step shapes) see the same faulted rail.
-            if self.derate != 1.0 {
-                react_units::Watts::new(p.get() * self.derate)
-            } else {
-                p
-            }
+            let p = self.input.rail_power(self.t, self.buffer.input_voltage());
+            self.derated(p)
         };
         // Invariant guard, input side: a non-finite harvest sample
         // is sanitized to zero before it can poison the buffer

@@ -151,12 +151,30 @@ impl Converter {
     }
 
     /// Power delivered to the rail for `available` ambient power at rail
-    /// voltage `v_out`.
+    /// voltage `v_out`: zero at or below the cold-start floor or once the
+    /// OVP cutoff stops conversion at `v_out`, `η(P)·P` otherwise.
     pub fn output_power(&self, available: Watts, v_out: Volts) -> Watts {
-        if available <= self.cold_start_floor || v_out >= self.max_output_voltage {
+        if self.ovp_cuts_off(v_out) {
+            return Watts::ZERO;
+        }
+        self.converted_power(available)
+    }
+
+    /// The rail-voltage-independent part of [`Converter::output_power`]:
+    /// zero at or below the cold-start floor, `η(P)·P` above it. A
+    /// piecewise-constant source stays piecewise-constant through it, so
+    /// one call covers a whole source segment.
+    pub(crate) fn converted_power(&self, available: Watts) -> Watts {
+        if available <= self.cold_start_floor {
             return Watts::ZERO;
         }
         available * self.curve.at(available)
+    }
+
+    /// Whether the OVP cutoff stops conversion at rail voltage `v_out`.
+    #[inline]
+    pub(crate) fn ovp_cuts_off(&self, v_out: Volts) -> bool {
+        v_out >= self.max_output_voltage
     }
 }
 

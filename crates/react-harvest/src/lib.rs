@@ -14,6 +14,9 @@
 //!   [`PowerSource`] (a recorded trace or a generative `react-env`
 //!   environment) in, buffer input current out, with a charge-current
 //!   limit like a real IC.
+//! * [`ReplayCursor`] — one run's stepping input: the replay's source
+//!   walked one converted segment at a time, so in-segment queries
+//!   check only the converter's OVP cutoff.
 //! * [`SolarPanel`] / [`MpptTracker`] — irradiance-to-power conversion
 //!   and bq25570-style fractional-V_oc maximum-power-point tracking.
 //!

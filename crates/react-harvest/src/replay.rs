@@ -112,8 +112,8 @@ impl<S: PowerSource + Clone> PowerReplay<S> {
 
     /// Rail power delivered for `available` ambient power with the
     /// buffer at `v_buffer` — the conversion step with the source lookup
-    /// already done, so callers holding the available power (from a
-    /// [`ReplayCursor`] or a previous query) don't pay it twice.
+    /// already done, so callers holding the available power from a
+    /// previous query don't pay it twice.
     #[inline]
     pub fn rail_power_from(&self, available: Watts, v_buffer: Volts) -> Watts {
         self.converter.output_power(available, v_buffer)
@@ -133,90 +133,143 @@ impl<S: PowerSource + Clone> PowerReplay<S> {
         (p / v).min(self.current_limit)
     }
 
-    /// Starts a stepping cursor over the replay for simulation loops:
-    /// the cursor owns its own source clone (sources are stateful
-    /// segment walkers), so each run streams independently while the
-    /// replay itself stays shareable.
-    pub fn cursor(&self) -> ReplayCursor<'_, S> {
+    /// Starts a stepping cursor over a copy of the replay: the cursor
+    /// owns its own source clone (sources are stateful segment walkers),
+    /// so each run streams independently while the replay itself stays
+    /// shareable.
+    pub fn cursor(&self) -> ReplayCursor<S> {
+        self.clone().into_cursor()
+    }
+
+    /// Turns the replay into its stepping cursor, handing the cursor the
+    /// replay's own source to walk (the simulation engine's path: it
+    /// owns its replay already, so nothing is cloned).
+    pub fn into_cursor(self) -> ReplayCursor<S> {
         ReplayCursor {
             replay: self,
-            source: self.source.clone(),
+            window: RailWindow::EMPTY,
         }
     }
 }
 
-/// A stepping view over a [`PowerReplay`]: one shared source lookup per
-/// query, amortized O(1) for the simulator's monotone access pattern
-/// (and graceful on backward probes — sources rewind).
+/// The stepping input of one run: a [`PowerReplay`] whose source the
+/// cursor walks, plus the current source segment *after conversion*.
+///
+/// Sources are piecewise constant and the converter's efficiency curve
+/// and cold-start floor are static functions of available power, so the
+/// rail power is constant over a whole segment except for the OVP
+/// cutoff, which depends on the rail voltage. The cursor therefore
+/// converts once per segment and each later query inside the segment
+/// checks only the cutoff. A query is served from the cache while
+/// `from ≤ t < two_ulps_down(end)`: [`react_traces::two_ulps_down`] is
+/// the same conservative bound [`react_traces::WindowCache`] uses,
+/// because a recorded trace can read the next sample in the last ulps
+/// below a computed window end. Every other query re-reads the source
+/// segment, and [`ReplayCursor::observe`] drops the cache, since an
+/// adaptive source may commit new strike windows in response.
+///
+/// Answers are bit-identical to `rail_power_from(power_at(t), v)` for
+/// every query order; the simulator's monotone access pattern pays one
+/// source lookup per segment instead of one per step.
 #[derive(Clone, Debug)]
-pub struct ReplayCursor<'a, S = TraceSource> {
-    replay: &'a PowerReplay<S>,
-    source: S,
+pub struct ReplayCursor<S = TraceSource> {
+    replay: PowerReplay<S>,
+    window: RailWindow,
 }
 
-impl<S: PowerSource + Clone> ReplayCursor<'_, S> {
-    /// Ambient power available at `t` (before conversion).
-    #[inline]
-    pub fn available_power(&mut self, t: Seconds) -> Watts {
-        self.source.power_at(t)
+/// One cached converted segment (see [`ReplayCursor`]).
+#[derive(Clone, Copy, Debug)]
+struct RailWindow {
+    /// The query time the segment was read at: the cache's lower bound.
+    from: f64,
+    /// `two_ulps_down(segment end)`: the cache's strict upper bound.
+    until: f64,
+    /// The converted rail power, before the OVP cutoff.
+    rail: Watts,
+}
+
+impl RailWindow {
+    /// A cache no query hits.
+    const EMPTY: Self = Self {
+        from: f64::INFINITY,
+        until: f64::NEG_INFINITY,
+        rail: Watts::ZERO,
+    };
+}
+
+impl<S: PowerSource + Clone> ReplayCursor<S> {
+    /// Reads the source segment covering `t`, caches its conversion and
+    /// returns its end.
+    fn refill(&mut self, t: Seconds) -> Seconds {
+        let seg = self.replay.source.segment(t);
+        self.window = RailWindow {
+            from: t.get(),
+            until: react_traces::two_ulps_down(seg.end.get()),
+            rail: self.replay.converter.converted_power(seg.power),
+        };
+        seg.end
     }
 
-    /// Rail power delivered at `t` with the buffer at `v_buffer`.
+    /// The cached rail power with the OVP cutoff applied at `v_buffer`.
+    #[inline]
+    fn cut_off(&self, v_buffer: Volts) -> Watts {
+        if self.replay.converter.ovp_cuts_off(v_buffer) {
+            Watts::ZERO
+        } else {
+            self.window.rail
+        }
+    }
+
+    /// Rail power delivered at `t` with the buffer at `v_buffer`: the
+    /// fine-step query, served from the cached segment.
     #[inline]
     pub fn rail_power(&mut self, t: Seconds, v_buffer: Volts) -> Watts {
-        let available = self.source.power_at(t);
-        self.replay.rail_power_from(available, v_buffer)
-    }
-
-    /// Charging current at `t` with the buffer at `v_buffer`; one source
-    /// lookup shared by the conversion and the clamp.
-    #[inline]
-    pub fn input_current(&mut self, t: Seconds, v_buffer: Volts) -> Amps {
-        let available = self.source.power_at(t);
-        self.replay.input_current_from(available, v_buffer)
-    }
-
-    /// Forwards a victim-side event to the underlying source's feedback
-    /// channel. Benign sources ignore it; adaptive adversaries
-    /// ([`react_env::AdaptiveAttack`]) commit strike windows in
-    /// response. Only this cursor's private source clone observes the
-    /// event — the shared [`PowerReplay`] stays untouched, so parallel
-    /// runs never leak feedback into each other.
-    #[inline]
-    pub fn observe(&mut self, event: VictimEvent) {
-        self.source.observe(event);
-    }
-
-    /// The piecewise-constant span covering `t`: available power plus
-    /// the time at which it next changes (`+inf` on a constant tail).
-    /// The adaptive kernel integrates analytically across whole spans —
-    /// this is the next-event hint that keeps closed-form idle advances
-    /// working over unbounded streaming horizons.
-    #[inline]
-    pub fn sample_window(&mut self, t: Seconds) -> (Watts, Seconds) {
-        let seg = self.source.segment(t);
-        (seg.power, seg.end)
+        let tt = t.get();
+        if !(tt >= self.window.from && tt < self.window.until) {
+            self.refill(t);
+        }
+        self.cut_off(v_buffer)
     }
 
     /// The piecewise-constant span covering `t` *after conversion*: the
     /// rail power the buffer charges from over the span, plus the
-    /// next-event hint. Because the converter's efficiency curve is a
-    /// static function of available power (and its OVP cutoff sits above
-    /// every buffer's rail clamp), a piecewise-constant source stays
-    /// piecewise-constant through it — one conversion covers the whole
-    /// segment, so the closed-form idle fast path survives non-ideal
-    /// converters unchanged.
+    /// next-event hint (`+inf` on a constant tail). Because the
+    /// converter's efficiency curve is a static function of available
+    /// power (and its OVP cutoff sits above every buffer's rail clamp),
+    /// one conversion covers the whole segment, so the closed-form
+    /// strides survive non-ideal converters unchanged. Always reads the
+    /// source, and leaves the span cached for the fine steps after it.
     #[inline]
     pub fn rail_window(&mut self, t: Seconds, v_buffer: Volts) -> (Watts, Seconds) {
-        let seg = self.source.segment(t);
-        (self.replay.rail_power_from(seg.power, v_buffer), seg.end)
+        let end = self.refill(t);
+        (self.cut_off(v_buffer), end)
+    }
+
+    /// The raw source span covering `t`: available power (before
+    /// conversion) plus the time at which it next changes.
+    #[inline]
+    pub fn sample_window(&mut self, t: Seconds) -> (Watts, Seconds) {
+        let seg = self.replay.source.segment(t);
+        (seg.power, seg.end)
+    }
+
+    /// Forwards a victim-side event to the underlying source's feedback
+    /// channel and drops the cached segment. Benign sources ignore the
+    /// event; adaptive adversaries ([`react_env::AdaptiveAttack`])
+    /// commit strike windows in response. Only this cursor's private
+    /// source observes the event — the replay it was cloned from stays
+    /// untouched, so parallel runs never leak feedback into each other.
+    #[inline]
+    pub fn observe(&mut self, event: VictimEvent) {
+        self.window = RailWindow::EMPTY;
+        self.replay.source.observe(event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use react_env::MarkovRf;
+    use react_env::{AdaptiveAttack, AttackPolicy, MarkovRf};
     use react_traces::PowerTrace;
 
     fn replay(power_mw: f64) -> PowerReplay {
@@ -279,6 +332,83 @@ mod tests {
         assert!((r.duration().get() - 100.0).abs() < 1e-9);
         assert_eq!(r.trace().name(), "const");
         assert_eq!(r.converter().kind(), crate::ConverterKind::Ideal);
+    }
+
+    #[test]
+    fn cached_rail_power_matches_the_uncached_conversion_bit_for_bit() {
+        // Samples straddle both converters' cold-start floors (5 µW and
+        // 15 µW, one sample exactly on each), on an inexact 0.1 s grid
+        // long enough to hold windows (16, 33, 38) whose last ulp reads
+        // the next sample.
+        let levels = [0.0, 4.0, 5.0, 6.0, 14.0, 15.0, 16.0, 900.0, 2.0e4];
+        let samples = (0..40).map(|i| Watts::from_micro(levels[i % 9])).collect();
+        let trace = PowerTrace::new("floors", Seconds::new(0.1), samples);
+        // Rail voltages on both sides of the 4.2 V OVP cutoff, one ulp
+        // below it and exactly on it.
+        let below_ovp = f64::from_bits(4.2_f64.to_bits() - 1);
+        let volts = [0.0, 2.5, below_ovp, 4.2, 5.0].map(Volts::new);
+        // An adversary that blacks the source out the instant it sees
+        // a boot: a cursor that kept its window across the event would
+        // answer with the pre-strike power.
+        let striking = AdaptiveAttack::new(
+            TraceSource::new(trace.clone()),
+            AttackPolicy::BootTriggered {
+                delay: Seconds::ZERO,
+                strike: Seconds::new(0.05),
+                rearm: Seconds::ZERO,
+            },
+        );
+        for converter in [Converter::rf_rectifier(), Converter::boost_charger()] {
+            check_cursor(&PowerReplay::new(trace.clone(), converter.clone()), &volts);
+            check_cursor(
+                &PowerReplay::from_source(striking.clone(), converter),
+                &volts,
+            );
+        }
+    }
+
+    /// Walks a 1 ms grid through `replay` with a cursor, a stride window
+    /// and a boot now and then, then probes the last two ulps below
+    /// every window end from inside the window, comparing every answer
+    /// bit for bit with the uncached conversion of an independent
+    /// source clone that sees the same events.
+    fn check_cursor<S: PowerSource + Clone>(replay: &PowerReplay<S>, volts: &[Volts]) {
+        let mut cursor = replay.cursor();
+        let mut uncached = replay.source().clone();
+        let mut t = 0.0;
+        let mut i = 0usize;
+        while t < 4.2 {
+            let v = volts[i % volts.len()];
+            let at = Seconds::new(t);
+            let got = match i % 97 {
+                // Strides read the window; feedback drops the cache.
+                0 => cursor.rail_window(at, v).0,
+                50 => {
+                    cursor.observe(VictimEvent::Boot { at });
+                    uncached.observe(VictimEvent::Boot { at });
+                    cursor.rail_power(at, v)
+                }
+                _ => cursor.rail_power(at, v),
+            };
+            let want = replay.rail_power_from(uncached.power_at(at), v);
+            assert_eq!(got.get().to_bits(), want.get().to_bits(), "t={t} v={v:?}");
+            t += 1e-3;
+            i += 1;
+        }
+        let v = volts[1];
+        for k in 0..40 {
+            let (_, end) = cursor.rail_window(Seconds::new((k as f64 + 0.5) * 0.1), v);
+            for ulps in [2, 1] {
+                let at = Seconds::new(f64::from_bits(end.get().to_bits() - ulps));
+                let want = replay.rail_power_from(uncached.power_at(at), v);
+                let got = cursor.rail_power(at, v);
+                assert_eq!(
+                    got.get().to_bits(),
+                    want.get().to_bits(),
+                    "{ulps} ulps below {end:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,13 @@ use crate::PowerTrace;
 
 /// Nudges a positive finite float down by two ulps (identity at 0 and
 /// `+inf`).
+///
+/// This is the conservative upper bound of every cached window in the
+/// workspace: a zero-order-hold lookup at a time in the last ulps below
+/// a computed window end can round onto the next sample, so a cache
+/// answers only strictly below `two_ulps_down(end)` and re-seeks above.
 #[inline]
-fn two_ulps_down(x: f64) -> f64 {
+pub fn two_ulps_down(x: f64) -> f64 {
     if x > 0.0 && x != f64::INFINITY {
         f64::from_bits(x.to_bits() - 2)
     } else {

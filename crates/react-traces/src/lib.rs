@@ -30,7 +30,7 @@ mod synth;
 mod trace;
 pub mod transform;
 
-pub use cursor::{PowerCursor, WindowCache};
+pub use cursor::{two_ulps_down, PowerCursor, WindowCache};
 pub use io::{read_csv, write_csv, TraceIoError};
 pub use library::{paper_trace, PaperTrace, Table3Row, TABLE3_TARGETS};
 pub use stats::TraceStats;

@@ -14,8 +14,12 @@
 //!
 //! Each case runs two strides, so the poll phase and cooldown one stride
 //! leaves behind shape the segments of the next.
+//!
+//! The fine-step cases pin the same state after runs of `step` from
+//! forced states: the network and bank bookkeeping of a fine step is
+//! meant to move only when outcomes are meant to move.
 
-use react_repro::buffers::{EnergyBuffer, MorphyBuffer, ReactBuffer};
+use react_repro::buffers::{EnergyBuffer, MorphyBuffer, ReactBuffer, StaticBuffer};
 use react_repro::circuit::BankMode;
 use react_repro::units::{Amps, Seconds, Volts, Watts};
 
@@ -228,6 +232,136 @@ fn react_staged_walk() {
         powered(&mut near, 5.0e-5, 3.0e-4, 6.0, 1.2, None),
     ];
     check("react staged", &got, REACT_STAGED);
+}
+
+/// Runs `n` fine steps at constant input and load, then pins the state
+/// (the advanced-time slot is `u64::MAX`: a fine step has no stride).
+fn fine(
+    b: &mut dyn EnergyBuffer,
+    input_w: f64,
+    load_a: f64,
+    n: usize,
+    mcu_running: bool,
+) -> Vec<u64> {
+    for _ in 0..n {
+        b.step(
+            Watts::new(input_w),
+            Amps::new(load_a),
+            Seconds::new(DT),
+            mcu_running,
+        );
+    }
+    pins(b, None)
+}
+
+/// Morphy's fine steps at both ends of the ladder: level 0 charging
+/// under a load and then draining dark; level 10 driven onto the rail
+/// clamp, then drawn down through `v_low` so the controller steps down.
+#[test]
+fn morphy_fine_steps_at_level_0_and_10() {
+    let mut low = morphy(0, 1.0);
+    let mut top = morphy(10, 3.0);
+    let got = [
+        fine(&mut low, 1.0e-3, 2.0e-4, 700, true),
+        fine(&mut low, 0.0, 1.0e-3, 300, true),
+        fine(&mut top, 0.05, 1.0e-3, 1500, true),
+        fine(&mut top, 0.0, 0.2, 900, true),
+    ];
+    check("morphy fine levels", &got, MORPHY_FINE_LEVELS);
+}
+
+/// Morphy fine-stepping a mid-ladder partition right after a reconfigure
+/// whose chains sit at different terminal voltages: the fabric
+/// equalizes them on the first step (switch loss) and the within-chain
+/// imbalance leaks off.
+#[test]
+fn morphy_fine_steps_unbalanced_after_reconfigure() {
+    let mut m = morphy(3, 2.5);
+    assert!(m.defensive_reconfigure());
+    m.set_all_voltages(Volts::new(0.7));
+    let got = [
+        fine(&mut m, 0.0, 0.0, 1, true),
+        fine(&mut m, 2.0e-3, 5.0e-4, 450, true),
+        fine(&mut m, 0.0, 5.0e-4, 450, false),
+    ];
+    check("morphy fine unbalanced", &got, MORPHY_FINE_UNBALANCED);
+}
+
+/// A capacitance fade mid-run: Morphy does not model the drift, so its
+/// fine steps carry on from an untouched network.
+#[test]
+fn morphy_fine_steps_through_a_capacitance_fade() {
+    use react_repro::circuit::FaultKind;
+    let mut m = morphy(5, 2.2);
+    let mut got = vec![fine(&mut m, 1.0e-3, 3.0e-4, 400, true)];
+    assert!(!m.apply_fault(FaultKind::CapacitanceFade { factor: 0.7 }));
+    got.push(fine(&mut m, 1.0e-3, 3.0e-4, 400, true));
+    check("morphy fine fade", &got, MORPHY_FINE_FADE);
+}
+
+/// REACT fine steps with disconnected banks holding charge: each leaks
+/// on its own while the LLB and a connected parallel bank carry the
+/// load; then the MCU drops and every switch opens.
+#[test]
+fn react_fine_steps_with_disconnected_banks_leaking() {
+    let mut r = ReactBuffer::paper_prototype();
+    r.set_llb_voltage(Volts::new(2.6));
+    r.force_bank_state(0, Volts::new(2.6), BankMode::Parallel);
+    r.force_bank_state(2, Volts::new(1.0), BankMode::Disconnected);
+    r.force_bank_state(3, Volts::new(0.8), BankMode::Disconnected);
+    r.force_bank_state(4, Volts::new(1.2), BankMode::Disconnected);
+    let got = [
+        fine(&mut r, 1.0e-5, 2.0e-6, 600, true),
+        fine(&mut r, 1.0e-5, 0.0, 400, false),
+    ];
+    check("react fine disconnected", &got, REACT_FINE_DISCONNECTED);
+}
+
+/// REACT fine steps whose harvest routes to a connected series bank
+/// sitting below the LLB, until it charges up to the LLB and couples.
+#[test]
+fn react_fine_steps_route_input_to_a_connected_bank() {
+    let mut r = ReactBuffer::paper_prototype();
+    r.set_llb_voltage(Volts::new(2.4));
+    r.force_bank_state(0, Volts::new(2.4), BankMode::Parallel);
+    r.force_bank_state(1, Volts::new(0.2), BankMode::Series);
+    let got = [
+        fine(&mut r, 2.0e-3, 1.0e-4, 250, true),
+        fine(&mut r, 2.0e-3, 1.0e-4, 900, true),
+    ];
+    check("react fine routed", &got, REACT_FINE_ROUTED);
+}
+
+/// REACT fine steps through polls that reconfigure: the LLB is drawn
+/// down through `v_low`, the poll boosts the parallel bank to series,
+/// and the drain sweep right after it dumps the boosted bank into the
+/// LLB; then a strong harvest climbs through `v_high`.
+#[test]
+fn react_fine_steps_drain_sweep_after_a_poll() {
+    let mut r = ReactBuffer::paper_prototype();
+    r.set_llb_voltage(Volts::new(1.95));
+    r.force_bank_state(0, Volts::new(1.95), BankMode::Parallel);
+    let got = [
+        fine(&mut r, 0.0, 2.0e-3, 120, true),
+        fine(&mut r, 0.0, 2.0e-3, 200, true),
+        fine(&mut r, 0.08, 1.0e-4, 1200, true),
+    ];
+    check("react fine drain sweep", &got, REACT_FINE_DRAIN_SWEEP);
+}
+
+/// A static capacitor's fine steps, the bulk of every fine-stepped
+/// matrix: charged onto its voltage ceiling under a load (clipping),
+/// drained to empty (the zero-voltage leak path), then recharged.
+#[test]
+fn static_fine_steps_clip_drain_and_recharge() {
+    let mut c = StaticBuffer::static_770uf();
+    c.set_voltage(Volts::new(1.0));
+    let got = [
+        fine(&mut c, 1.0e-2, 1.0e-3, 1500, true),
+        fine(&mut c, 0.0, 2.0e-3, 1500, true),
+        fine(&mut c, 1.0e-4, 0.0, 500, false),
+    ];
+    check("static fine", &got, STATIC_FINE);
 }
 
 const MORPHY_IDLE_LEVEL0: &[&[u64]] = &[
@@ -594,5 +728,285 @@ const REACT_STAGED: &[&[u64]] = &[
         0x3ee1bded8bdf1bdd,
         0x0000000000000002,
         0x0000000000000001,
+    ],
+];
+const MORPHY_FINE_LEVELS: &[&[u64]] = &[
+    &[
+        0xffffffffffffffff,
+        0x40015d895f1b12e1,
+        0x3f46f4bbe1b39959,
+        0x3f46f4bbe1b39959,
+        0x0000000000000000,
+        0x3e8b9312f3ee2400,
+        0x0000000000000000,
+        0x3c4f000000000000,
+        0x3f2efb8ce02bc072,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x3fef0e367a3ac8f0,
+        0x3f46f4bbe1b39959,
+        0x3f46f4bbe1b39959,
+        0x0000000000000000,
+        0x3e92f75a93318300,
+        0x0000000000000000,
+        0x3c52400000000000,
+        0x3f472f58e24d8a21,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x400ccccccccccccc,
+        0x3fb33390fcecc645,
+        0x3fa2f1512333435e,
+        0x3fa375d0d6a649ef,
+        0x3f1e1e6579456c00,
+        0x0000000000000000,
+        0x3d13c00000000000,
+        0x3f754f2c44b5d790,
+        0x0000000000000000,
+        0x000000000000000a,
+        0x0000000000000000,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x0000000000000000,
+        0x3fb33390fcecc645,
+        0x3fa2f1512333435e,
+        0x3fa375d0d6a649ef,
+        0x3f2016f3e3ea853d,
+        0x0000000000000000,
+        0x3f537d5392621f12,
+        0x3fbb913f56ae070e,
+        0x0000000000000000,
+        0x0000000000000007,
+        0x0000000000000003,
+    ],
+];
+const MORPHY_FINE_UNBALANCED: &[&[u64]] = &[
+    &[
+        0xffffffffffffffff,
+        0x3ffae146fb1f7ed9,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3e280d438e900000,
+        0x0000000000000000,
+        0x3f4cc6214092af18,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000004,
+        0x0000000000000001,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x3ffcca581de66d6a,
+        0x3f4d7ec4e35f1684,
+        0x3f4d7ec4e35f1684,
+        0x0000000000000000,
+        0x3eb674fddb9a5e40,
+        0x0000000000000000,
+        0x3f507fdcacfbd0f4,
+        0x3f39a7588d600620,
+        0x0000000000000000,
+        0x0000000000000003,
+        0x0000000000000002,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x400009aa5d5f1cc4,
+        0x3f4d7ec4e35f1684,
+        0x3f4d7ec4e35f1684,
+        0x0000000000000000,
+        0x3ec4f93d04f80eb0,
+        0x0000000000000000,
+        0x3f61948a4c9e27ed,
+        0x3f4a9125fb3c6a78,
+        0x0000000000000000,
+        0x0000000000000001,
+        0x0000000000000004,
+    ],
+];
+const MORPHY_FINE_FADE: &[&[u64]] = &[
+    &[
+        0xffffffffffffffff,
+        0x4001b838a60f173d,
+        0x3f3a370efdbad640,
+        0x3f3a370efdbad640,
+        0x0000000000000000,
+        0x3ec9f43e9ada1000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f315c2c490a7b60,
+        0x0000000000000000,
+        0x0000000000000005,
+        0x0000000000000000,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x4001d638487c52cd,
+        0x3f4a370eb2d66900,
+        0x3f4a370eb2d66900,
+        0x0000000000000000,
+        0x3eda20efeb37d000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f416b1208565160,
+        0x0000000000000000,
+        0x0000000000000005,
+        0x0000000000000000,
+    ],
+];
+const REACT_FINE_DISCONNECTED: &[&[u64]] = &[
+    &[
+        0xffffffffffffffff,
+        0x4004c656f799d856,
+        0x3ed92a750c514800,
+        0x3ed92a750c514800,
+        0x0000000000000000,
+        0x3ee1debb913865a0,
+        0x3d9353d740000000,
+        0x0000000000000000,
+        0x3eca28106b971400,
+        0x3ee25efb8ab83300,
+        0x0000000000000002,
+        0x0000000000000000,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x4004c7e09323f3de,
+        0x3ee4f8b6ddfe6400,
+        0x3ee4f8b6ddfe6400,
+        0x0000000000000000,
+        0x3eedc4fea4c8f520,
+        0x3d9353d740000000,
+        0x0000000000000000,
+        0x3eca28106b971400,
+        0x3ee335bb1e334600,
+        0x0000000000000000,
+        0x0000000000000000,
+    ],
+];
+const REACT_FINE_ROUTED: &[&[u64]] = &[
+    &[
+        0xffffffffffffffff,
+        0x40034665f25fd75a,
+        0x3f406ea00d750fd0,
+        0x3f406ea00d750fd0,
+        0x0000000000000000,
+        0x3ec279524aff0eac,
+        0x3e6e7f9e17160000,
+        0x0000000000000000,
+        0x3f0f5dba1933d900,
+        0x3edd91db0c320c00,
+        0x0000000000000003,
+        0x0000000000000000,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x4006446277ad3201,
+        0x3f62dcddd52470be,
+        0x3f62dcddd52470be,
+        0x0000000000000000,
+        0x3ee8ff9f3f80c63b,
+        0x3eaca7c429154000,
+        0x0000000000000000,
+        0x3f334360101c1c90,
+        0x3f0100ab2b240140,
+        0x0000000000000003,
+        0x0000000000000000,
+    ],
+];
+const REACT_FINE_DRAIN_SWEEP: &[&[u64]] = &[
+    &[
+        0xffffffffffffffff,
+        0x40009c90d00250ab,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3ea3aba22709f440,
+        0x3f3cbda74d18bf7c,
+        0x0000000000000000,
+        0x3f3e2297813f7190,
+        0x3ebd64c35f568400,
+        0x0000000000000001,
+        0x0000000000000001,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x3ff92e999b93587c,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3eb3914974875920,
+        0x3f3cbdf57ac069bc,
+        0x0000000000000000,
+        0x3f538771e86a4b72,
+        0x3ec980559b7d2800,
+        0x0000000000000000,
+        0x0000000000000002,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x400c91a2f54bd028,
+        0x3fb6efb4b6c7335f,
+        0x3fb005a00a7564d5,
+        0x3f9ba852b1473a33,
+        0x3f0f651c487e4468,
+        0x3f3cbe994da930bc,
+        0x0000000000000000,
+        0x3f5a845cad07abf2,
+        0x3f0be45d291b9950,
+        0x000000000000000a,
+        0x000000000000000c,
+    ],
+];
+const STATIC_FINE: &[&[u64]] = &[
+    &[
+        0xffffffffffffffff,
+        0x400ccccccccccccc,
+        0x3f8ebdf2919ba4cd,
+        0x3f834017198d9310,
+        0x3f76fbb6f01c21be,
+        0x3ee9f5756e8c9ee0,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f7396ed91cfc359,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x0000000000000000,
+        0x3f8ebdf2919ba4cd,
+        0x3f834017198d9310,
+        0x3f76fbb6f01c21be,
+        0x3ef1dcdd07138c6e,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f8401027e4f96f3,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x3fcbb2da7f35f8c3,
+        0x3f8ec7671daf45a6,
+        0x3f83498ba5a133e9,
+        0x3f76fbb6f01c21be,
+        0x3ef1de7cf80f5402,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f8401027e4f96f3,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
     ],
 ];
