@@ -504,8 +504,10 @@ pub struct PoweredSolution {
 }
 
 /// Antiderivative bundle for `q(v) = a·v² + b·v + c`: `i1 = ∫ v/q dv`
-/// gives crossing times (`t = C·Δi1`), `i2 = ∫ v²/q dv` gives the load
-/// integral (`∫v dt = C·Δi2`). Only evaluated on root-free intervals —
+/// gives crossing times (`t = C·Δi1`), `i2 = ∫ v²/q dv` the load
+/// integral (`∫v dt = C·Δi2`, or better conditioned, `r·t` plus `C`
+/// times [`Quad::excess_over_root`]). Only evaluated on root-free
+/// intervals —
 /// the walker confines each segment between its regime boundaries and
 /// the nearest equilibrium, where `q` keeps one sign.
 #[derive(Clone, Copy, Debug)]
@@ -567,6 +569,32 @@ impl Quad {
             return v * v / (2.0 * b) - (c / b) * self.i1(v);
         }
         v / a - (b / a) * self.i1(v) - (c / a) * self.i0(v)
+    }
+
+    /// `∫ v·(v − r)/q dv` from `v0` to `v1`, for a root `r` of `q`: so
+    /// `C` times it is `∫(v − r) dt` along a trajectory settling on `r`.
+    /// Factoring `q = (v − r)·(a·v + β)` with `β = b + a·r` leaves the
+    /// integrand `v/(a·v + β)`, which is regular at `r` — unlike `i2`,
+    /// whose difference cancels catastrophically there. With
+    /// `h = Δv/(1 + u·v0)`, `u = a/β` and `z = u·h`, the integral is
+    /// `(v0·h + h²·φ(z))/β` for `φ(z) = (z − ln(1 + z))/z²`, a series
+    /// near `z = 0` (the leak-free `a = 0` case is `φ = ½`). `None` at a
+    /// double root (`q'(r) = a·r + β = 0`, as for pure leakage decay
+    /// toward 0 V), where the cofactor vanishes at `r` too.
+    fn excess_over_root(&self, r: f64, v0: f64, v1: f64) -> Option<f64> {
+        let beta = self.b + self.a * r;
+        if self.a * r + beta == 0.0 {
+            return None;
+        }
+        let u = self.a / beta;
+        let h = (v1 - v0) / (1.0 + u * v0);
+        let z = u * h;
+        let phi = if z.abs() < 1e-3 {
+            0.5 - z * (1.0 / 3.0 - z * (0.25 - z * (0.2 - z / 6.0)))
+        } else {
+            (z - z.ln_1p()) / (z * z)
+        };
+        Some((v0 * h + h * h * phi) / beta).filter(|x| x.is_finite())
     }
 
     /// Real roots in ascending order.
@@ -687,25 +715,54 @@ pub fn integrate_powered(
     };
 
     // Books one integrated segment, closing the leakage flow against
-    // the energy identity so the ledger balances exactly.
+    // the energy identity so the ledger balances exactly. `∫v dt` is
+    // `c·Δi2` (a segment that cannot move books its start voltage), as
+    // long as the leakage it closes on stays physical: on a monotone
+    // segment `∫G·v² dt` lies between `G·lo²·t` and `G·hi²·t`. Outside
+    // that band the `i2` difference has cancelled — near the root, or
+    // under a small leakage against a milliamp load — and `∫v dt` is
+    // re-taken as `root·t` plus the regular excess `∫(v − root) dt`
+    // about a real root of `q`, which books the time a settled
+    // trajectory sits at its root at the root's voltage.
     let book = |sol: &mut PoweredSolution,
                 quad: &Quad,
                 v0: f64,
                 v1: f64,
                 t: f64,
                 i_const: Option<f64>,
-                drain_on: bool| {
-        let int_v = c * (quad.i2(v1) - quad.i2(v0));
-        let delivered = match i_const {
-            Some(i) => i * int_v,
-            None => p * t,
-        };
-        let load = i_load * int_v;
+                drain_on: bool,
+                root: Option<f64>| {
         let drained = if drain_on { p_drain * t } else { 0.0 };
         let de = 0.5 * c * (v1 * v1 - v0 * v0);
-        // ∫q dt = ΔE ⇒ leaked = delivered − drained − load − ΔE exactly;
-        // clamp the g = 0 case's rounding dust at zero and re-close.
-        let leaked = (delivered - drained - load - de).max(0.0);
+        // (delivered, load, leaked) for one `∫v dt`: ∫q dt = ΔE ⇒
+        // leaked = delivered − drained − load − ΔE exactly.
+        let flows = |int_v: f64| {
+            let delivered = match i_const {
+                Some(i) => i * int_v,
+                None => p * t,
+            };
+            let load = i_load * int_v;
+            (delivered, load, delivered - drained - load - de)
+        };
+        let mut f = flows(if v1 == v0 {
+            v0 * t
+        } else {
+            c * (quad.i2(v1) - quad.i2(v0))
+        });
+        let (lo, hi) = (v0.min(v1), v0.max(v1));
+        let dust = 1e-12 * (f.0.abs() + f.1.abs() + de.abs() + drained);
+        let physical =
+            f.2.is_finite() && f.2 >= g * lo * lo * t - dust && f.2 <= g * hi * hi * t + dust;
+        if !physical {
+            if let Some(r) = root {
+                if let Some(excess) = quad.excess_over_root(r, v0, v1) {
+                    f = flows(r * t + c * excess);
+                }
+            }
+        }
+        let (_, load, leaked) = f;
+        // Clamp the g = 0 case's rounding dust at zero and re-close.
+        let leaked = leaked.max(0.0);
         sol.delivered += de + leaked + drained + load;
         sol.leaked += leaked;
         sol.drained += drained;
@@ -834,17 +891,34 @@ pub fn integrate_powered(
 
         if let Some(r) = blocking {
             let v_end = quad.invert(c, v, r, remaining);
-            book(&mut sol, &quad, v, v_end, remaining, i_const, drain_on);
+            book(
+                &mut sol,
+                &quad,
+                v,
+                v_end,
+                remaining,
+                i_const,
+                drain_on,
+                Some(r),
+            );
             return Some(sol);
         }
+        // No root lies on this segment: anchor its booking on the real
+        // root nearest the rail, whose cofactor stays farthest from 0.
+        let anchor = [r_lo, r_hi]
+            .into_iter()
+            .flatten()
+            .min_by(|x, y| (x - v).abs().total_cmp(&(y - v).abs()));
 
         let t_hit = c * (quad.i1(vb) - quad.i1(v));
         if !t_hit.is_finite() || t_hit >= remaining {
             let v_end = quad.invert(c, v, vb, remaining);
-            book(&mut sol, &quad, v, v_end, remaining, i_const, drain_on);
+            book(
+                &mut sol, &quad, v, v_end, remaining, i_const, drain_on, anchor,
+            );
             return Some(sol);
         }
-        book(&mut sol, &quad, v, vb, t_hit, i_const, drain_on);
+        book(&mut sol, &quad, v, vb, t_hit, i_const, drain_on, anchor);
         remaining -= t_hit;
         // Land an ulp past the boundary so the next iteration
         // classifies into the adjacent regime (never above the clamp,

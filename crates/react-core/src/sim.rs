@@ -5,20 +5,25 @@
 //! * [`KernelMode::FixedDt`] — the reference loop: every run advances in
 //!   uniform `dt` steps (1 ms by default). Simple, slow, and the ground
 //!   truth the adaptive kernel is validated against.
-//! * [`KernelMode::Adaptive`] (default) — in the two regimes where a
-//!   batteryless node spends almost all of its time, nothing in the
-//!   system needs millisecond resolution. While the power gate is open
-//!   and the MCU is off, the buffer just integrates harvested charge
-//!   ([`EnergyBuffer::idle_advance`], up to the enable-voltage
-//!   crossing); while the MCU sleeps in LPM3 between workload wakes, it
-//!   integrates charge against the standing sleep draw
-//!   ([`EnergyBuffer::powered_advance`], up to the next wake or the
-//!   brown-out crossing). Both closed forms run through one stride
+//! * [`KernelMode::Adaptive`] (default) — wherever the load holds
+//!   still, nothing in the system needs millisecond resolution. While
+//!   the power gate is open and the MCU is off, the buffer just
+//!   integrates harvested charge ([`EnergyBuffer::idle_advance`], up to
+//!   the enable-voltage crossing); while the MCU sleeps in LPM3 between
+//!   workload wakes, it integrates charge against the standing sleep
+//!   draw ([`EnergyBuffer::powered_advance`], up to the next wake or
+//!   the brown-out crossing); and while a running workload declares its
+//!   demand steady ([`WakeHint::Steady`]), the same closed form carries
+//!   the buffer under the active draw, and the workload's own `step` is
+//!   replayed once per covered step. All three run through one stride
 //!   path over whole zero-order-hold source windows, quantized back
 //!   onto the `dt` grid, collapsing ~10⁵-step phases into a handful of
-//!   strides. The moment the workload runs — or a buffer has no closed
-//!   form — the kernel drops back to fine `dt` steps, so workload
-//!   semantics are bit-identical.
+//!   strides. Wherever the demand may change — or a buffer has no
+//!   closed form — the kernel drops back to fine `dt` steps. Sleep and
+//!   idle strides leave workload semantics bit-identical; active
+//!   strides keep the workload's operations bit-identical to the same
+//!   count of fine steps, while the buffer's trajectory moves within
+//!   the kernel-equivalence tolerance.
 //!
 //! Both kernels read their input through one
 //! [`ReplayCursor`](react_harvest::ReplayCursor): a stride asks it for
@@ -335,7 +340,8 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> Simulato
 /// order as a monolithic run.
 ///
 /// Each iteration of [`SimCore::advance`] is either one closed-form
-/// coarse stride (idle or LPM3-sleep fast path) or one fine `dt` step;
+/// coarse stride (idle, LPM3-sleep or steady-active fast path) or one
+/// fine `dt` step;
 /// [`SimCore::now`] exposes the cell clock between iterations. The core
 /// owns the run's [`ReplayCursor`]: strides read a whole converted
 /// source window from it, fine steps the cached rail power at the
@@ -360,9 +366,15 @@ pub struct SimCore<
     software_overhead: f64,
     feedback: bool,
     /// Which regimes have a closed-form fast path, indexed by
-    /// [`Regime::index`] (never the active regime).
+    /// [`Regime::index`]. The active regime's is taken only while the
+    /// workload declares its demand steady.
     fast: [bool; Regime::COUNT],
     sleep_peripheral: Amps,
+    /// Peripheral current of the workload's last demand when that
+    /// demand was `Active` and the workload declared it steady
+    /// ([`WakeHint::Steady`]) right after the step; `None` otherwise and
+    /// across a power cycle. An active stride holds this load.
+    steady_peripheral: Option<Amps>,
     t: Seconds,
     probe_acc: Seconds,
     on_since: Option<Seconds>,
@@ -504,8 +516,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             kernel == KernelMode::Adaptive
                 && match regime {
                     Regime::Idle => buffer.supports_idle_fast_path(),
-                    Regime::Sleep => buffer.supports_powered_fast_path(),
-                    Regime::Active => false,
+                    Regime::Sleep | Regime::Active => buffer.supports_powered_fast_path(),
                 }
         });
         let base_enable = gate.enable_voltage();
@@ -530,6 +541,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             // wake-up receiver). Valid whenever the MCU sits in `Sleep`,
             // which only a workload step can request.
             sleep_peripheral: Amps::ZERO,
+            steady_peripheral: None,
             t: Seconds::ZERO,
             probe_acc: Seconds::ZERO,
             on_since: None,
@@ -812,7 +824,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         self.engine_steps += 1;
         self.t += advanced;
         self.note_reconfigs();
-        let on = kind == StrideKind::Powered;
+        let on = kind != StrideKind::Idle;
         if on {
             self.metrics.on_time += advanced;
         }
@@ -885,7 +897,11 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             }
         }
 
-        let (idle, sleep) = (Regime::Idle.index(), Regime::Sleep.index());
+        let (idle, sleep, active) = (
+            Regime::Idle.index(),
+            Regime::Sleep.index(),
+            Regime::Active.index(),
+        );
         let stride = if self.fast[idle]
             && !self.degraded[idle]
             && v_ok
@@ -924,6 +940,21 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
                 // energy-satisfied, or deadline-due.
                 None => Err(FallbackReason::TransitionDue),
             })
+        } else if self.fast[active]
+            && !self.degraded[active]
+            && v_ok
+            && self.gate.is_closed()
+            && self.mcu.is_running()
+            && self.mcu.mode() == PowerMode::Active
+            && v > self.gate.brownout_voltage()
+            && self.holds_steady()
+        {
+            // Adaptive active fast path: gate closed, MCU running a
+            // workload whose demand holds — the buffer integrates the
+            // active draw in closed form up to the source window, a
+            // probe, a fault event or the brown-out crossing, and the
+            // workload replays its steps across the stride.
+            Some(self.try_stride(StrideKind::Active, (Seconds::new(f64::INFINITY), None)))
         } else {
             None
         };
@@ -953,6 +984,44 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         }
     }
 
+    /// Whether an active stride may hold the workload's last demand:
+    /// the workload declared it steady after its last step, and no
+    /// defensive hold is pending. A poll-service step draws the active
+    /// current without the demand's peripheral, so under poll overhead
+    /// only a peripheral-free demand holds.
+    fn holds_steady(&self) -> bool {
+        self.hold_until.is_none()
+            && self
+                .steady_peripheral
+                .is_some_and(|p| p == Amps::ZERO || self.software_overhead == 0.0)
+    }
+
+    /// Replays the workload across `steps` steps covered by an active
+    /// stride from its entry `env`, as fine steps would drive it (only
+    /// the clock advances; the steady demand does not read the rest): a
+    /// step with poll debt due services the buffer's software instead
+    /// of the workload (same active draw), every other step runs the
+    /// workload, which returns its steady demand and accrues the poll
+    /// overhead.
+    fn replay_steady(&mut self, steps: u64, mut env: WorkloadEnv) {
+        let dt = self.dt.get();
+        let t0 = self.t;
+        for i in 0..steps {
+            if self.poll_debt >= dt {
+                self.poll_debt -= dt;
+                continue;
+            }
+            env.now = t0 + Seconds::new(dt * i as f64);
+            let demand = self.workload.step(&env);
+            debug_assert_eq!(
+                (demand.mode, Some(demand.peripheral_current)),
+                (PowerMode::Active, self.steady_peripheral),
+                "a workload declaring WakeHint::Steady changed its demand"
+            );
+            self.poll_debt += self.software_overhead * dt;
+        }
+    }
+
     /// Where an LPM3 sleep stride must stop: a wake *time* plus, for
     /// §3.4.1 energy waits, a wake *voltage* — the rail level at which
     /// the buffer's usable pool first covers the workload's threshold,
@@ -972,7 +1041,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         }
         let env = self.workload_env(v);
         match self.workload.next_wake(&env) {
-            WakeHint::Immediate => None,
+            WakeHint::Immediate | WakeHint::Steady => None,
             // A stale hint (at or behind the clock) gets the fine-step
             // treatment rather than a zero stride.
             WakeHint::At(tw) if tw > self.t => Some((tw, None)),
@@ -994,10 +1063,12 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
 
     /// Attempts one closed-form coarse stride of `kind`, stopping at
     /// the source window, the next probe sample, or `wake` (a time and,
-    /// for sleep strides, an optional wake voltage). On success the
-    /// stride is committed and audited, and a gate edge the closed form
-    /// parked on is serviced at the commit. On refusal nothing has
-    /// advanced and the error says why the iteration fine-steps.
+    /// for sleep strides, an optional wake voltage). An active stride
+    /// covers whole `dt` steps only, so the workload replays an exact
+    /// step count. On success the stride is committed and audited, and
+    /// a gate edge the closed form parked on is serviced at the commit.
+    /// On refusal nothing has advanced and the error says why the
+    /// iteration fine-steps.
     fn try_stride(
         &mut self,
         kind: StrideKind,
@@ -1010,7 +1081,10 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             // Never integrate across a probe boundary.
             stride_end = stride_end.min(self.t + (interval - self.probe_acc).max(dt));
         }
-        let stride = stride_end - self.t;
+        let mut stride = stride_end - self.t;
+        if kind == StrideKind::Active {
+            stride = dt * (stride.get() / dt.get()).floor();
+        }
         let long_enough = stride >= calib::MIN_COARSE_STRIDE.max(dt + dt);
         if !p_rail.get().is_finite() {
             return Err(FallbackReason::NanGuard);
@@ -1022,17 +1096,23 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             .auditor
             .is_some()
             .then(|| AuditSnapshot::capture(&self.buffer));
+        let entry_env =
+            (kind == StrideKind::Active).then(|| self.workload_env(self.buffer.rail_voltage()));
         let advanced = match kind {
             StrideKind::Idle => {
                 self.buffer
                     .idle_advance(p_rail, stride, self.gate.enable_voltage(), dt)
             }
-            StrideKind::Powered => {
-                let i_sleep = self.mcu.running_current() + self.sleep_peripheral;
+            StrideKind::Powered | StrideKind::Active => {
+                let held = if kind == StrideKind::Active {
+                    self.steady_peripheral.unwrap_or(Amps::ZERO)
+                } else {
+                    self.sleep_peripheral
+                };
                 self.buffer
                     .powered_advance(
                         p_rail,
-                        i_sleep,
+                        self.mcu.running_current() + held,
                         stride,
                         self.gate.brownout_voltage(),
                         v_wake,
@@ -1042,6 +1122,13 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             }
         };
         if advanced.get() > 0.0 {
+            if let Some(env) = entry_env {
+                // The quantized brown-out crossing lands inside the last
+                // covered step, whose entry the gate still saw closed:
+                // the workload ran in every covered step.
+                let steps = (advanced.get() / dt.get()).round() as u64;
+                self.replay_steady(steps, env);
+            }
             self.commit_stride(advanced, kind);
             self.audit_stride(snap, p_rail, advanced, stride, kind.regime());
             // A stride that parked on a gate crossing has *discovered*
@@ -1149,6 +1236,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
                 }
             } else {
                 self.mcu.power_off();
+                self.steady_peripheral = None;
                 self.workload.on_power_down(self.t);
                 if let Some(start) = self.on_since.take() {
                     let len = (self.t - start).get();
@@ -1246,6 +1334,15 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
                     if mode == react_mcu::PowerMode::Sleep {
                         self.sleep_peripheral = peripheral_current;
                     }
+                    // After each active step, ask with that step's
+                    // environment whether its demand now holds for every
+                    // later step; an active stride relies on the answer.
+                    let active = Regime::Active.index();
+                    self.steady_peripheral = (mode == react_mcu::PowerMode::Active
+                        && self.fast[active]
+                        && !self.degraded[active]
+                        && self.workload.next_wake(&env) == WakeHint::Steady)
+                        .then_some(peripheral_current);
                     if self.feedback {
                         // Radio spans, by their draw signature: the
                         // RF workloads key 6–18 mA peripherals, so a
@@ -1324,6 +1421,10 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             // annotated: the entry state makes fine stepping inherent.
             let r = entry_regime.index();
             let reason = fine_reason.unwrap_or(match entry_regime {
+                // An active stride is attempted only for a workload that
+                // declares a steady demand; any other active step is
+                // inherent, unless the auditor degraded the fast path.
+                Regime::Active if self.degraded[r] => FallbackReason::AuditDegraded,
                 Regime::Active => FallbackReason::McuActive,
                 _ if !v_ok => FallbackReason::NanGuard,
                 _ if !self.fast[r] => FallbackReason::FastPathOff,

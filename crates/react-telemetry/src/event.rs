@@ -34,8 +34,10 @@ pub enum FallbackReason {
     /// The fast path is switched off: fixed-`dt` reference kernel, or
     /// a buffer that does not support the closed form for this regime.
     FastPathOff,
-    /// The MCU is actively executing; fine stepping is inherent to the
-    /// active regime, not a fallback.
+    /// The MCU is actively executing a workload that has not declared
+    /// its demand steady (`WakeHint::Steady`), or is booting: each step
+    /// may change the demand, so fine stepping is inherent, not a
+    /// fallback. A refused active stride carries its own reason instead.
     McuActive,
     /// The invariant auditor tripped on a committed stride and
     /// permanently degraded this regime's fast path to fine stepping
@@ -137,6 +139,9 @@ pub enum StrideKind {
     Idle,
     /// LPM3 sleep integration up to wake or brown-out.
     Powered,
+    /// MCU-active integration under a workload's steady demand, up to
+    /// the source window, a probe, a fault event or brown-out.
+    Active,
 }
 
 impl StrideKind {
@@ -145,6 +150,7 @@ impl StrideKind {
         match self {
             StrideKind::Idle => Regime::Idle,
             StrideKind::Powered => Regime::Sleep,
+            StrideKind::Active => Regime::Active,
         }
     }
 
@@ -153,6 +159,7 @@ impl StrideKind {
         match self {
             StrideKind::Idle => "idle-stride",
             StrideKind::Powered => "sleep-stride",
+            StrideKind::Active => "active-stride",
         }
     }
 }

@@ -92,9 +92,10 @@ impl Workload for DataEncryption {
         LoadDemand::active()
     }
 
-    /// DE never sleeps — the CPU encrypts continuously.
+    /// DE never sleeps — the CPU encrypts continuously at one constant
+    /// draw, so its demand is steady from boot to brown-out.
     fn next_wake(&self, _env: &WorkloadEnv) -> WakeHint {
-        WakeHint::Immediate
+        WakeHint::Steady
     }
 
     fn finalize(&mut self, _now: Seconds) {}

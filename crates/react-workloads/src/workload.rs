@@ -73,12 +73,25 @@ impl LoadDemand {
 /// threshold (the kernel stops the stride at the predicted crossing).
 /// At the hinted wake-up the demand differs or a timer/event fires
 /// (the wake-hint property suite enforces this).
+///
+/// A *running* workload may answer [`WakeHint::Steady`] instead: every
+/// step from now until power-down returns the demand of its last step
+/// (an `Active` mode and its peripheral current), whatever the rail
+/// voltage and usable energy. The kernel then integrates the buffer in
+/// closed form under that constant load, and replays the workload's
+/// own `step` once per covered step, so its counters advance exactly
+/// as fine steps would advance them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum WakeHint {
     /// No coarse stride may be taken: the workload is active, about to
     /// act, or its sleep demand depends on state the kernel cannot
     /// reduce to a wake condition.
     Immediate,
+    /// Running, and every step returns the demand of the last step,
+    /// whatever the rail voltage and usable energy, until power-down.
+    /// Only a workload whose last demand was `Active` may answer it; a
+    /// sleeping workload's LPM3 path treats it as [`WakeHint::Immediate`].
+    Steady,
     /// Asleep until the given absolute time.
     At(Seconds),
     /// A §3.4.1 longevity wait: asleep until `usable_energy` first
@@ -119,11 +132,14 @@ pub trait Workload {
     /// One simulation step while running; returns the load demand.
     fn step(&mut self, env: &WorkloadEnv) -> LoadDemand;
 
-    /// Where the workload's next wake-up lies (see [`WakeHint`] for the
-    /// exact contract). The default is the always-safe
-    /// [`WakeHint::Immediate`], which keeps today's fine-step behavior;
-    /// duty-cycled workloads override it with their next timer deadline
-    /// so the kernel can integrate whole LPM3 stretches in closed form.
+    /// Where the workload's next wake-up lies, or whether its running
+    /// demand holds (see [`WakeHint`] for the exact contract). The
+    /// default is the always-safe [`WakeHint::Immediate`], which keeps
+    /// fine-step behavior; duty-cycled workloads override it with their
+    /// next timer deadline so the kernel can integrate whole LPM3
+    /// stretches in closed form, and a workload whose active demand
+    /// never changes (DE) answers [`WakeHint::Steady`] so the kernel can
+    /// integrate its MCU-active time too.
     fn next_wake(&self, env: &WorkloadEnv) -> WakeHint {
         let _ = env;
         WakeHint::Immediate

@@ -8,14 +8,17 @@
 //! timer hint — and at the hinted time the demand differs or a
 //! timer/event fires. A stale hint that silently held would corrupt
 //! the fast path (the kernel would freeze a workload that needed to
-//! run), which is exactly what these properties guard against.
+//! run), which is exactly what these properties guard against. A
+//! running workload that declares its demand steady must return that
+//! one `Active` demand on every later step, under randomized energy
+//! and rail voltage, since the kernel integrates the buffer under it.
 
 use proptest::prelude::*;
 use react_mcu::PowerMode;
 use react_units::{Joules, Seconds, Volts};
 use react_workloads::{
-    EventSchedule, LoadDemand, PacketForward, RadioTransmit, SenseAndSend, SenseCompute, WakeHint,
-    Workload, WorkloadEnv,
+    DataEncryption, EventSchedule, LoadDemand, PacketForward, RadioTransmit, SenseAndSend,
+    SenseCompute, WakeHint, Workload, WorkloadEnv,
 };
 
 fn env(now: f64, dt: f64, usable_mj: f64, longevity: bool) -> WorkloadEnv {
@@ -67,6 +70,7 @@ fn assert_hint_consistent<W: Workload + Clone>(
     // (horizon, event expected at the horizon, energy cap during replay)
     let (horizon, expect_event, cap_mj) = match hint {
         WakeHint::Immediate => return, // always safe: no stride taken
+        WakeHint::Steady => return assert_steady(w, now, dt, longevity, &mut stream),
         WakeHint::Never => (now + 50.0, false, 20.0),
         WakeHint::At(t) => {
             assert!(t.get() > now, "stale time hint {t:?} at now={now}");
@@ -130,6 +134,38 @@ fn assert_hint_consistent<W: Workload + Clone>(
             d.mode == PowerMode::Active || after != counters(w),
             "energy wait did not end above its threshold ({hint:?})"
         );
+    }
+}
+
+/// Checks a [`WakeHint::Steady`] declaration: every later step returns
+/// one `Active` demand, whatever the energy budget and rail voltage.
+fn assert_steady<W: Workload + Clone>(
+    w: &W,
+    now: f64,
+    dt: f64,
+    longevity: bool,
+    stream: &mut EnergyStream,
+) {
+    let mut clone = w.clone();
+    let mut steady: Option<LoadDemand> = None;
+    let mut t = now + dt;
+    for _ in 0..2000 {
+        let e = WorkloadEnv {
+            rail_voltage: Volts::new(1.8 + stream.next_mj(1.7)),
+            ..env(t, dt, stream.next_mj(20.0), longevity)
+        };
+        let d = clone.step(&e);
+        assert_eq!(
+            d.mode,
+            PowerMode::Active,
+            "a steady workload slept at t={t}"
+        );
+        assert_eq!(
+            *steady.get_or_insert(d),
+            d,
+            "steady demand changed at t={t}"
+        );
+        t += dt;
     }
 }
 
@@ -217,6 +253,17 @@ proptest! {
             t += dt;
         }
         assert_hint_consistent(&w, last, dt, longevity, seed);
+    }
+
+    /// DE: the CPU encrypts continuously, so once it has stepped its
+    /// demand is steady under any energy and rail history.
+    #[test]
+    fn de_declares_a_steady_demand(prefix_s in 0.0..2.0f64, dt_ms in 1u64..=20, seed in any::<u64>()) {
+        let dt = dt_ms as f64 * 1e-3;
+        let mut w = DataEncryption::new();
+        let now = drive(&mut w, prefix_s + dt, dt, false);
+        prop_assert_eq!(w.next_wake(&env(now, dt, 1.0, false)), WakeHint::Steady);
+        assert_hint_consistent(&w, now, dt, false, seed);
     }
 
     /// SC+RT composite: sensing deadlines and the upload energy wait

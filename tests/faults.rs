@@ -227,3 +227,50 @@ proptest! {
         prop_assert_eq!(m.faults_injected, 0);
     }
 }
+
+/// The auditor covers the active regime: under the fade campaign an
+/// active stride books the stale believed capacitance, the auditor trips
+/// on it and degrades only the active fast path, and every later active
+/// step is fine-stepped and attributed to the degradation.
+#[test]
+fn fade_trips_and_degrades_the_active_regime() {
+    let s = truncated("fault-fade-offset-hour-10mf-de-audited", 1800.0);
+    let (out, ring) = s.run_recorded(RingRecorder::default());
+    let events = ring.into_events();
+    let active_strides = |from: usize| {
+        events[from..]
+            .iter()
+            .filter(|e| {
+                e.kind
+                    == EventKind::CoarseStride {
+                        kind: StrideKind::Active,
+                    }
+            })
+            .count()
+    };
+    assert!(active_strides(0) > 0, "DE took no active stride");
+    let trip = events
+        .iter()
+        .position(|e| {
+            e.kind
+                == EventKind::AuditTrip {
+                    regime: Regime::Active,
+                }
+        })
+        .expect("the fade never tripped the active regime");
+    assert!(out.metrics.audit_trips >= 1);
+    assert_eq!(active_strides(trip), 0, "an active stride after the trip");
+    let mut degraded_spans = 0;
+    for e in &events[trip..] {
+        if let EventKind::FineSpan {
+            regime: Regime::Active,
+            reason,
+            ..
+        } = e.kind
+        {
+            assert_eq!(reason, FallbackReason::AuditDegraded, "at {:.3} s", e.t);
+            degraded_spans += 1;
+        }
+    }
+    assert!(degraded_spans > 0, "no active fine span after the trip");
+}

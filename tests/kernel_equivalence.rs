@@ -2,10 +2,13 @@
 //! produce the same deployment outcome under the adaptive kernel as
 //! under the fixed-`dt` reference, within tight tolerance.
 //!
-//! The adaptive kernel only takes coarse strides while the MCU is dark,
-//! quantizing enable-voltage crossings back onto the fine-step grid, so
-//! ops/boots/on-time should agree to within the reference kernel's own
-//! discretization noise. Conservation must hold independently in both.
+//! The adaptive kernel takes coarse strides while the MCU is dark, while
+//! it sleeps in LPM3 between workload wakes, and while a running
+//! workload declares its demand steady (DE's continuous encryption),
+//! quantizing enable and brown-out crossings back onto the fine-step
+//! grid, so ops/boots/on-time should agree to within the reference
+//! kernel's own discretization noise. Conservation must hold
+//! independently in both.
 
 use std::sync::Arc;
 

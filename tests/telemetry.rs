@@ -96,6 +96,27 @@ fn recording_is_bit_identical_across_report_matrix() {
     }
 }
 
+/// Recording stays observational across active strides: a DE cell
+/// whose MCU-active time runs in closed form (a poll-overhead REACT cell
+/// and a static one) records the same bits as its unrecorded run, and
+/// its profile shows the active strides.
+#[test]
+fn active_strides_record_bit_identically() {
+    for buffer in [BufferKind::React, BufferKind::Static770uF] {
+        let s = truncated("rf-ge-hour-react-de", 600.0).with_buffer(buffer);
+        let label = format!("{}/{}", s.name, buffer.label());
+        let plain = s.run().metrics;
+        let (attributed, attr) = s.run_recorded(StepAttribution::default());
+        let (traced, _) = s.run_recorded(RingRecorder::default());
+        assert_bit_identical(&label, &plain, &attributed.metrics);
+        assert_bit_identical(&label, &plain, &traced.metrics);
+        assert!(
+            attr.bin(Regime::Active, None).steps > 0,
+            "{label}: no active stride"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
