@@ -169,7 +169,7 @@ impl<S: PowerSource + Clone + 'static> PowerSource for EnergyAttack<S> {
 
     fn observe(&mut self, event: VictimEvent) {
         // The fixed-window adversary ignores feedback; its benign
-        // inner environment still gets the forward (combinators nest).
+        // inner environment still gets the forward (wrappers nest).
         self.inner.observe(event);
     }
 

@@ -13,10 +13,9 @@
 //! * [`AdaptiveAttack`] — stateful adversaries ([`AttackPolicy`]) that
 //!   watch the victim through [`VictimEvent`] feedback and adapt.
 //!
-//! Composable via [`Mix`] / [`Scale`] / [`Splice`] / [`Cap`], with
-//! [`TraceSource`] wrapping any recorded [`PowerTrace`]
+//! [`TraceSource`] wraps any recorded [`PowerTrace`]
 //! (react-traces) so every pre-existing code path is one instance of
-//! the same abstraction, and [`materialize`] going the other way for
+//! the same abstraction, and [`materialize`] goes the other way for
 //! baselines and export.
 //!
 //! The key engine contract is [`PowerSource::segment`]: sources are
@@ -45,7 +44,6 @@
 
 mod adaptive;
 mod attack;
-mod combine;
 mod diurnal;
 mod markov;
 mod mobility;
@@ -53,7 +51,6 @@ mod source;
 
 pub use adaptive::{AdaptiveAttack, AttackPolicy};
 pub use attack::EnergyAttack;
-pub use combine::{Cap, Mix, Scale, Splice};
 pub use diurnal::Diurnal;
 pub use markov::MarkovRf;
 pub use mobility::Mobility;

@@ -12,8 +12,8 @@
 
 use proptest::prelude::*;
 use react_env::{
-    materialize, AdaptiveAttack, AttackPolicy, Cap, Diurnal, EnergyAttack, MarkovRf, Mix, Mobility,
-    PowerSource, Scale, Splice, TraceSource, VictimEvent,
+    materialize, AdaptiveAttack, AttackPolicy, Diurnal, EnergyAttack, MarkovRf, Mobility,
+    PowerSource, TraceSource, VictimEvent,
 };
 use react_traces::two_ulps_down;
 use react_units::{Seconds, Watts};
@@ -49,11 +49,11 @@ fn build_source(which: usize, seed: u64, p_mw: f64, dwell_s: f64) -> Box<dyn Pow
             Seconds::new(90.0),
         )
     };
-    match which % 6 {
+    match which % 4 {
         0 => Box::new(rf()),
         1 => Box::new(sun()),
         2 => Box::new(walk()),
-        3 => Box::new(
+        _ => Box::new(
             EnergyAttack::new(rf())
                 .with_spoof(
                     Seconds::new(60.0),
@@ -63,29 +63,23 @@ fn build_source(which: usize, seed: u64, p_mw: f64, dwell_s: f64) -> Box<dyn Pow
                 )
                 .with_blackout(Seconds::new(60.0), Seconds::new(30.0), Seconds::new(10.0)),
         ),
-        4 => Box::new(Mix::new(Scale::new(sun(), 0.5), rf())),
-        _ => Box::new(Splice::new(
-            walk(),
-            Cap::new(rf(), Watts::from_milli(4.0)),
-            Seconds::new(37.0),
-        )),
     }
 }
 
-/// [`build_source`]'s six sources plus two the engine's cached input
+/// [`build_source`]'s four sources plus two the engine's cached input
 /// window leans on hardest: a recorded trace on an inexact 0.1 s grid
-/// (index 6), whose `t/dt` lookups round near every window end, and a
-/// boot-triggered adaptive attacker (index 7), whose schedule changes
+/// (index 4), whose `t/dt` lookups round near every window end, and a
+/// boot-triggered adaptive attacker (index 5), whose schedule changes
 /// with every observed event.
 fn build_engine_source(which: usize, seed: u64, p_mw: f64, dwell_s: f64) -> Box<dyn PowerSource> {
     match which {
-        6 => Box::new(TraceSource::new(materialize(
+        4 => Box::new(TraceSource::new(materialize(
             &mut build_source(0, seed, p_mw, dwell_s),
             "rf@0.1s",
             Seconds::new(0.1),
             Seconds::new(600.0),
         ))),
-        7 => Box::new(AdaptiveAttack::new(
+        5 => Box::new(AdaptiveAttack::new(
             build_source(0, seed, p_mw, dwell_s),
             AttackPolicy::BootTriggered {
                 delay: Seconds::new(0.7),
@@ -105,7 +99,7 @@ proptest! {
     /// are bit-identical across two instantiations.
     #[test]
     fn materialized_sources_round_trip(
-        which in 0usize..6,
+        which in 0usize..4,
         seed in 0u64..10_000,
         p_mw in 0.5..20.0f64,
         dwell_s in 0.5..12.0f64,
@@ -145,7 +139,7 @@ proptest! {
     /// dragged through backward probes (graceful rewind).
     #[test]
     fn seeded_sources_are_bit_identical(
-        which in 0usize..6,
+        which in 0usize..4,
         seed in 0u64..10_000,
         p_mw in 0.5..20.0f64,
         dwell_s in 0.5..12.0f64,
@@ -176,7 +170,7 @@ proptest! {
     /// feedback event.
     #[test]
     fn segments_hold_constant_power(
-        which in 0usize..8,
+        which in 0usize..6,
         seed in 0u64..10_000,
         p_mw in 0.5..20.0f64,
         dwell_s in 0.5..12.0f64,

@@ -17,8 +17,6 @@
 //! * [`ReplayCursor`] — one run's stepping input: the replay's source
 //!   walked one converted segment at a time, so in-segment queries
 //!   check only the converter's OVP cutoff.
-//! * [`SolarPanel`] / [`MpptTracker`] — irradiance-to-power conversion
-//!   and bq25570-style fractional-V_oc maximum-power-point tracking.
 //!
 //! # Examples
 //!
@@ -35,11 +33,9 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod converter;
-mod panel;
 mod replay;
 
 pub use converter::{Converter, ConverterKind, EfficiencyCurve};
-pub use panel::{MpptTracker, SolarPanel};
 pub use replay::{PowerReplay, ReplayCursor};
 // Re-exported so downstream code can name the replay's source types
 // without a direct react-env dependency.

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use react_env::MarkovRf;
-use react_harvest::{Converter, MpptTracker, PowerReplay, PowerSource, SolarPanel};
+use react_harvest::{Converter, PowerReplay, PowerSource};
 use react_traces::PowerTrace;
 use react_units::{Seconds, Volts, Watts};
 
@@ -53,34 +53,6 @@ proptest! {
         let i = replay.input_current(Seconds::new(1.0), Volts::new(v));
         prop_assert!(i.to_milli() <= 50.0 + 1e-9);
         prop_assert!(i.get() >= 0.0);
-    }
-
-    /// Panel output scales linearly with irradiance and never goes
-    /// negative.
-    #[test]
-    fn panel_linear_and_nonnegative(
-        irradiance in -100.0..1500.0f64,
-        area in 0.5..100.0f64,
-        eff in 0.05..0.35f64,
-    ) {
-        let p = SolarPanel::new(area, eff);
-        let out = p.power_at(irradiance);
-        prop_assert!(out.get() >= 0.0);
-        if irradiance > 0.0 {
-            let double = p.power_at(irradiance * 2.0);
-            prop_assert!((double.get() / out.get().max(1e-30) - 2.0).abs() < 1e-9);
-        }
-    }
-
-    /// MPPT extraction never exceeds the true maximum power point and
-    /// averages to its advertised efficiency.
-    #[test]
-    fn mppt_bounded_by_mpp(t in 0.0..100.0f64, mpp_mw in 0.0..200.0f64) {
-        let m = MpptTracker::bq25570();
-        let mpp = Watts::from_milli(mpp_mw);
-        let out = m.extracted_power(mpp, Seconds::new(t));
-        prop_assert!(out <= mpp + Watts::new(1e-15));
-        prop_assert!(m.average_efficiency() <= 1.0);
     }
 
     /// The ideal converter through the streaming replay path is

@@ -1,5 +1,4 @@
-//! Comparator circuits: the power gate and REACT's voltage
-//! instrumentation.
+//! The comparator power gate.
 
 use react_units::Volts;
 
@@ -91,58 +90,6 @@ impl PowerGate {
     }
 }
 
-/// What REACT's two-comparator instrumentation reports (§3.2.1): the
-/// buffer is near capacity, near empty, or in the healthy band.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum BufferSignal {
-    /// Voltage at or above the upper threshold — add capacitance.
-    NearCapacity,
-    /// Between the thresholds.
-    Ok,
-    /// Voltage at or below the lower threshold — reclaim charge.
-    NearEmpty,
-}
-
-/// Two low-power comparators watching the last-level buffer.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ThresholdComparator {
-    v_high: Volts,
-    v_low: Volts,
-}
-
-impl ThresholdComparator {
-    /// Creates the comparator pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v_high <= v_low`.
-    pub fn new(v_high: Volts, v_low: Volts) -> Self {
-        assert!(v_high > v_low, "upper threshold must exceed lower");
-        Self { v_high, v_low }
-    }
-
-    /// Upper (near-capacity) threshold.
-    pub fn v_high(&self) -> Volts {
-        self.v_high
-    }
-
-    /// Lower (near-empty) threshold.
-    pub fn v_low(&self) -> Volts {
-        self.v_low
-    }
-
-    /// Classifies a buffer voltage.
-    pub fn classify(&self, v: Volts) -> BufferSignal {
-        if v >= self.v_high {
-            BufferSignal::NearCapacity
-        } else if v <= self.v_low {
-            BufferSignal::NearEmpty
-        } else {
-            BufferSignal::Ok
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,23 +137,5 @@ mod tests {
     #[should_panic(expected = "must exceed")]
     fn inverted_gate_panics() {
         PowerGate::new(Volts::new(1.8), Volts::new(3.3));
-    }
-
-    #[test]
-    fn comparator_classifies_three_bands() {
-        let c = ThresholdComparator::new(Volts::new(3.5), Volts::new(1.9));
-        assert_eq!(c.classify(Volts::new(3.6)), BufferSignal::NearCapacity);
-        assert_eq!(c.classify(Volts::new(3.5)), BufferSignal::NearCapacity);
-        assert_eq!(c.classify(Volts::new(2.5)), BufferSignal::Ok);
-        assert_eq!(c.classify(Volts::new(1.9)), BufferSignal::NearEmpty);
-        assert_eq!(c.classify(Volts::new(0.0)), BufferSignal::NearEmpty);
-        assert_eq!(c.v_high(), Volts::new(3.5));
-        assert_eq!(c.v_low(), Volts::new(1.9));
-    }
-
-    #[test]
-    #[should_panic(expected = "must exceed")]
-    fn inverted_comparator_panics() {
-        ThresholdComparator::new(Volts::new(1.0), Volts::new(2.0));
     }
 }

@@ -8,26 +8,15 @@
 //! * [`Mcu`] / [`McuSpec`] / [`PowerMode`] — active/LPM3/deep-sleep
 //!   current draws and boot cost.
 //! * [`PowerGate`] — the enable/brown-out comparator circuit.
-//! * [`ThresholdComparator`] / [`BufferSignal`] — REACT's two-comparator
-//!   voltage instrumentation (§3.2.1).
 //! * [`Peripheral`] — microphone \[11\], sub-GHz radio \[31\], wake-up
 //!   receiver \[18\], and the paper's emulation resistor.
-//! * [`PeriodicTimer`] and [`RemanenceTimekeeper`] — deadline scheduling,
-//!   including across power failures (cited work \[8\]).
-//! * [`Fram`] — nonvolatile state that survives power cycles.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod checkpoint;
-mod fram;
 mod gate;
 mod mcu;
 mod peripherals;
-mod timer;
 
-pub use checkpoint::{CheckpointCosts, Checkpointer};
-pub use fram::Fram;
-pub use gate::{BufferSignal, PowerGate, ThresholdComparator};
+pub use gate::PowerGate;
 pub use mcu::{Mcu, McuSpec, PowerMode};
 pub use peripherals::Peripheral;
-pub use timer::{PeriodicTimer, RemanenceTimekeeper};

@@ -122,8 +122,7 @@ impl Mcu {
         }
     }
 
-    /// Power gate turned off: state is lost (FRAM contents live in
-    /// [`Fram`](crate::Fram) cells, which persist).
+    /// Power gate turned off: volatile state is lost.
     pub fn power_off(&mut self) {
         self.powered = false;
         self.boot_remaining = Seconds::ZERO;

@@ -1,193 +1,42 @@
-//! Reading and writing traces as CSV (`time_s,power_w` rows).
+//! Writing traces as CSV (`time_s,power_w` rows).
 
-use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use react_units::{Seconds, Watts};
-
 use crate::PowerTrace;
-
-/// Error reading or writing a trace file.
-#[derive(Debug)]
-pub enum TraceIoError {
-    /// Underlying filesystem failure.
-    Io(std::io::Error),
-    /// A row failed to parse.
-    Parse {
-        /// 1-based line number of the bad row.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
-    /// The file contained no sample rows.
-    Empty,
-}
-
-impl fmt::Display for TraceIoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "trace i/o failed: {e}"),
-            Self::Parse { line, message } => write!(f, "bad trace row at line {line}: {message}"),
-            Self::Empty => write!(f, "trace file contained no samples"),
-        }
-    }
-}
-
-impl std::error::Error for TraceIoError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for TraceIoError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
-}
 
 /// Writes a trace as `time_s,power_w` CSV with a header row.
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError::Io`] on filesystem failure.
-pub fn write_csv(trace: &PowerTrace, path: impl AsRef<Path>) -> Result<(), TraceIoError> {
+/// Returns the filesystem error if the file cannot be written.
+pub fn write_csv(trace: &PowerTrace, path: impl AsRef<Path>) -> std::io::Result<()> {
     let mut out = Vec::with_capacity(trace.len() * 24 + 32);
     writeln!(out, "time_s,power_w")?;
     for (t, p) in trace.iter() {
         writeln!(out, "{},{}", t.get(), p.get())?;
     }
-    fs::write(path, out)?;
-    Ok(())
-}
-
-/// Reads a `time_s,power_w` CSV written by [`write_csv`]. The sample
-/// interval is inferred from the first two rows (single-row files get a
-/// 1 s interval).
-///
-/// # Errors
-///
-/// Returns [`TraceIoError`] on filesystem failure, a malformed row, or an
-/// empty file.
-pub fn read_csv(path: impl AsRef<Path>) -> Result<PowerTrace, TraceIoError> {
-    let name = path
-        .as_ref()
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "trace".to_owned());
-    let text = fs::read_to_string(path)?;
-    let mut times = Vec::new();
-    let mut powers = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || (i == 0 && line.starts_with("time")) {
-            continue;
-        }
-        let mut cols = line.split(',');
-        let t: f64 = cols
-            .next()
-            .ok_or_else(|| parse_err(i, "missing time column"))?
-            .trim()
-            .parse()
-            .map_err(|e| parse_err(i, format!("time: {e}")))?;
-        let p: f64 = cols
-            .next()
-            .ok_or_else(|| parse_err(i, "missing power column"))?
-            .trim()
-            .parse()
-            .map_err(|e| parse_err(i, format!("power: {e}")))?;
-        times.push(t);
-        powers.push(Watts::new(p));
-    }
-    if powers.is_empty() {
-        return Err(TraceIoError::Empty);
-    }
-    let dt = if times.len() >= 2 {
-        times[1] - times[0]
-    } else {
-        1.0
-    };
-    if dt <= 0.0 {
-        return Err(parse_err(1, "non-increasing timestamps"));
-    }
-    Ok(PowerTrace::new(name, Seconds::new(dt), powers))
-}
-
-fn parse_err(line0: usize, message: impl Into<String>) -> TraceIoError {
-    TraceIoError::Parse {
-        line: line0 + 1,
-        message: message.into(),
-    }
+    fs::write(path, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("react_trace_io_{name}_{}", std::process::id()));
-        p
-    }
+    use react_units::{Seconds, Watts};
 
     #[test]
-    fn roundtrip() {
+    fn writes_header_and_one_row_per_sample() {
         let trace = PowerTrace::new(
-            "rt",
+            "two",
             Seconds::new(0.5),
-            vec![
-                Watts::from_milli(1.0),
-                Watts::from_milli(2.0),
-                Watts::from_milli(3.0),
-            ],
+            vec![Watts::from_milli(1.0), Watts::from_milli(2.0)],
         );
-        let path = tmp("roundtrip");
+        let mut path = std::env::temp_dir();
+        path.push(format!("react_trace_io_write_{}", std::process::id()));
         write_csv(&trace, &path).unwrap();
-        let back = read_csv(&path).unwrap();
-        assert_eq!(back.len(), 3);
-        assert!((back.sample_interval().get() - 0.5).abs() < 1e-12);
-        assert!((back.total_energy().get() - trace.total_energy().get()).abs() < 1e-12);
+        let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn empty_file_errors() {
-        let path = tmp("empty");
-        std::fs::write(&path, "time_s,power_w\n").unwrap();
-        assert!(matches!(read_csv(&path), Err(TraceIoError::Empty)));
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn malformed_row_errors_with_line() {
-        let path = tmp("bad");
-        std::fs::write(&path, "time_s,power_w\n0.0,1e-3\nnot-a-number,2e-3\n").unwrap();
-        match read_csv(&path) {
-            Err(TraceIoError::Parse { line, .. }) => assert_eq!(line, 3),
-            other => panic!("expected parse error, got {other:?}"),
-        }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn missing_file_is_io_error() {
-        assert!(matches!(
-            read_csv("/definitely/not/here.csv"),
-            Err(TraceIoError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn error_display_is_informative() {
-        let e = TraceIoError::Parse {
-            line: 7,
-            message: "bad".into(),
-        };
-        assert!(format!("{e}").contains("line 7"));
-        assert!(format!("{}", TraceIoError::Empty).contains("no samples"));
+        assert_eq!(text, "time_s,power_w\n0,0.001\n0.5,0.002\n");
     }
 }

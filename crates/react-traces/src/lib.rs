@@ -28,10 +28,9 @@ mod library;
 mod stats;
 mod synth;
 mod trace;
-pub mod transform;
 
 pub use cursor::{two_ulps_down, PowerCursor, WindowCache};
-pub use io::{read_csv, write_csv, TraceIoError};
+pub use io::write_csv;
 pub use library::{paper_trace, PaperTrace, Table3Row, TABLE3_TARGETS};
 pub use stats::TraceStats;
 pub use synth::{SynthKind, TraceSynthesizer};

@@ -21,7 +21,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod aes;
-mod composite;
 pub mod costs;
 mod de;
 mod events;
@@ -33,7 +32,6 @@ mod rt;
 mod sc;
 mod workload;
 
-pub use composite::SenseAndSend;
 pub use de::DataEncryption;
 pub use events::EventSchedule;
 pub use pf::PacketForward;

@@ -17,8 +17,8 @@ use proptest::prelude::*;
 use react_mcu::PowerMode;
 use react_units::{Joules, Seconds, Volts};
 use react_workloads::{
-    DataEncryption, EventSchedule, LoadDemand, PacketForward, RadioTransmit, SenseAndSend,
-    SenseCompute, WakeHint, Workload, WorkloadEnv,
+    DataEncryption, EventSchedule, LoadDemand, PacketForward, RadioTransmit, SenseCompute,
+    WakeHint, Workload, WorkloadEnv,
 };
 
 fn env(now: f64, dt: f64, usable_mj: f64, longevity: bool) -> WorkloadEnv {
@@ -266,18 +266,4 @@ proptest! {
         assert_hint_consistent(&w, now, dt, false, seed);
     }
 
-    /// SC+RT composite: sensing deadlines and the upload energy wait
-    /// compose without stale hints.
-    #[test]
-    fn sense_and_send_hints_are_consistent(
-        prefix_s in 0.0..30.0f64,
-        batch in 1u64..=3,
-        longevity in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let dt = 5e-3;
-        let mut w = SenseAndSend::new(Seconds::new(120.0), batch);
-        let now = drive(&mut w, prefix_s, dt, longevity);
-        assert_hint_consistent(&w, now, dt, longevity, seed);
-    }
 }

@@ -8,8 +8,7 @@
 //! * [`circuit`] — capacitor / diode / switch / bank circuit models.
 //! * [`traces`] — power traces, statistics, and seeded synthesis.
 //! * [`env`](mod@env) — streaming stochastic environments (diurnal solar,
-//!   Gilbert–Elliott RF, mobility schedules, energy attacks) and
-//!   source combinators.
+//!   Gilbert–Elliott RF, mobility schedules, energy attacks).
 //! * [`harvest`] — harvester converter models and Ekho-style replay.
 //! * [`mcu`] — MSP430-class MCU power model, gate, and peripherals.
 //! * [`workloads`] — the DE / SC / RT / PF benchmarks and their substrates.

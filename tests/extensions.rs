@@ -1,76 +1,8 @@
-//! Integration tests for the extension features: the composite
-//! workload, checkpointing substrate, trace transforms, and the buffer
-//! sizing sweep.
+//! Integration test for the buffer sizing sweep: static capacitor
+//! sizes ranked by the figure of merit they score on one trace.
 
 use react_repro::core::sweep::{best_static_size, log_spaced_sizes, static_size_sweep};
-use react_repro::mcu::{CheckpointCosts, Checkpointer};
 use react_repro::prelude::*;
-use react_repro::traces::transform;
-use react_repro::workloads::{SenseAndSend, Workload};
-
-/// The composite SC+RT workload runs end to end under the simulator on
-/// REACT: measurements accumulate and upload in batches.
-#[test]
-fn composite_workload_on_react() {
-    let trace = PowerTrace::constant(
-        "steady",
-        Watts::from_milli(8.0),
-        Seconds::new(60.0),
-        Seconds::new(0.1),
-    );
-    let replay =
-        react_repro::harvest::PowerReplay::new(trace, react_repro::harvest::Converter::ideal());
-    let workload = Box::new(SenseAndSend::new(Seconds::new(120.0), 2));
-    let sim = react_repro::core::Simulator::new(replay, BufferKind::React.build(), workload);
-    let out = sim.run();
-    assert!(out.metrics.ops_completed >= 1, "no uploads completed");
-    assert!(out.metrics.aux_completed >= 2, "no measurements");
-    assert!(out.metrics.relative_conservation_error() < 5e-3);
-}
-
-/// Composite workload name and counters are exposed through the trait.
-#[test]
-fn composite_workload_trait_surface() {
-    let w = SenseAndSend::new(Seconds::new(10.0), 1);
-    assert_eq!(w.name(), "SC+RT");
-    assert_eq!(w.ops_completed(), 0);
-    assert_eq!(w.buffered(), 0);
-}
-
-/// Checkpointing survives simulated power failures mid-commit.
-#[test]
-fn checkpointer_with_intermittent_power() {
-    let mut ckpt = Checkpointer::new(CheckpointCosts::msp430_fram());
-    // Simulate a loop that checkpoints every increment but loses power
-    // on a fixed schedule.
-    for round in 0..50u32 {
-        let progress = ckpt.restore().copied().unwrap_or(0) + 1;
-        ckpt.begin_commit(progress, 256);
-        // Power fails during every third commit.
-        if round % 3 == 2 {
-            ckpt.power_failure();
-        } else {
-            while !ckpt.advance(Seconds::from_micro(20.0)) {}
-        }
-    }
-    // Progress never regresses past one increment and torn writes were
-    // counted.
-    assert!(ckpt.torn_write_count() > 0);
-    let final_progress = ckpt.restore().copied().unwrap();
-    assert!(final_progress > 20, "progress {final_progress}");
-}
-
-/// Trace transforms compose with the simulator: a week of repeated cart
-/// days still conserves energy.
-#[test]
-fn transformed_traces_run() {
-    let day = paper_trace(PaperTrace::RfCart).truncated(Seconds::new(30.0));
-    let masked = transform::mask(&day, |t| if t.get() < 15.0 { 1.0 } else { 0.3 });
-    let double = transform::overlay(&day, &masked);
-    let out = Experiment::new(BufferKind::React, WorkloadKind::DataEncryption).run(&double);
-    assert!(out.metrics.relative_conservation_error() < 5e-3);
-    assert!(out.metrics.ops_completed > 0);
-}
 
 /// The sizing sweep ranks buffers sensibly: on a short, weak trace an
 /// oversized buffer that never starts scores zero.
