@@ -151,9 +151,7 @@ impl EnergyBuffer for CapybaraBuffer {
                 clipped = self.big.deposit(Amps::new(surplus_q / dt.get()), dt);
             }
             let delivered = (self.small.energy() + self.big.energy()) - before;
-            self.ledger.delivered += delivered;
-            self.ledger.clipped += clipped;
-            self.ledger.harvested += delivered + clipped;
+            self.ledger.deposit(delivered, clipped);
         }
 
         // Keep equalized while connected (quasi-static, negligible loss).

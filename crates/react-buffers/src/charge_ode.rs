@@ -1,5 +1,8 @@
-//! Closed-form integration of MCU-off charge/decay dynamics — the shared
-//! regime solver behind every buffer's `idle_advance` fast path.
+//! Closed-form integration of a buffer's charge/decay dynamics: the
+//! MCU-off regime solver ([`integrate`]) behind every buffer's
+//! `idle_advance` fast path, and the powered solver
+//! ([`integrate_powered`], see [`PoweredOde`]) that adds a constant
+//! rail-current load for `powered_advance`.
 //!
 //! The per-step reference physics (leak, optional management draw, then
 //! [`power_intake`](crate::power_intake) deposit) discretize the ODE

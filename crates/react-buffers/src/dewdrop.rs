@@ -8,7 +8,7 @@
 //! (§2.4). This crate includes it as an extension baseline for the
 //! ablations; it is not part of the paper's evaluated set.
 
-use react_circuit::{Capacitor, CapacitorSpec, EnergyLedger};
+use react_circuit::{CapacitorSpec, EnergyLedger};
 use react_units::{Amps, Farads, Joules, Seconds, Volts, Watts};
 
 use crate::{EnergyBuffer, StaticBuffer};
@@ -146,10 +146,6 @@ impl EnergyBuffer for DewdropBuffer {
         self.inner.ledger()
     }
 }
-
-/// A [`Capacitor`] is unused directly here but kept for the doc example.
-#[allow(dead_code)]
-fn _doc_anchor(_c: Capacitor) {}
 
 #[cfg(test)]
 mod tests {

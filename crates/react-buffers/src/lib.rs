@@ -11,7 +11,11 @@
 //!   the related-work discussion (§2.3–2.4), used by the ablations.
 //!
 //! All designs implement [`EnergyBuffer`] and are driven step-by-step by
-//! the simulator in `react-core`.
+//! the simulator in `react-core`, or strided in closed form
+//! ([`charge_ode`]). REACT's and Morphy's strides replay their 10 Hz
+//! controller poll by poll through one shared walk, to which each
+//! buffer supplies only its own physics. Every booking goes through
+//! `EnergyLedger::deposit`, `close_net` or `close_gross`.
 //!
 //! # Examples
 //!
@@ -37,45 +41,12 @@ mod dewdrop;
 mod morphy;
 mod react;
 pub mod static_buf;
+mod walk;
 
 pub use buffer::{
     power_intake, reference_idle_advance, BufferKind, EnergyBuffer, CHARGE_CURRENT_LIMIT,
     CONVERSION_FLOOR,
 };
-use react_units::{PollTick, Seconds, TickSpan};
-
-/// Commits the poll ticks of a controller segment that advanced `t_adv`
-/// of `seg` (replayed from `acc`/`elapsed`), and returns whether the
-/// poll fires with the controller ready. A finished segment with no
-/// `cooldown` left commits by assignment; a draining cooldown or a stop
-/// mid-segment replays per step (a poll can only land on the segment's
-/// last step).
-pub(crate) fn commit_segment_ticks(
-    tick: &PollTick,
-    seg: TickSpan,
-    t_adv: f64,
-    total: Seconds,
-    acc: &mut Seconds,
-    elapsed: &mut f64,
-    cooldown: &mut Seconds,
-) -> bool {
-    let finished = t_adv >= seg.elapsed.get() - *elapsed - 1e-15;
-    let span = if finished && cooldown.get() <= 0.0 {
-        seg
-    } else {
-        let steps = if finished {
-            seg.steps
-        } else {
-            (t_adv / tick.dt().get()).round().max(1.0) as u64
-        };
-        tick.replay(*acc, Seconds::new(*elapsed), total, steps, |h| {
-            *cooldown = (*cooldown - h).max(Seconds::ZERO);
-        })
-    };
-    (*acc, *elapsed) = (span.acc, span.elapsed.get());
-    span.fired && finished && cooldown.get() <= 0.0
-}
-
 pub use capybara::CapybaraBuffer;
 pub use dewdrop::DewdropBuffer;
 pub use morphy::{transition_path as morphy_transition_path, MorphyBuffer};

@@ -17,21 +17,9 @@ use react_circuit::{CapacitorSpec, ChainNetwork, EnergyLedger, Partition};
 use react_telemetry::FallbackReason;
 use react_units::{Amps, Coulombs, Farads, Joules, PollTick, Seconds, Volts, Watts};
 
-use crate::charge_ode::{self, ChargeOde};
+use crate::charge_ode::{self, ChargeOde, PoweredOde, PoweredSolution};
+use crate::walk::{self, Controller, PollModel};
 use crate::{power_intake, EnergyBuffer};
-
-/// Margin (V) inside the comparator thresholds where the strides
-/// integrate the dead band in bulk.
-const BAND_GUARD: f64 = 0.02;
-
-/// What a stride walk carries from segment to segment instead of
-/// re-deriving it from the network: the terminal capacitance, voltage
-/// and stored energy, valid until a ladder move.
-struct Walk {
-    c_eq: f64,
-    v: f64,
-    e: f64,
-}
 
 /// The Morphy buffer: network + always-powered controller.
 #[derive(Clone, Debug)]
@@ -165,163 +153,6 @@ impl MorphyBuffer {
         }
     }
 
-    /// The poll-to-poll segment walk both strides share: it stops once
-    /// the terminal falls to `v_floor` or rises to `v_top`. `load` is
-    /// `None` for the dark idle stride, which keeps walking through
-    /// ladder moves; the powered stride folds its LPM3 load into the
-    /// solver as a constant rail current and hands back at a ladder
-    /// move. Returns the elapsed time and why a zero-length walk was
-    /// refused.
-    fn walk_polls(
-        &mut self,
-        input: Watts,
-        load: Option<Amps>,
-        duration: Seconds,
-        v_floor: f64,
-        v_top: Option<f64>,
-        fine_dt: Seconds,
-    ) -> (f64, FallbackReason) {
-        let total = duration.get();
-        let dt = fine_dt.get();
-        let unit = self.network.unit_spec();
-        let k = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
-        let p_in = input.get().max(0.0);
-        self.tick = self.tick.at_dt(fine_dt);
-        let tick = self.tick;
-        let period = tick.period().get();
-        let mut walk = self.walk();
-        let mut elapsed = 0.0_f64;
-        // Telemetry: why a zero-length stride was refused (stop
-        // condition already satisfied unless a break says otherwise).
-        let mut refusal = FallbackReason::TransitionDue;
-        while elapsed < total {
-            let v_now = walk.v.max(0.0);
-            if v_now <= v_floor || v_top.is_some_and(|vt| v_now >= vt) {
-                break;
-            }
-            let ode = charge_ode::PoweredOde {
-                c: walk.c_eq,
-                g: walk.c_eq * k,
-                v_max: self.rail_clamp.get(),
-                p_in,
-                i_load: load.map_or(0.0, |i| i.get().max(0.0)),
-                p_drain: 0.0,
-                v_drain_min: f64::INFINITY,
-            };
-
-            // 0. Comparator dead band, in bulk: while the terminal sits
-            // strictly inside (v_low, v_high) with a guard margin, the
-            // externally powered 10 Hz poller reads "Ok" and the
-            // cooldown/accumulator are the only state that moves — whole
-            // spans integrate in one solve, with the accumulator
-            // advanced in closed form and the cooldown drained by the
-            // elapsed time. The idle stride uses the powered solver too,
-            // because its terminal can fall under leakage (ChargeOde only
-            // has a rising stop): with zero load it reduces to the idle
-            // ODE and gives both a falling stop at the lower band edge
-            // and a rising stop at the band top.
-            let band_lo = (self.v_low.get() + BAND_GUARD).max(v_floor);
-            let band_hi = self.v_high.get() - BAND_GUARD;
-            let band_stop_up = v_top.map_or(band_hi, |vt| vt.min(band_hi));
-            let whole = (((total - elapsed) / dt).floor() * dt).max(0.0);
-            if v_now > band_lo && v_now < band_stop_up && whole > 3.0 * period {
-                if let Some((t_adv, sol)) = charge_ode::integrate_powered_quantized(
-                    &ode,
-                    v_now,
-                    whole,
-                    band_lo,
-                    Some(band_stop_up),
-                    dt,
-                ) {
-                    if t_adv > 2.0 * period {
-                        let load = load.map(|_| sol.load_consumed);
-                        let (v_final, leaked, clipped) = (sol.v_final, sol.leaked, sol.clipped);
-                        self.commit_span(&mut walk, k, t_adv, v_final, leaked, clipped, load);
-                        self.poll_acc = tick.advance(self.poll_acc, (t_adv / dt).round() as u64);
-                        self.cooldown_left =
-                            (self.cooldown_left - Seconds::new(t_adv)).max(Seconds::ZERO);
-                        elapsed += t_adv;
-                        continue;
-                    }
-                }
-            }
-
-            // 1. Replay the poll ticks up to the next poll (bounded by
-            // the stride horizon), so poll times stay step-identical to
-            // the fine-step reference.
-            let seg = tick.segment(self.poll_acc, Seconds::new(elapsed), duration);
-
-            // 2. Closed-form integration of the inter-poll segment, with
-            // the stop crossings quantized up onto the fine-step grid.
-            let seg_horizon = seg.elapsed.get() - elapsed;
-            let span = match (load, v_top) {
-                (None, Some(v_stop)) => {
-                    let ode = ChargeOde {
-                        c: ode.c,
-                        g: ode.g,
-                        v_max: ode.v_max,
-                        p_in,
-                        p_drain: 0.0,
-                        v_drain_min: f64::INFINITY,
-                    };
-                    charge_ode::integrate_quantized(&ode, walk.v, seg_horizon, v_stop, dt)
-                        .map(|(t, sol)| (t, sol.v_final, sol.leaked, sol.clipped, None))
-                }
-                _ => charge_ode::integrate_powered_quantized(
-                    &ode,
-                    walk.v,
-                    seg_horizon,
-                    v_floor,
-                    v_top,
-                    dt,
-                )
-                .map(|(t, sol)| {
-                    let load = load.map(|_| sol.load_consumed);
-                    (t, sol.v_final, sol.leaked, sol.clipped, load)
-                }),
-            };
-            let Some((t_adv, v_final, leaked, clipped, load_consumed)) = span else {
-                refusal = FallbackReason::NoClosedForm;
-                break; // hand the rest back to the fine-step loop
-            };
-            if t_adv <= 0.0 {
-                refusal = FallbackReason::NoClosedForm;
-                break;
-            }
-
-            // 3. Commit the network and the energy books in one pass.
-            self.commit_span(&mut walk, k, t_adv, v_final, leaked, clipped, load_consumed);
-
-            // 4. Commit the controller bookkeeping; the threshold
-            // handler reads the settled terminal voltage and may
-            // reconfigure for the next segment.
-            if crate::commit_segment_ticks(
-                &tick,
-                seg,
-                t_adv,
-                duration,
-                &mut self.poll_acc,
-                &mut elapsed,
-                &mut self.cooldown_left,
-            ) {
-                let before = self.reconfigurations;
-                self.poll_controller();
-                if self.reconfigurations != before {
-                    if load.is_some() {
-                        // A ladder move changed the effective capacitance,
-                        // so the kernel's precomputed wake voltage (and
-                        // the workload's usable-energy picture) are
-                        // stale: hand control back so the next stride
-                        // re-derives them.
-                        break;
-                    }
-                    walk = self.walk();
-                }
-            }
-        }
-        (elapsed, refusal)
-    }
-
     /// Stride-phase invariant: the chains share one terminal voltage
     /// (the continuous equalization of the fine-step loop). Forced test
     /// states may break it.
@@ -330,56 +161,156 @@ impl MorphyBuffer {
         let (lo, hi) = (lo.get(), hi.get());
         hi - lo > 1e-9 * hi.abs().max(1.0)
     }
+}
 
-    fn walk(&self) -> Walk {
-        Walk {
-            c_eq: self.network.terminal_capacitance().get(),
-            v: self.network.terminal_voltage().get(),
-            e: self.network.stored_energy().get(),
+/// Morphy under the poll walk. Between ladder moves the equalized
+/// network is one terminal capacitor; the walk carries its capacitance,
+/// voltage and stored energy from segment to segment instead of
+/// re-deriving them from the network.
+struct MorphyWalk<'a> {
+    buffer: &'a mut MorphyBuffer,
+    /// Leak rate `g/C` of a unit capacitor, which every chain shares.
+    k: f64,
+    p_in: f64,
+    /// The powered stride's LPM3 load, a constant rail current; `None`
+    /// for the dark idle stride.
+    load: Option<f64>,
+    c_eq: f64,
+    v: f64,
+    e: f64,
+}
+
+impl<'a> MorphyWalk<'a> {
+    fn new(buffer: &'a mut MorphyBuffer, input: Watts, load: Option<Amps>) -> Self {
+        let network = &buffer.network;
+        let unit = network.unit_spec();
+        Self {
+            k: charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get(),
+            p_in: input.get().max(0.0),
+            load: load.map(|i| i.get().max(0.0)),
+            c_eq: network.terminal_capacitance().get(),
+            v: network.terminal_voltage().get(),
+            e: network.stored_energy().get(),
+            buffer,
         }
     }
 
-    /// Books one integrated span: the terminal lands on `v_final` while
-    /// the within-chain imbalance decays on its own e^{−2kt}, leaking
-    /// ½C_unit·Σw²·(1−e^{−2kT}) on top of the terminal's G_eff·v²
-    /// integral; the ledger closes against the committed energies. The
-    /// powered stride passes its `load` and closes on gross delivery.
-    #[allow(clippy::too_many_arguments)]
-    fn commit_span(
-        &mut self,
-        walk: &mut Walk,
-        k: f64,
-        t_adv: f64,
-        v_final: f64,
-        leaked: f64,
-        clipped: f64,
-        load: Option<f64>,
-    ) {
-        let decay = (-k * t_adv).exp();
-        let (imbalance, e_after, v_after) = self
-            .network
-            .commit_idle_solution(Volts::new(v_final), decay);
-        let c_unit = self.network.unit_spec().capacitance.get();
-        let leaked = leaked + 0.5 * c_unit * imbalance * (1.0 - decay * decay);
-        let delta_e = e_after.get() - walk.e;
-        self.ledger.leaked += Joules::new(leaked);
-        self.ledger.clipped += Joules::new(clipped);
-        match load {
-            None => {
-                let delivered = (delta_e + leaked).max(0.0);
-                self.ledger.delivered += Joules::new(delivered);
-                self.ledger.harvested += Joules::new(delivered + clipped);
-            }
-            Some(load) => {
-                let delivered_gross = (delta_e + leaked + load + clipped).max(0.0);
-                self.ledger.load_consumed += Joules::new(load);
-                self.ledger.delivered += Joules::new(delivered_gross - clipped);
-                self.ledger.harvested += Joules::new(delivered_gross);
-            }
+    /// Re-reads the terminal from the network after a ladder move.
+    fn reread(&mut self) {
+        let network = &self.buffer.network;
+        self.c_eq = network.terminal_capacitance().get();
+        self.v = network.terminal_voltage().get();
+        self.e = network.stored_energy().get();
+    }
+
+    /// The terminal's powered ODE. The idle stride's dead band uses it
+    /// too, because its terminal can fall under leakage (`ChargeOde`
+    /// only has a rising stop): with zero load it reduces to the idle
+    /// ODE and stops both at the lower band edge and at the band top.
+    fn ode(&self) -> PoweredOde {
+        PoweredOde {
+            c: self.c_eq,
+            g: self.c_eq * self.k,
+            v_max: self.buffer.rail_clamp.get(),
+            p_in: self.p_in,
+            i_load: self.load.unwrap_or(0.0),
+            p_drain: 0.0,
+            v_drain_min: f64::INFINITY,
         }
-        self.note_dwell(t_adv);
-        walk.v = v_after.get();
-        walk.e = e_after.get();
+    }
+}
+
+impl PollModel for MorphyWalk<'_> {
+    type Span = PoweredSolution;
+
+    fn controller(&mut self) -> Controller<'_> {
+        let b = &mut *self.buffer;
+        Controller {
+            tick: &mut b.tick,
+            acc: &mut b.poll_acc,
+            cooldown: Some(&mut b.cooldown_left),
+            // Only the powered stride records a refusal.
+            fallback: self.load.is_some().then_some(&mut b.fallback),
+            thresholds: (b.v_low.get(), b.v_high.get()),
+        }
+    }
+
+    fn enter(&mut self) -> f64 {
+        self.v.max(0.0)
+    }
+
+    fn band(&mut self, window: f64, lo: f64, hi: f64, dt: f64) -> Option<(f64, Self::Span)> {
+        let v = self.v.max(0.0);
+        charge_ode::integrate_powered_quantized(&self.ode(), v, window, lo, Some(hi), dt)
+    }
+
+    #[inline]
+    fn segment(&mut self, h: f64, lo: f64, hi: Option<f64>, dt: f64) -> Option<(f64, Self::Span)> {
+        let ode = self.ode();
+        match (self.load, hi) {
+            // The idle stride's rising stop: the drain-free idle ODE.
+            (None, Some(v_stop)) => {
+                let ode = ChargeOde {
+                    c: ode.c,
+                    g: ode.g,
+                    v_max: ode.v_max,
+                    p_in: ode.p_in,
+                    p_drain: 0.0,
+                    v_drain_min: f64::INFINITY,
+                };
+                let (t, sol) = charge_ode::integrate_quantized(&ode, self.v, h, v_stop, dt)?;
+                let sol = PoweredSolution {
+                    v_final: sol.v_final,
+                    leaked: sol.leaked,
+                    clipped: sol.clipped,
+                    ..PoweredSolution::default()
+                };
+                Some((t, sol))
+            }
+            _ => charge_ode::integrate_powered_quantized(&ode, self.v, h, lo, hi, dt),
+        }
+    }
+
+    /// The terminal lands on `v_final` while the within-chain imbalance
+    /// decays on its own e^{−2kt}, leaking ½C_unit·Σw²·(1−e^{−2kT}) on
+    /// top of the terminal's G_eff·v² integral; the books close against
+    /// the committed energies, the powered stride's on gross delivery.
+    fn commit(&mut self, t_adv: f64, sol: PoweredSolution) {
+        let buffer = &mut *self.buffer;
+        let decay = (-self.k * t_adv).exp();
+        let (imbalance, e_after, v_after) = buffer
+            .network
+            .commit_idle_solution(Volts::new(sol.v_final), decay);
+        let c_unit = buffer.network.unit_spec().capacitance.get();
+        let leaked = Joules::new(sol.leaked + 0.5 * c_unit * imbalance * (1.0 - decay * decay));
+        let delta_e = e_after - Joules::new(self.e);
+        let clipped = Joules::new(sol.clipped);
+        let (ledger, load) = (&mut buffer.ledger, Joules::new(sol.load_consumed));
+        match self.load {
+            None => ledger.close_net(delta_e, leaked, Joules::ZERO, clipped),
+            Some(_) => ledger.close_gross(delta_e, leaked, load, Joules::ZERO, clipped),
+        }
+        buffer.note_dwell(t_adv);
+        self.v = v_after.get();
+        self.e = e_after.get();
+    }
+
+    /// The threshold handler reads the settled terminal voltage and may
+    /// move the ladder. The idle stride walks on from the re-read
+    /// network; the powered stride hands back, since the move made the
+    /// kernel's precomputed wake voltage (and the workload's
+    /// usable-energy picture) stale.
+    fn poll(&mut self) -> bool {
+        let before = self.buffer.reconfigurations;
+        self.buffer.poll_controller();
+        if self.buffer.reconfigurations == before {
+            return false;
+        }
+        if self.load.is_some() {
+            return true;
+        }
+        self.reread();
+        false
     }
 }
 
@@ -510,15 +441,11 @@ impl EnergyBuffer for MorphyBuffer {
         if self.chains_unequal() {
             return crate::reference_idle_advance(self, input, duration, v_stop, fine_dt);
         }
-        let (elapsed, _) = self.walk_polls(
-            input,
-            None,
-            duration,
-            f64::NEG_INFINITY,
-            Some(v_stop.get()),
-            fine_dt,
-        );
-        Seconds::new(elapsed)
+        let mut walk = MorphyWalk::new(self, input, None);
+        // Morphy has no guard band, so the walk never refuses outright.
+        let no_floor = Volts::new(f64::NEG_INFINITY);
+        walk::walk_polls(&mut walk, fine_dt, duration, no_floor, Some(v_stop))
+            .map_or(Seconds::ZERO, Seconds::new)
     }
 
     fn supports_powered_fast_path(&self) -> bool {
@@ -550,13 +477,8 @@ impl EnergyBuffer for MorphyBuffer {
             self.fallback = Some(FallbackReason::NoClosedForm);
             return None;
         }
-        let v_wake = v_wake.map(Volts::get);
-        let (elapsed, refusal) =
-            self.walk_polls(input, Some(load), duration, v_stop.get(), v_wake, fine_dt);
-        if elapsed == 0.0 {
-            self.fallback = Some(refusal);
-        }
-        Some(Seconds::new(elapsed))
+        let mut walk = MorphyWalk::new(self, input, Some(load));
+        walk::walk_polls(&mut walk, fine_dt, duration, v_stop, v_wake).map(Seconds::new)
     }
 
     fn take_fallback(&mut self) -> Option<FallbackReason> {
@@ -606,9 +528,7 @@ impl EnergyBuffer for MorphyBuffer {
             let unit_clip = self.network.deposit_charge(store);
             let delivered = self.network.stored_energy() - before;
             let clipped = unit_clip + (dq - store) * self.rail_clamp;
-            self.ledger.delivered += delivered;
-            self.ledger.clipped += clipped;
-            self.ledger.harvested += delivered + clipped;
+            self.ledger.deposit(delivered, clipped);
         }
 
         // 4. Controller: externally powered, polls regardless of the

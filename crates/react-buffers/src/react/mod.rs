@@ -22,7 +22,8 @@ use react_circuit::{BankMode, Capacitor, EnergyLedger, SeriesParallelBank};
 use react_telemetry::FallbackReason;
 use react_units::{Amps, Coulombs, Farads, Joules, PollTick, Seconds, Volts, Watts};
 
-use crate::charge_ode::{self, ChargeOde};
+use crate::charge_ode::{self, ChargeOde, IdleSolution, PoweredSolution};
+use crate::walk::{self, Controller, PollModel, BAND_GUARD};
 use crate::{power_intake, EnergyBuffer, CHARGE_CURRENT_LIMIT, CONVERSION_FLOOR};
 
 /// Rail voltage above which the comparators and instrumentation draw
@@ -44,10 +45,6 @@ const RESIDUAL_GUARD: f64 = 0.002;
 /// reference is both exact and cheap (high power means imminent
 /// reconfigurations, so strides would be short regardless).
 const STAGED_INPUT_MAX: f64 = 2.0e-4;
-
-/// Margin (V) inside the comparator thresholds where the powered
-/// strides integrate the dead band in bulk.
-const BAND_GUARD: f64 = 0.02;
 
 fn connected(bank: &&SeriesParallelBank) -> bool {
     bank.mode() != BankMode::Disconnected
@@ -276,10 +273,8 @@ impl ReactBuffer {
             }
         };
 
-        let delivered = (e_after - e_before).max(Joules::ZERO);
-        self.ledger.delivered += delivered;
-        self.ledger.clipped += clipped;
-        self.ledger.harvested += delivered + clipped;
+        self.ledger
+            .deposit((e_after - e_before).max(Joules::ZERO), clipped);
     }
 
     /// One software poll (§3.4): read the comparators, step the bank
@@ -392,35 +387,56 @@ impl ReactBuffer {
         }
     }
 
-    /// Books one equalized span: the LLB and every connected bank land
-    /// on `fin.v_final`, the ledger closes against the committed pack
-    /// energy (`e_pack`, carried from span to span), disconnected banks
-    /// decay, and dwell accrues.
-    fn commit_equalized(
-        &mut self,
-        fin: &charge_ode::PoweredSolution,
-        t_adv: f64,
-        e_pack: &mut f64,
-    ) {
-        self.llb.set_voltage(Volts::new(fin.v_final));
-        for bank in self.banks.iter_mut() {
-            if bank.mode() != BankMode::Disconnected {
-                set_terminal(bank, fin.v_final);
-            }
+    /// The LLB plus the connected banks `pack` (in bank order) as one
+    /// combined capacitor: its charge, capacitance and leakage
+    /// conductance. A bank's terminal decays at its unit's g/C rate in
+    /// both modes, so its terminal conductance is k·C_terminal.
+    fn combined<'b>(&self, pack: impl Iterator<Item = &'b SeriesParallelBank>) -> (f64, f64, f64) {
+        let llb = self.llb.spec();
+        let mut c = llb.capacitance.get();
+        let mut g = charge_ode::leakage_conductance(&llb.leakage);
+        let mut charge = c * self.llb.voltage().get();
+        for bank in pack {
+            let unit = bank.spec().unit;
+            let k = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
+            let c_term = bank.terminal_capacitance().get();
+            charge += c_term * bank.terminal_voltage().get();
+            c += c_term;
+            g += k * c_term;
         }
-        let e_after = self.pack_energy();
-        let delta_e = e_after - *e_pack;
-        *e_pack = e_after;
-        let delivered_gross =
-            (delta_e + fin.leaked + fin.load_consumed + fin.drained + fin.clipped).max(0.0);
-        self.ledger.leaked += Joules::new(fin.leaked);
-        self.ledger.load_consumed += Joules::new(fin.load_consumed);
-        self.ledger.overhead_consumed += Joules::new(fin.drained);
-        self.ledger.clipped += Joules::new(fin.clipped);
-        self.ledger.delivered += Joules::new(delivered_gross - fin.clipped);
-        self.ledger.harvested += Joules::new(delivered_gross);
-        self.decay_disconnected(t_adv);
-        self.note_dwell(t_adv);
+        (charge, c, g)
+    }
+
+    /// The poll controller under a stride walk; it has no cooldown.
+    fn controller(&mut self) -> Controller<'_> {
+        Controller {
+            tick: &mut self.tick,
+            acc: &mut self.poll_acc,
+            cooldown: None,
+            fallback: Some(&mut self.fallback),
+            thresholds: (self.config.v_low.get(), self.config.v_high.get()),
+        }
+    }
+
+    /// Whether `v` sits within `margin` of a comparator threshold.
+    fn near_threshold(&self, v: f64, margin: f64) -> bool {
+        (v - self.config.v_high.get()).abs() < margin
+            || (v - self.config.v_low.get()).abs() < margin
+    }
+
+    /// One in-stride poll against the reconstructed LLB voltage `v`
+    /// (the committed state only carries the pack average). A
+    /// reconfiguration drains any boosted bank into the LLB and hands
+    /// the stride back: the bank topology changed, so every closed form
+    /// is stale.
+    fn poll_in_stride(&mut self, v: f64) -> bool {
+        let before = self.reconfigurations;
+        self.poll_controller_at(Volts::new(v));
+        if self.reconfigurations == before {
+            return false;
+        }
+        self.drain_banks_into_llb();
+        true
     }
 
     /// Staged closed-form sleep integration for the *un-equalized* bank
@@ -446,7 +462,7 @@ impl ReactBuffer {
     #[allow(clippy::too_many_arguments)]
     fn staged_powered_advance(
         &mut self,
-        mut lows: BankSet,
+        lows: BankSet,
         input: Watts,
         load: Amps,
         duration: Seconds,
@@ -454,370 +470,10 @@ impl ReactBuffer {
         v_wake: Option<Volts>,
         fine_dt: Seconds,
     ) -> Option<Seconds> {
-        let vs = v_stop.get();
-        let vw = v_wake.map(Volts::get);
         let total = duration.get();
-        let dt = fine_dt.get();
-
-        // The pack: LLB plus every connected bank already equalized
-        // with it (the low banks are excluded by construction).
-        let pack = BankSet::filtered(&self.banks, |i| {
-            !lows.as_slice().contains(&i) && connected(&&self.banks[i])
-        });
-        let pack = pack.as_slice();
-        let llb_spec = *self.llb.spec();
-        let llb_v = self.llb.voltage().get();
-        let mut c_pack = llb_spec.capacitance.get();
-        let mut g_pack = charge_ode::leakage_conductance(&llb_spec.leakage);
-        let mut charge = c_pack * llb_v;
-        for &i in pack {
-            let unit = self.banks[i].spec().unit;
-            let k = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
-            let c_term = self.banks[i].terminal_capacitance().get();
-            charge += c_term * self.banks[i].terminal_voltage().get();
-            c_pack += c_term;
-            g_pack += k * c_term;
-        }
-        let mut v_pack = charge / c_pack;
-        // LLB microstate offset for comparator reconstruction, exactly
-        // as in the equalized path.
-        let llb_offset = llb_v - v_pack;
-
-        // Low banks ascending by terminal voltage (a stable sort, which
-        // at this length is an in-place insertion sort); per-bank
-        // terminal capacitance and leak rate ride along.
-        lows.as_mut_slice().sort_by(|&a, &b| {
-            self.banks[a]
-                .terminal_voltage()
-                .get()
-                .total_cmp(&self.banks[b].terminal_voltage().get())
-        });
-        let lows = lows.as_slice();
-        let (mut low_v, mut low_c, mut low_k) =
-            ([0.0; MAX_BANKS], [0.0; MAX_BANKS], [0.0; MAX_BANKS]);
-        for (j, &i) in lows.iter().enumerate() {
-            let bank = &self.banks[i];
-            let unit = bank.spec().unit;
-            low_v[j] = bank.terminal_voltage().get();
-            low_c[j] = bank.terminal_capacitance().get();
-            low_k[j] = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
-        }
-        // The charging front: `lows[..front_len]` share the lowest
-        // voltage and split the harvester intake, so they charge as one
-        // combined capacitance at `v_front`.
-        let mut front_len = 1usize;
-        let mut v_front = low_v[0];
-
-        // The powered stride only runs while the MCU is on (see the
-        // equalized path).
-        self.mcu_was_running = true;
-
-        let p_in = input.get().max(0.0);
-        let i_load = load.get().max(0.0);
-        // The overhead draw scales with every *connected* bank,
-        // including the ones still charging up.
-        let overhead = self.config.instrumentation_overhead.get()
-            + self.config.overhead_per_bank.get() * (pack.len() + lows.len()) as f64;
-        let pack_ode = charge_ode::PoweredOde {
-            c: c_pack,
-            g: g_pack,
-            v_max: llb_spec.max_voltage.get(),
-            p_in: 0.0,
-            i_load,
-            p_drain: overhead,
-            v_drain_min: INSTRUMENTATION_FLOOR,
-        };
-        let rail_clamp = self.config.rail_clamp.get();
-        let front_ode = |n: usize| {
-            let c: f64 = low_c[..n].iter().sum();
-            let g: f64 = low_c[..n].iter().zip(&low_k[..n]).map(|(c, k)| c * k).sum();
-            ChargeOde {
-                c,
-                g,
-                v_max: rail_clamp,
-                p_in,
-                p_drain: 0.0,
-                v_drain_min: f64::INFINITY,
-            }
-        };
-        // The fine reference deposits each step's intake charge at the
-        // step-*start* voltage, so every Euler step books a `dq²/2C`
-        // quadrature excess over the continuous closed form — material
-        // on a small, low-voltage charging front (`dq ∝ 1/v`). Summed
-        // along the front's own trajectory the excess has closed forms
-        // per converter regime: `i²·dt·t/2C` through the
-        // constant-current region and `(p·dt/4)·ln(v1²/v0²)` through
-        // constant-power. Booking it (on a front that does not clip)
-        // keeps staged strides step-faithful to the reference
-        // discretization.
-        let euler_intake_excess = |v0: f64, v1: f64, c: f64| -> f64 {
-            if p_in <= 0.0 || v1 <= v0 || c <= 0.0 {
-                return 0.0;
-            }
-            let v_floor = CONVERSION_FLOOR.get();
-            let i_limit = CHARGE_CURRENT_LIMIT.get();
-            let i_cc = (p_in / v_floor).min(i_limit);
-            let v_cc = v_floor.max(p_in / i_limit);
-            let mut excess = 0.0;
-            let v_cc_end = v1.min(v_cc);
-            if v0 < v_cc_end {
-                let t_cc = c * (v_cc_end - v0) / i_cc;
-                excess += i_cc * i_cc * dt * t_cc / (2.0 * c);
-            }
-            let va = v0.max(v_cc);
-            if v1 > va {
-                excess += p_in * dt * 0.25 * ((v1 * v1) / (va * va)).ln();
-            }
-            excess
-        };
-        let front_solve = |ode: &ChargeOde, v0: f64, t: f64| {
-            let mut fin = charge_ode::integrate(ode, v0, t, None)?;
-            if fin.clipped == 0.0 {
-                let e = euler_intake_excess(v0, fin.v_final, ode.c);
-                fin.v_final = (fin.v_final * fin.v_final + 2.0 * e / ode.c)
-                    .sqrt()
-                    .min(rail_clamp);
-            }
-            Some(fin)
-        };
-
-        // Books one decoupled span: the pack and the front land on
-        // their own closed-form finals, the remaining low banks decay
-        // on their leaks, and the ledger closes against the committed
-        // energies exactly (∫q·dt = ΔE on each trajectory, summed; the
-        // group energy carries from span to span).
-        let group_energy = |this: &Self| -> f64 {
-            this.llb.energy().get()
-                + pack
-                    .iter()
-                    .chain(lows.iter())
-                    .map(|&i| this.banks[i].stored_energy().get())
-                    .sum::<f64>()
-        };
-        let mut e_group = group_energy(self);
-        macro_rules! commit_staged {
-            ($pack_fin:expr, $front_fin:expr, $t_adv:expr) => {{
-                let pack_fin = $pack_fin;
-                let front_fin = $front_fin;
-                let t_adv = $t_adv;
-                self.llb.set_voltage(Volts::new(pack_fin.v_final));
-                for &i in pack {
-                    set_terminal(&mut self.banks[i], pack_fin.v_final);
-                }
-                for j in 0..front_len {
-                    set_terminal(&mut self.banks[lows[j]], front_fin.v_final);
-                }
-                // Low banks behind both blocking diodes just leak; the
-                // drop is booked so the gross-delivery closure below
-                // stays an identity.
-                let mut decay_leaked = 0.0;
-                for j in front_len..lows.len() {
-                    let i = lows[j];
-                    let e_b = self.banks[i].stored_energy();
-                    low_v[j] *= (-low_k[j] * t_adv).exp();
-                    set_terminal(&mut self.banks[i], low_v[j]);
-                    decay_leaked += (e_b - self.banks[i].stored_energy()).get();
-                }
-                let e_after = group_energy(self);
-                let delta_e = e_after - e_group;
-                e_group = e_after;
-                let leaked = pack_fin.leaked + front_fin.leaked + decay_leaked;
-                let clipped = pack_fin.clipped + front_fin.clipped;
-                let delivered_gross =
-                    (delta_e + leaked + pack_fin.load_consumed + pack_fin.drained + clipped)
-                        .max(0.0);
-                self.ledger.leaked += Joules::new(leaked);
-                self.ledger.load_consumed += Joules::new(pack_fin.load_consumed);
-                self.ledger.overhead_consumed += Joules::new(pack_fin.drained);
-                self.ledger.clipped += Joules::new(clipped);
-                self.ledger.delivered += Joules::new(delivered_gross - clipped);
-                self.ledger.harvested += Joules::new(delivered_gross);
-                self.decay_disconnected(t_adv);
-                self.note_dwell(t_adv);
-                v_pack = pack_fin.v_final;
-                v_front = front_fin.v_final;
-            }};
-        }
-
-        // Topology events resolve once trajectories are within the
-        // equalization sweep's own epsilon of each other.
-        const MEET_EPS: f64 = 1e-6;
-        // Quantize a predicted event time up onto the step grid.
-        let quantize_meet = |meet: Option<f64>, horizon: f64| -> f64 {
-            match meet {
-                Some(t) => ((t / dt).ceil() * dt).max(dt).min(horizon),
-                None => horizon,
-            }
-        };
-
-        self.tick = self.tick.at_dt(fine_dt);
-        let tick = self.tick;
-        let period = tick.period().get();
-        let mut elapsed = 0.0_f64;
-        let mut refusal = FallbackReason::TransitionDue;
-        let mut coupled = false;
-        while elapsed < total {
-            // The front absorbs the next-lowest bank once level with it
-            // (per-step routing alternates deposits between them, which
-            // is charge-equivalent to charging the merged capacitance).
-            while front_len < lows.len() && v_front >= low_v[front_len] - MEET_EPS {
-                let c_f: f64 = low_c[..front_len].iter().sum();
-                let j = front_len;
-                v_front = (c_f * v_front + low_c[j] * low_v[j]) / (c_f + low_c[j]);
-                front_len += 1;
-            }
-            if v_pack <= vs || vw.is_some_and(|vw| v_pack >= vw) {
-                break;
-            }
-            // Diode coupling: the front caught the falling pack, or the
-            // pack fell onto a decaying low bank. Either way that output
-            // diode conducts and the decoupled forms are stale.
-            if v_front >= v_pack - MEET_EPS
-                || (front_len < lows.len() && low_v[lows.len() - 1] >= v_pack - MEET_EPS)
-            {
-                coupled = true;
-                break;
-            }
-
-            // The earliest predicted topology event bounds every span
-            // this iteration integrates.
-            let fr_ode = front_ode(front_len);
-            let event_cut = |h: f64| -> f64 {
-                let mut cut = quantize_meet(
-                    charge_ode::staged_meet_time(&fr_ode, v_front, &pack_ode, v_pack, h),
-                    h,
-                );
-                if front_len < lows.len() {
-                    let j = front_len;
-                    let next_fall = charge_ode::PoweredOde {
-                        c: low_c[j],
-                        g: low_c[j] * low_k[j],
-                        v_max: rail_clamp,
-                        p_in: 0.0,
-                        i_load: 0.0,
-                        p_drain: 0.0,
-                        v_drain_min: f64::INFINITY,
-                    };
-                    cut = cut.min(quantize_meet(
-                        charge_ode::staged_meet_time(&fr_ode, v_front, &next_fall, low_v[j], h),
-                        h,
-                    ));
-                    let top = lows.len() - 1;
-                    let top_rise = ChargeOde {
-                        c: low_c[top],
-                        g: low_c[top] * low_k[top],
-                        v_max: rail_clamp,
-                        p_in: 0.0,
-                        p_drain: 0.0,
-                        v_drain_min: f64::INFINITY,
-                    };
-                    cut = cut.min(quantize_meet(
-                        charge_ode::staged_meet_time(&top_rise, low_v[top], &pack_ode, v_pack, h),
-                        h,
-                    ));
-                }
-                cut
-            };
-
-            // 0. Comparator dead band, in bulk — same guard bounds as
-            // the equalized path, additionally cut at the predicted
-            // topology events.
-            let band_lo = (self.config.v_low.get() + BAND_GUARD).max(vs);
-            let band_hi = self.config.v_high.get() - BAND_GUARD;
-            let band_stop_up = vw.map_or(band_hi, |vw| vw.min(band_hi));
-            let whole = (((total - elapsed) / dt).floor() * dt).max(0.0);
-            if v_pack > band_lo && v_pack < band_stop_up && whole > 3.0 * period {
-                let window = event_cut(whole);
-                if window > 3.0 * period {
-                    if let Some((t_adv, pack_fin)) = charge_ode::integrate_powered_quantized(
-                        &pack_ode,
-                        v_pack,
-                        window,
-                        band_lo,
-                        Some(band_stop_up),
-                        dt,
-                    ) {
-                        if t_adv > 2.0 * period {
-                            let Some(front_fin) = front_solve(&fr_ode, v_front, t_adv) else {
-                                refusal = FallbackReason::NoClosedForm;
-                                break;
-                            };
-                            commit_staged!(pack_fin, front_fin, t_adv);
-                            self.poll_acc =
-                                tick.advance(self.poll_acc, (t_adv / dt).round() as u64);
-                            elapsed += t_adv;
-                            continue;
-                        }
-                    }
-                }
-            }
-
-            // 1. Replay the poll ticks up to the next poll.
-            let seg = tick.segment(self.poll_acc, Seconds::new(elapsed), duration);
-            let seg_horizon = seg.elapsed.get() - elapsed;
-
-            // 2. All decoupled closed forms over the segment, cut at
-            // the earliest topology event so no committed span ever
-            // integrates past a routing or coupling change.
-            let horizon_eff = event_cut(seg_horizon);
-            let Some((t_adv, pack_fin)) =
-                charge_ode::integrate_powered_quantized(&pack_ode, v_pack, horizon_eff, vs, vw, dt)
-            else {
-                refusal = FallbackReason::NoClosedForm;
-                break;
-            };
-            if t_adv <= 0.0 {
-                refusal = FallbackReason::NoClosedForm;
-                break;
-            }
-            let finished = t_adv >= seg_horizon - 1e-15;
-            let Some(front_fin) = front_solve(&fr_ode, v_front, t_adv) else {
-                refusal = FallbackReason::NoClosedForm;
-                break;
-            };
-
-            // Guard band: resolve the poll against the reconstructed
-            // LLB voltage; only the residual sliver still refuses.
-            let v_poll = pack_fin.v_final + llb_offset;
-            if seg.fired
-                && finished
-                && ((v_poll - self.config.v_high.get()).abs() < RESIDUAL_GUARD
-                    || (v_poll - self.config.v_low.get()).abs() < RESIDUAL_GUARD)
-            {
-                if elapsed == 0.0 {
-                    self.fallback = Some(FallbackReason::GuardBand);
-                    return None;
-                }
-                refusal = FallbackReason::GuardBand;
-                break;
-            }
-
-            // 3. Commit every trajectory and the energy books.
-            commit_staged!(pack_fin, front_fin, t_adv);
-
-            // 4. Controller bookkeeping.
-            let mut no_cooldown = Seconds::ZERO;
-            if crate::commit_segment_ticks(
-                &tick,
-                seg,
-                t_adv,
-                duration,
-                &mut self.poll_acc,
-                &mut elapsed,
-                &mut no_cooldown,
-            ) {
-                let before = self.reconfigurations;
-                self.poll_controller_at(Volts::new(v_pack + llb_offset));
-                if self.reconfigurations != before {
-                    self.drain_banks_into_llb();
-                    // Bank topology changed: every trajectory is
-                    // stale, so hand control back to the kernel.
-                    break;
-                }
-            }
-        }
-
-        if coupled && elapsed < total {
+        let mut walk = StagedWalk::new(self, lows, input, load, fine_dt.get());
+        let elapsed = walk::walk_polls(&mut walk, fine_dt, duration, v_stop, v_wake)?;
+        if walk.coupled && elapsed < total {
             // A diode conducts: equalize the met pair (booking the
             // quantization-sized second-order loss through the
             // reference's own diode-loss closure) and continue the
@@ -844,10 +500,428 @@ impl ReactBuffer {
                 None => None,
             };
         }
-        if elapsed == 0.0 {
-            self.fallback = Some(refusal);
-        }
         Some(Seconds::new(elapsed))
+    }
+}
+
+/// Topology events resolve once trajectories are within the
+/// equalization sweep's own epsilon of each other.
+const MEET_EPS: f64 = 1e-6;
+
+/// The equalized pack under the poll walk: the LLB and every
+/// output-diode-coupled bank move as one combined capacitor.
+struct EqualizedWalk<'a> {
+    buffer: &'a mut ReactBuffer,
+    ode: charge_ode::PoweredOde,
+    /// The pack voltage.
+    v: f64,
+    /// The committed pack energy, carried from span to span.
+    e_pack: f64,
+    /// LLB microstate offset: the comparator reads the pack average
+    /// plus this.
+    llb_offset: f64,
+    /// Whether any bank is connected; only then can the reconstructed
+    /// LLB reading sit in the residual guard band.
+    banked: bool,
+}
+
+impl PollModel for EqualizedWalk<'_> {
+    type Span = PoweredSolution;
+
+    fn controller(&mut self) -> Controller<'_> {
+        self.buffer.controller()
+    }
+
+    fn enter(&mut self) -> f64 {
+        self.v
+    }
+
+    fn segment(&mut self, h: f64, lo: f64, hi: Option<f64>, dt: f64) -> Option<(f64, Self::Span)> {
+        charge_ode::integrate_powered_quantized(&self.ode, self.v, h, lo, hi, dt)
+    }
+
+    /// A zero-length quantized advance with the rail pinned at a
+    /// comparator edge is the guard band refusing the stride; anywhere
+    /// else the closed form itself gave up.
+    fn stalled(&self) -> FallbackReason {
+        if self.buffer.near_threshold(self.v, BAND_GUARD) {
+            FallbackReason::GuardBand
+        } else {
+            FallbackReason::NoClosedForm
+        }
+    }
+
+    /// Polls landing near a threshold resolve against the reconstructed
+    /// LLB voltage instead of refusing the whole ±20 mV band. Only a
+    /// residual sliver — where the reconstruction error (the churn's
+    /// step-to-step spread, well under a millivolt at sleep currents)
+    /// could genuinely flip the comparator — still falls back to fine
+    /// steps, which are the reference microdynamics.
+    fn guarded(&self, fin: &PoweredSolution) -> bool {
+        let v_poll = fin.v_final + self.llb_offset;
+        self.banked && self.buffer.near_threshold(v_poll, RESIDUAL_GUARD)
+    }
+
+    /// The LLB and every connected bank land on `fin.v_final`, the
+    /// ledger closes against the committed pack energy, disconnected
+    /// banks decay, and dwell accrues.
+    fn commit(&mut self, t_adv: f64, fin: PoweredSolution) {
+        let buffer = &mut *self.buffer;
+        buffer.llb.set_voltage(Volts::new(fin.v_final));
+        for bank in buffer
+            .banks
+            .iter_mut()
+            .filter(|b| b.mode() != BankMode::Disconnected)
+        {
+            set_terminal(bank, fin.v_final);
+        }
+        let e_after = buffer.pack_energy();
+        let delta_e = e_after - self.e_pack;
+        self.e_pack = e_after;
+        buffer.ledger.close_gross(
+            Joules::new(delta_e),
+            Joules::new(fin.leaked),
+            Joules::new(fin.load_consumed),
+            Joules::new(fin.drained),
+            Joules::new(fin.clipped),
+        );
+        buffer.decay_disconnected(t_adv);
+        buffer.note_dwell(t_adv);
+        self.v = fin.v_final;
+    }
+
+    fn poll(&mut self) -> bool {
+        self.buffer.poll_in_stride(self.v + self.llb_offset)
+    }
+}
+
+/// The un-equalized state under the poll walk: the pack (LLB plus the
+/// equalized banks), the charging front and the other low banks, each
+/// on its own closed-form trajectory while the output diodes block.
+struct StagedWalk<'a> {
+    buffer: &'a mut ReactBuffer,
+    /// Connected banks equalized with the LLB, in bank order.
+    pack: BankSet,
+    /// Connected banks below the pack, ascending by terminal voltage,
+    /// with each one's voltage, terminal capacitance and leak rate.
+    lows: BankSet,
+    low_v: [f64; MAX_BANKS],
+    low_c: [f64; MAX_BANKS],
+    low_k: [f64; MAX_BANKS],
+    /// The charging front: `lows[..front_len]` share the lowest voltage
+    /// and split the harvester intake, so they charge as one combined
+    /// capacitance at `v_front`.
+    front_len: usize,
+    v_front: f64,
+    v_pack: f64,
+    pack_ode: charge_ode::PoweredOde,
+    /// LLB microstate offset for comparator reconstruction, exactly as
+    /// in the equalized walk.
+    llb_offset: f64,
+    p_in: f64,
+    rail_clamp: f64,
+    dt: f64,
+    /// The committed energy of the LLB, the pack and the low banks,
+    /// carried from span to span.
+    e_group: f64,
+    /// Whether the walk handed back at a diode coupling.
+    coupled: bool,
+}
+
+impl<'a> StagedWalk<'a> {
+    fn new(
+        buffer: &'a mut ReactBuffer,
+        mut lows: BankSet,
+        input: Watts,
+        load: Amps,
+        dt: f64,
+    ) -> Self {
+        // The pack: LLB plus every connected bank already equalized
+        // with it (the low banks are excluded by construction).
+        let pack = BankSet::filtered(&buffer.banks, |i| {
+            !lows.as_slice().contains(&i) && connected(&&buffer.banks[i])
+        });
+        let pack_banks = pack.as_slice().iter().map(|&i| &buffer.banks[i]);
+        let (charge, c_pack, g_pack) = buffer.combined(pack_banks);
+        let v_pack = charge / c_pack;
+
+        // Low banks ascending by terminal voltage (a stable sort, which
+        // at this length is an in-place insertion sort); per-bank
+        // terminal capacitance and leak rate ride along.
+        let v = |i: usize| buffer.banks[i].terminal_voltage().get();
+        lows.as_mut_slice().sort_by(|&a, &b| v(a).total_cmp(&v(b)));
+        let (mut low_v, mut low_c, mut low_k) =
+            ([0.0; MAX_BANKS], [0.0; MAX_BANKS], [0.0; MAX_BANKS]);
+        for (j, &i) in lows.as_slice().iter().enumerate() {
+            let bank = &buffer.banks[i];
+            let unit = bank.spec().unit;
+            low_v[j] = bank.terminal_voltage().get();
+            low_c[j] = bank.terminal_capacitance().get();
+            low_k[j] = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
+        }
+
+        // The powered stride only runs while the MCU is on (see the
+        // equalized path).
+        buffer.mcu_was_running = true;
+
+        let pack_ode = charge_ode::PoweredOde {
+            c: c_pack,
+            g: g_pack,
+            v_max: buffer.llb.spec().max_voltage.get(),
+            p_in: 0.0,
+            i_load: load.get().max(0.0),
+            // The overhead draw scales with every *connected* bank,
+            // including the ones still charging up.
+            p_drain: buffer.config.instrumentation_overhead.get()
+                + buffer.config.overhead_per_bank.get() * (pack.len + lows.len) as f64,
+            v_drain_min: INSTRUMENTATION_FLOOR,
+        };
+        let mut walk = Self {
+            pack,
+            lows,
+            low_v,
+            low_c,
+            low_k,
+            front_len: 1,
+            v_front: low_v[0],
+            v_pack,
+            pack_ode,
+            llb_offset: buffer.llb.voltage().get() - v_pack,
+            p_in: input.get().max(0.0),
+            rail_clamp: buffer.config.rail_clamp.get(),
+            dt,
+            e_group: 0.0,
+            coupled: false,
+            buffer,
+        };
+        walk.e_group = walk.group_energy();
+        walk
+    }
+
+    /// The LLB's, the pack's and every low bank's stored energy.
+    fn group_energy(&self) -> f64 {
+        let banks = &self.buffer.banks;
+        self.buffer.llb.energy().get()
+            + self
+                .pack
+                .as_slice()
+                .iter()
+                .chain(self.lows.as_slice())
+                .map(|&i| banks[i].stored_energy().get())
+                .sum::<f64>()
+    }
+
+    /// The charging front's combined ODE, fed the whole harvester
+    /// intake.
+    fn front_ode(&self) -> ChargeOde {
+        let n = self.front_len;
+        let c: f64 = self.low_c[..n].iter().sum();
+        let g: f64 = self.low_c[..n]
+            .iter()
+            .zip(&self.low_k[..n])
+            .map(|(c, k)| c * k)
+            .sum();
+        ChargeOde {
+            c,
+            g,
+            v_max: self.rail_clamp,
+            p_in: self.p_in,
+            p_drain: 0.0,
+            v_drain_min: f64::INFINITY,
+        }
+    }
+
+    /// The fine reference deposits each step's intake charge at the
+    /// step-*start* voltage, so every Euler step books a `dq²/2C`
+    /// quadrature excess over the continuous closed form — material on
+    /// a small, low-voltage charging front (`dq ∝ 1/v`). Summed along
+    /// the front's own trajectory the excess has closed forms per
+    /// converter regime: `i²·dt·t/2C` through the constant-current
+    /// region and `(p·dt/4)·ln(v1²/v0²)` through constant-power.
+    /// Booking it (on a front that does not clip) keeps staged strides
+    /// step-faithful to the reference discretization.
+    fn euler_intake_excess(&self, v0: f64, v1: f64, c: f64) -> f64 {
+        let (p_in, dt) = (self.p_in, self.dt);
+        if p_in <= 0.0 || v1 <= v0 || c <= 0.0 {
+            return 0.0;
+        }
+        let v_floor = CONVERSION_FLOOR.get();
+        let i_limit = CHARGE_CURRENT_LIMIT.get();
+        let i_cc = (p_in / v_floor).min(i_limit);
+        let v_cc = v_floor.max(p_in / i_limit);
+        let mut excess = 0.0;
+        let v_cc_end = v1.min(v_cc);
+        if v0 < v_cc_end {
+            let t_cc = c * (v_cc_end - v0) / i_cc;
+            excess += i_cc * i_cc * dt * t_cc / (2.0 * c);
+        }
+        let va = v0.max(v_cc);
+        if v1 > va {
+            excess += p_in * dt * 0.25 * ((v1 * v1) / (va * va)).ln();
+        }
+        excess
+    }
+
+    /// The front's trajectory over `t`, Euler excess included.
+    fn front_solve(&self, t: f64) -> Option<IdleSolution> {
+        let ode = &self.front_ode();
+        let mut fin = charge_ode::integrate(ode, self.v_front, t, None)?;
+        if fin.clipped == 0.0 {
+            let e = self.euler_intake_excess(self.v_front, fin.v_final, ode.c);
+            fin.v_final = (fin.v_final * fin.v_final + 2.0 * e / ode.c)
+                .sqrt()
+                .min(self.rail_clamp);
+        }
+        Some(fin)
+    }
+
+    /// A predicted event time quantized up onto the step grid.
+    fn quantize_meet(&self, meet: Option<f64>, horizon: f64) -> f64 {
+        match meet {
+            Some(t) => ((t / self.dt).ceil() * self.dt).max(self.dt).min(horizon),
+            None => horizon,
+        }
+    }
+}
+
+impl PollModel for StagedWalk<'_> {
+    type Span = (PoweredSolution, IdleSolution);
+
+    fn controller(&mut self) -> Controller<'_> {
+        self.buffer.controller()
+    }
+
+    /// The front absorbs the next-lowest bank once level with it
+    /// (per-step routing alternates deposits between them, which is
+    /// charge-equivalent to charging the merged capacitance).
+    fn enter(&mut self) -> f64 {
+        while self.front_len < self.lows.len
+            && self.v_front >= self.low_v[self.front_len] - MEET_EPS
+        {
+            let c_f: f64 = self.low_c[..self.front_len].iter().sum();
+            let j = self.front_len;
+            self.v_front =
+                (c_f * self.v_front + self.low_c[j] * self.low_v[j]) / (c_f + self.low_c[j]);
+            self.front_len += 1;
+        }
+        self.v_pack
+    }
+
+    /// Diode coupling: the front caught the falling pack, or the pack
+    /// fell onto a decaying low bank. Either way that output diode
+    /// conducts and the decoupled forms are stale.
+    fn couples(&mut self) -> bool {
+        let n = self.lows.len;
+        self.coupled = self.v_front >= self.v_pack - MEET_EPS
+            || (self.front_len < n && self.low_v[n - 1] >= self.v_pack - MEET_EPS);
+        self.coupled
+    }
+
+    /// The earliest predicted topology event: the front meeting the
+    /// pack or the next-lowest bank, or the topmost low bank meeting the
+    /// pack.
+    fn cut(&self, h: f64) -> f64 {
+        let (fr_ode, v_front) = (&self.front_ode(), self.v_front);
+        let mut cut = self.quantize_meet(
+            charge_ode::staged_meet_time(fr_ode, v_front, &self.pack_ode, self.v_pack, h),
+            h,
+        );
+        if self.front_len < self.lows.len {
+            let j = self.front_len;
+            let next_fall = charge_ode::PoweredOde {
+                c: self.low_c[j],
+                g: self.low_c[j] * self.low_k[j],
+                v_max: self.rail_clamp,
+                p_in: 0.0,
+                i_load: 0.0,
+                p_drain: 0.0,
+                v_drain_min: f64::INFINITY,
+            };
+            cut = cut.min(self.quantize_meet(
+                charge_ode::staged_meet_time(fr_ode, v_front, &next_fall, self.low_v[j], h),
+                h,
+            ));
+            let top = self.lows.len - 1;
+            let top_rise = ChargeOde {
+                c: self.low_c[top],
+                g: self.low_c[top] * self.low_k[top],
+                v_max: self.rail_clamp,
+                p_in: 0.0,
+                p_drain: 0.0,
+                v_drain_min: f64::INFINITY,
+            };
+            cut = cut.min(self.quantize_meet(
+                charge_ode::staged_meet_time(
+                    &top_rise,
+                    self.low_v[top],
+                    &self.pack_ode,
+                    self.v_pack,
+                    h,
+                ),
+                h,
+            ));
+        }
+        cut
+    }
+
+    fn segment(&mut self, h: f64, lo: f64, hi: Option<f64>, dt: f64) -> Option<(f64, Self::Span)> {
+        let (t_adv, pack_fin) =
+            charge_ode::integrate_powered_quantized(&self.pack_ode, self.v_pack, h, lo, hi, dt)?;
+        let front_fin = self.front_solve(t_adv)?;
+        Some((t_adv, (pack_fin, front_fin)))
+    }
+
+    /// Resolves the poll against the reconstructed LLB voltage; only the
+    /// residual sliver still refuses.
+    fn guarded(&self, (pack_fin, _): &Self::Span) -> bool {
+        let v_poll = pack_fin.v_final + self.llb_offset;
+        self.buffer.near_threshold(v_poll, RESIDUAL_GUARD)
+    }
+
+    /// The pack and the front land on their own closed-form finals, the
+    /// remaining low banks decay on their leaks, and the ledger closes
+    /// against the committed energies exactly (∫q·dt = ΔE on each
+    /// trajectory, summed).
+    fn commit(&mut self, t_adv: f64, (pack_fin, front_fin): Self::Span) {
+        let buffer = &mut *self.buffer;
+        let lows = self.lows.as_slice();
+        buffer.llb.set_voltage(Volts::new(pack_fin.v_final));
+        for &i in self.pack.as_slice() {
+            set_terminal(&mut buffer.banks[i], pack_fin.v_final);
+        }
+        for &i in &lows[..self.front_len] {
+            set_terminal(&mut buffer.banks[i], front_fin.v_final);
+        }
+        // Low banks behind both blocking diodes just leak; the drop is
+        // booked so the gross-delivery closure below stays an identity.
+        let mut decay_leaked = 0.0;
+        for (j, &i) in lows.iter().enumerate().skip(self.front_len) {
+            let e_b = buffer.banks[i].stored_energy();
+            self.low_v[j] *= (-self.low_k[j] * t_adv).exp();
+            set_terminal(&mut buffer.banks[i], self.low_v[j]);
+            decay_leaked += (e_b - buffer.banks[i].stored_energy()).get();
+        }
+        let e_after = self.group_energy();
+        let delta_e = e_after - self.e_group;
+        self.e_group = e_after;
+        let leaked = pack_fin.leaked + front_fin.leaked + decay_leaked;
+        let clipped = pack_fin.clipped + front_fin.clipped;
+        let buffer = &mut *self.buffer;
+        buffer.ledger.close_gross(
+            Joules::new(delta_e),
+            Joules::new(leaked),
+            Joules::new(pack_fin.load_consumed),
+            Joules::new(pack_fin.drained),
+            Joules::new(clipped),
+        );
+        buffer.decay_disconnected(t_adv);
+        buffer.note_dwell(t_adv);
+        self.v_pack = pack_fin.v_final;
+        self.v_front = front_fin.v_final;
+    }
+
+    fn poll(&mut self) -> bool {
+        self.buffer.poll_in_stride(self.v_pack + self.llb_offset)
     }
 }
 
@@ -1012,16 +1086,16 @@ impl EnergyBuffer for ReactBuffer {
         };
 
         // LLB flows. delivered := ΔE + losses keeps the ledger residual
-        // exactly zero; clamp the p = 0 case's rounding dust at zero.
+        // exactly zero; the closure clamps the p = 0 case's rounding
+        // dust at zero.
         let e0 = self.llb.energy();
         self.llb.set_voltage(Volts::new(fin.v_final));
-        let delta_e = self.llb.energy() - e0;
-        let delivered = Joules::new((delta_e.get() + fin.leaked + fin.drained).max(0.0));
-        self.ledger.leaked += Joules::new(fin.leaked);
-        self.ledger.overhead_consumed += Joules::new(fin.drained);
-        self.ledger.delivered += delivered;
-        self.ledger.clipped += Joules::new(fin.clipped);
-        self.ledger.harvested += delivered + Joules::new(fin.clipped);
+        self.ledger.close_net(
+            self.llb.energy() - e0,
+            Joules::new(fin.leaked),
+            Joules::new(fin.drained),
+            Joules::new(fin.clipped),
+        );
 
         self.decay_disconnected(t_adv);
 
@@ -1063,12 +1137,8 @@ impl EnergyBuffer for ReactBuffer {
         v_wake: Option<Volts>,
         fine_dt: Seconds,
     ) -> Option<Seconds> {
-        let vs = v_stop.get();
-        let vw = v_wake.map(Volts::get);
-        let total = duration.get();
-        let dt = fine_dt.get();
-        assert!(dt > 0.0, "fine timestep must be positive");
-        if total <= 0.0 {
+        assert!(fine_dt.get() > 0.0, "fine timestep must be positive");
+        if duration.get() <= 0.0 {
             return Some(Seconds::ZERO);
         }
 
@@ -1119,22 +1189,16 @@ impl EnergyBuffer for ReactBuffer {
 
         // Enter the stride from the charge-weighted combined voltage
         // (what continuous diode conduction converges to). Nothing is
-        // committed yet — the guard-band fallback below must leave the
+        // committed yet — the walk's guard-band fallback must leave the
         // buffer untouched so the fine steps it hands back to really
         // are the reference microdynamics. The first committed span
         // lands everything on its `v_final`, and the second-order
         // equalization loss folds into that commit's energy closure.
-        let mut v_cur = if n_connected == 0 {
+        let (charge, c_eq, g_eq) = self.combined(self.banks.iter().filter(connected));
+        let v_cur = if n_connected == 0 {
             llb_v
         } else {
-            let mut num = self.llb.capacitance().get() * llb_v;
-            let mut den = self.llb.capacitance().get();
-            for bank in self.banks.iter().filter(connected) {
-                let c = bank.terminal_capacitance().get();
-                num += c * bank.terminal_voltage().get();
-                den += c;
-            }
-            num / den
+            charge / c_eq
         };
 
         // LLB microstate offset: the combined capacitor reproduces the
@@ -1152,22 +1216,10 @@ impl EnergyBuffer for ReactBuffer {
         // MCU-off transition (a fine step would set the same flag).
         self.mcu_was_running = true;
 
-        let llb_spec = *self.llb.spec();
-        let mut c_eq = llb_spec.capacitance.get();
-        let mut g_eq = charge_ode::leakage_conductance(&llb_spec.leakage);
-        for bank in self.banks.iter().filter(connected) {
-            // A bank's terminal decays at its unit's g/C rate in both
-            // modes, so its terminal conductance is k·C_terminal.
-            let unit = bank.spec().unit;
-            let k = charge_ode::leakage_conductance(&unit.leakage) / unit.capacitance.get();
-            let c_term = bank.terminal_capacitance().get();
-            c_eq += c_term;
-            g_eq += k * c_term;
-        }
         let ode = charge_ode::PoweredOde {
             c: c_eq,
             g: g_eq,
-            v_max: llb_spec.max_voltage.get(),
+            v_max: self.llb.spec().max_voltage.get(),
             p_in: input.get().max(0.0),
             i_load: load.get().max(0.0),
             p_drain: self.config.instrumentation_overhead.get()
@@ -1175,130 +1227,16 @@ impl EnergyBuffer for ReactBuffer {
             v_drain_min: INSTRUMENTATION_FLOOR,
         };
 
-        self.tick = self.tick.at_dt(fine_dt);
-        let tick = self.tick;
-        let period = tick.period().get();
-        let mut e_pack = self.pack_energy();
-        let mut elapsed = 0.0_f64;
-        // Telemetry: why a zero-length stride was refused (stop
-        // condition already satisfied unless a break says otherwise).
-        let mut refusal = FallbackReason::TransitionDue;
-        while elapsed < total {
-            let v_now = v_cur;
-            if v_now <= vs || vw.is_some_and(|vw| v_now >= vw) {
-                break;
-            }
-
-            // 0. Comparator dead band, in bulk: while the rail sits
-            // strictly inside (v_low, v_high) — with the same guard
-            // margin the per-poll path uses — every poll reads "Ok"
-            // and fires nothing, so whole spans of the sleep integrate
-            // in ONE solve instead of poll-by-poll, with the poll
-            // accumulator advanced in closed form. The stride stops at
-            // the band edges (quantized onto the step grid); threshold
-            // approaches then fall to the per-poll walk below.
-            let band_lo = (self.config.v_low.get() + BAND_GUARD).max(vs);
-            let band_hi = self.config.v_high.get() - BAND_GUARD;
-            let band_stop_up = vw.map_or(band_hi, |vw| vw.min(band_hi));
-            let whole = (((total - elapsed) / dt).floor() * dt).max(0.0);
-            if v_now > band_lo && v_now < band_stop_up && whole > 3.0 * period {
-                if let Some((t_adv, fin)) = charge_ode::integrate_powered_quantized(
-                    &ode,
-                    v_now,
-                    whole,
-                    band_lo,
-                    Some(band_stop_up),
-                    dt,
-                ) {
-                    if t_adv > 2.0 * period {
-                        self.commit_equalized(&fin, t_adv, &mut e_pack);
-                        v_cur = fin.v_final;
-                        self.poll_acc = tick.advance(self.poll_acc, (t_adv / dt).round() as u64);
-                        elapsed += t_adv;
-                        continue;
-                    }
-                }
-            }
-
-            // 1. Replay the poll ticks up to the next poll.
-            let seg = tick.segment(self.poll_acc, Seconds::new(elapsed), duration);
-            let seg_horizon = seg.elapsed.get() - elapsed;
-
-            // 2. Closed-form integration of the inter-poll segment.
-            let Some((t_adv, fin)) =
-                charge_ode::integrate_powered_quantized(&ode, v_now, seg_horizon, vs, vw, dt)
-            else {
-                refusal = FallbackReason::NoClosedForm;
-                break; // hand the rest back to the fine-step loop
-            };
-            if t_adv <= 0.0 {
-                // A zero-length quantized advance with the rail pinned
-                // at a comparator edge is the guard band refusing the
-                // stride; anywhere else the closed form itself gave up.
-                refusal = if (v_now - self.config.v_high.get()).abs() < BAND_GUARD
-                    || (v_now - self.config.v_low.get()).abs() < BAND_GUARD
-                {
-                    FallbackReason::GuardBand
-                } else {
-                    FallbackReason::NoClosedForm
-                };
-                break;
-            }
-
-            // Comparator guard band: polls landing near a threshold
-            // resolve against the *reconstructed* LLB voltage (pack
-            // average plus the tracked microstate offset) instead of
-            // refusing the whole ±20 mV band. Only a residual sliver —
-            // where the reconstruction error (the churn's step-to-step
-            // spread, well under a millivolt at sleep currents) could
-            // genuinely flip the comparator — still falls back to fine
-            // steps, which are the reference microdynamics.
-            let v_poll = fin.v_final + llb_offset;
-            if seg.fired
-                && t_adv >= seg_horizon - 1e-15
-                && n_connected > 0
-                && ((v_poll - self.config.v_high.get()).abs() < RESIDUAL_GUARD
-                    || (v_poll - self.config.v_low.get()).abs() < RESIDUAL_GUARD)
-            {
-                if elapsed == 0.0 {
-                    self.fallback = Some(FallbackReason::GuardBand);
-                    return None;
-                }
-                refusal = FallbackReason::GuardBand;
-                break;
-            }
-
-            // 3. Commit the combined capacitor and the energy books.
-            self.commit_equalized(&fin, t_adv, &mut e_pack);
-            v_cur = fin.v_final;
-
-            // 4. Controller bookkeeping.
-            let mut no_cooldown = Seconds::ZERO;
-            if crate::commit_segment_ticks(
-                &tick,
-                seg,
-                t_adv,
-                duration,
-                &mut self.poll_acc,
-                &mut elapsed,
-                &mut no_cooldown,
-            ) {
-                let before = self.reconfigurations;
-                // The comparator reads the reconstructed LLB voltage,
-                // not the committed pack average.
-                self.poll_controller_at(Volts::new(v_cur + llb_offset));
-                if self.reconfigurations != before {
-                    self.drain_banks_into_llb();
-                    // Bank topology changed: the combined capacitor is
-                    // stale, so hand control back to the kernel.
-                    break;
-                }
-            }
-        }
-        if elapsed == 0.0 {
-            self.fallback = Some(refusal);
-        }
-        Some(Seconds::new(elapsed))
+        let e_pack = self.pack_energy();
+        let mut walk = EqualizedWalk {
+            buffer: self,
+            ode,
+            v: v_cur,
+            e_pack,
+            llb_offset,
+            banked: n_connected > 0,
+        };
+        walk::walk_polls(&mut walk, fine_dt, duration, v_stop, v_wake).map(Seconds::new)
     }
 
     fn take_fallback(&mut self) -> Option<FallbackReason> {

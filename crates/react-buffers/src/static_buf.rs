@@ -151,12 +151,13 @@ impl EnergyBuffer for StaticBuffer {
             self.cap.energy() - e0
         };
         // delivered := ΔE + leaked keeps the ledger residual exactly
-        // zero; clamp the p = 0 case's rounding dust at zero.
-        let delivered = Joules::new((delta_e.get() + fin.leaked).max(0.0));
-        self.ledger.leaked += Joules::new(fin.leaked);
-        self.ledger.delivered += delivered;
-        self.ledger.clipped += Joules::new(fin.clipped);
-        self.ledger.harvested += delivered + Joules::new(fin.clipped);
+        // zero; the closure clamps the p = 0 case's rounding dust at zero.
+        self.ledger.close_net(
+            delta_e,
+            Joules::new(fin.leaked),
+            Joules::ZERO,
+            Joules::new(fin.clipped),
+        );
         Seconds::new(t_adv)
     }
 
@@ -219,13 +220,13 @@ impl EnergyBuffer for StaticBuffer {
         };
         // delivered := ΔE + losses keeps the ledger residual exactly
         // zero against the committed (re-rounded) stored energy.
-        let delivered =
-            Joules::new((delta_e.get() + fin.leaked + fin.load_consumed + fin.clipped).max(0.0));
-        self.ledger.leaked += Joules::new(fin.leaked);
-        self.ledger.load_consumed += Joules::new(fin.load_consumed);
-        self.ledger.clipped += Joules::new(fin.clipped);
-        self.ledger.delivered += delivered - Joules::new(fin.clipped);
-        self.ledger.harvested += delivered;
+        self.ledger.close_gross(
+            delta_e,
+            Joules::new(fin.leaked),
+            Joules::new(fin.load_consumed),
+            Joules::ZERO,
+            Joules::new(fin.clipped),
+        );
         Some(Seconds::new(t_adv))
     }
 
@@ -253,10 +254,7 @@ impl EnergyBuffer for StaticBuffer {
         let dq = power_intake(input, self.cap.voltage(), dt);
         let before = self.cap.energy();
         let clipped = self.cap.deposit(dq / dt, dt);
-        let delivered = self.cap.energy() - before;
-        self.ledger.delivered += delivered;
-        self.ledger.clipped += clipped;
-        self.ledger.harvested += delivered + clipped;
+        self.ledger.deposit(self.cap.energy() - before, clipped);
     }
 
     /// Capacitance fade and leakage growth drift the *actual* spec in

@@ -34,6 +34,51 @@ impl EnergyLedger {
         Self::default()
     }
 
+    /// Books one harvester deposit: `delivered` entered storage and
+    /// `clipped` burned in overvoltage protection; the harvester made
+    /// both available.
+    #[inline]
+    pub fn deposit(&mut self, delivered: Joules, clipped: Joules) {
+        self.delivered += delivered;
+        self.clipped += clipped;
+        self.harvested += delivered + clipped;
+    }
+
+    /// Closes an idle stride against the committed stored-energy change
+    /// `delta_e`: it books `leaked` and the management `drained`, then
+    /// deposits `delivered = max(ΔE + leaked + drained, 0)` beside
+    /// `clipped`, so the conservation residual stays exactly zero unless
+    /// the clamp at zero bites.
+    #[inline]
+    pub fn close_net(&mut self, delta_e: Joules, leaked: Joules, drained: Joules, clipped: Joules) {
+        let delivered = (delta_e + leaked + drained).max(Joules::ZERO);
+        self.leaked += leaked;
+        self.overhead_consumed += drained;
+        self.deposit(delivered, clipped);
+    }
+
+    /// Closes a powered stride on gross delivery: `G = max(ΔE + leaked +
+    /// load + drained + clipped, 0)` is what the harvester made
+    /// available, of which `G − clipped` entered storage. Books `leaked`,
+    /// `load`, `drained` and `clipped` as given.
+    #[inline]
+    pub fn close_gross(
+        &mut self,
+        delta_e: Joules,
+        leaked: Joules,
+        load: Joules,
+        drained: Joules,
+        clipped: Joules,
+    ) {
+        let gross = (delta_e + leaked + load + drained + clipped).max(Joules::ZERO);
+        self.leaked += leaked;
+        self.load_consumed += load;
+        self.overhead_consumed += drained;
+        self.clipped += clipped;
+        self.delivered += gross - clipped;
+        self.harvested += gross;
+    }
+
     /// Sum of all recorded outflows and losses (everything except
     /// `harvested`/`delivered`, which are inflows).
     pub fn total_outflow(&self) -> Joules {
@@ -130,6 +175,78 @@ mod tests {
         };
         let r = ledger.conservation_residual(Joules::new(0.5), Joules::new(1.5));
         assert!(r.get().abs() < 1e-12);
+    }
+
+    fn j(x: f64) -> Joules {
+        Joules::new(x)
+    }
+
+    #[test]
+    fn deposit_books_delivered_and_clipped_as_harvested() {
+        let mut ledger = EnergyLedger::new();
+        ledger.deposit(j(0.75), j(0.25));
+        let want = EnergyLedger {
+            harvested: j(1.0),
+            delivered: j(0.75),
+            clipped: j(0.25),
+            ..Default::default()
+        };
+        assert_eq!(ledger, want);
+    }
+
+    #[test]
+    fn net_closure_books_exactly_its_operands() {
+        let mut ledger = EnergyLedger::new();
+        // ΔE = 1, leaked 0.5, drained 0.25, clipped 0.125.
+        ledger.close_net(j(1.0), j(0.5), j(0.25), j(0.125));
+        let want = EnergyLedger {
+            harvested: j(1.875),
+            delivered: j(1.75),
+            clipped: j(0.125),
+            leaked: j(0.5),
+            overhead_consumed: j(0.25),
+            ..Default::default()
+        };
+        assert_eq!(ledger, want);
+    }
+
+    #[test]
+    fn gross_closure_books_exactly_its_operands() {
+        let mut ledger = EnergyLedger::new();
+        // ΔE = −1, leaked 0.5, load 2, drained 0.25, clipped 0.125:
+        // G = 1.875, of which 1.75 entered storage.
+        ledger.close_gross(j(-1.0), j(0.5), j(2.0), j(0.25), j(0.125));
+        let want = EnergyLedger {
+            harvested: j(1.875),
+            delivered: j(1.75),
+            clipped: j(0.125),
+            leaked: j(0.5),
+            load_consumed: j(2.0),
+            overhead_consumed: j(0.25),
+            ..Default::default()
+        };
+        assert_eq!(ledger, want);
+    }
+
+    /// The closures derive `delivered` from the committed ΔE, so the
+    /// residual is zero while ΔE + outflows ≥ 0. Below that, the clamp
+    /// at zero books no delivery and the residual is exactly the amount
+    /// clamped away.
+    #[test]
+    fn closure_residual_is_zero_until_the_clamp_bites() {
+        let (e0, leaked, load, drained) = (4.0, 0.5, 0.25, 0.125);
+        for delta_e in [1.0, 0.0, -0.625, -0.875, -1.5] {
+            let e1 = j(e0 + delta_e);
+            let mut net = EnergyLedger::new();
+            net.close_net(j(delta_e), j(leaked), j(drained), j(0.0625));
+            let clamped = -(delta_e + leaked + drained).min(0.0);
+            assert_eq!(net.conservation_residual(j(e0), e1), j(clamped));
+
+            let mut gross = EnergyLedger::new();
+            gross.close_gross(j(delta_e), j(leaked), j(load), j(drained), j(0.0625));
+            let clamped = -(delta_e + leaked + load + drained + 0.0625).min(0.0);
+            assert_eq!(gross.conservation_residual(j(e0), e1), j(clamped));
+        }
     }
 
     #[test]

@@ -622,13 +622,6 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         self.engine_steps
     }
 
-    /// Whether the run has terminated (drained past the horizon or hit
-    /// the hard cap). Once finished, [`SimCore::advance`] is a no-op
-    /// and [`SimCore::finish`] yields the outcome.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// One converter-composed source window starting at the clock —
     /// the environment is disconnected past the harvest horizon, so
     /// the drain phase runs on stored energy alone, matching

@@ -51,11 +51,6 @@ impl PowerReplay<TraceSource> {
         self.source.shared_trace()
     }
 
-    /// Ambient power available at time `t` (before conversion).
-    pub fn available_power(&self, t: Seconds) -> Watts {
-        self.trace().power_at(t)
-    }
-
     /// Rail power delivered at time `t` with the buffer at `v_buffer`.
     pub fn rail_power(&self, t: Seconds, v_buffer: Volts) -> Watts {
         self.rail_power_from(self.trace().power_at(t), v_buffer)

@@ -21,6 +21,7 @@
 
 use react_repro::buffers::{EnergyBuffer, MorphyBuffer, ReactBuffer, StaticBuffer};
 use react_repro::circuit::BankMode;
+use react_repro::telemetry::FallbackReason;
 use react_repro::units::{Amps, Seconds, Volts, Watts};
 
 const DT: f64 = 1e-3;
@@ -232,6 +233,123 @@ fn react_staged_walk() {
         powered(&mut near, 5.0e-5, 3.0e-4, 6.0, 1.2, None),
     ];
     check("react staged", &got, REACT_STAGED);
+}
+
+/// Morphy's idle walk does not hand back at a ladder move: a dark
+/// mid-ladder network leaks down through `v_low`, the poll steps it down
+/// a level (boosting the terminal back into the band), and the same
+/// stride walks on from the re-read network.
+#[test]
+fn morphy_idle_walks_on_through_a_ladder_move() {
+    let mut m = morphy(2, 1.93);
+    let got = [idle(&mut m, 0.0, 600.0, 3.3), idle(&mut m, 0.0, 0.5, 3.3)];
+    assert_eq!(got[0][0], 600.0_f64.to_bits(), "the walk went on");
+    assert!(m.reconfiguration_count() > 0);
+    check("morphy idle ladder move", &got, MORPHY_IDLE_LADDER_MOVE);
+}
+
+/// A dead-band stride right after a ladder move drains the cooldown it
+/// covers: the load pulls the terminal out of the band and through
+/// `v_low`, and the first poll there may step the ladder down again.
+#[test]
+fn morphy_band_stride_drains_the_cooldown() {
+    let mut m = morphy(3, 2.4);
+    assert!(m.defensive_reconfigure());
+    let got = [
+        powered(&mut m, 0.0, 5.0e-4, 3.0, 1.0, None),
+        powered(&mut m, 0.0, 5.0e-4, 3.0, 1.0, None),
+    ];
+    check("morphy band cooldown", &got, MORPHY_BAND_COOLDOWN);
+}
+
+/// REACT's staged walk until the charging front meets the falling pack:
+/// the met output diode conducts, and the rest of the stride re-enters
+/// `powered_advance` from the re-partitioned (equalized) state.
+#[test]
+fn react_staged_walk_couples_and_re_enters() {
+    let mut r = ReactBuffer::paper_prototype();
+    r.set_llb_voltage(Volts::new(2.6));
+    r.force_bank_state(0, Volts::new(2.6), BankMode::Parallel);
+    r.force_bank_state(1, Volts::new(2.55 / 3.0), BankMode::Series);
+    let got = [
+        powered(&mut r, 1.0e-4, 5.0e-5, 10.0, 1.2, None),
+        powered(&mut r, 1.0e-4, 5.0e-5, 0.35, 1.2, None),
+    ];
+    assert_eq!(got[0][0], 10.0_f64.to_bits(), "the re-entered walk ran on");
+    check("react staged coupling", &got, REACT_STAGED_COUPLING);
+}
+
+/// A slow climb through `v_high`: a mid-stride poll lands inside the
+/// residual guard band, so the stride commits what it walked and stops
+/// short; the next stride's first poll lands there again and is refused
+/// outright (`None`, `GuardBand`). The staged walk does the same on a
+/// pack falling slowly through `v_low` behind a dark low bank.
+#[test]
+fn react_guard_band_refuses_after_a_partial_advance() {
+    let mut up = ReactBuffer::paper_prototype();
+    up.set_llb_voltage(Volts::new(3.47));
+    up.force_bank_state(0, Volts::new(3.47), BankMode::Parallel);
+    let mut down = ReactBuffer::paper_prototype();
+    down.set_llb_voltage(Volts::new(1.95));
+    down.force_bank_state(0, Volts::new(1.95), BankMode::Parallel);
+    down.force_bank_state(1, Volts::new(0.1), BankMode::Series);
+    let mut got = Vec::new();
+    let mut reasons = Vec::new();
+    for (b, input, load) in [(&mut up, 2.0e-4, 1.0e-6), (&mut down, 0.0, 2.0e-5)] {
+        for _ in 0..2 {
+            got.push(powered(b, input, load, 10.0, 1.2, None));
+            reasons.push(b.take_fallback());
+        }
+    }
+    let guard = Some(FallbackReason::GuardBand);
+    assert_eq!(reasons, [None, guard, None, guard]);
+    check("react guard band", &got, REACT_GUARD_PARTIAL);
+}
+
+/// The reason each walk records for a stride it refuses outright, read
+/// through `take_fallback`: a stop already due (`TransitionDue`), a
+/// closed form that declines (`NoClosedForm`, here an infinite intake).
+/// Morphy's idle stride records none.
+#[test]
+fn refused_strides_record_their_reason() {
+    use FallbackReason::{NoClosedForm, TransitionDue};
+    let mut got = Vec::new();
+    let mut reasons = Vec::new();
+    let mut m = morphy(3, 2.5);
+    got.push(idle(&mut m, 0.0, 1.0, 2.4));
+    reasons.push(m.take_fallback());
+    got.push(powered(&mut m, 0.0, 1.0e-5, 1.0, 2.6, None));
+    reasons.push(m.take_fallback());
+    got.push(powered(&mut m, f64::INFINITY, 1.0e-5, 1.0, 1.8, None));
+    reasons.push(m.take_fallback());
+    let mut eq = ReactBuffer::paper_prototype();
+    eq.set_llb_voltage(Volts::new(2.5));
+    eq.force_bank_state(0, Volts::new(2.5), BankMode::Parallel);
+    got.push(powered(&mut eq, 0.0, 1.0e-5, 1.0, 1.8, Some(2.4)));
+    reasons.push(eq.take_fallback());
+    got.push(powered(&mut eq, f64::INFINITY, 1.0e-5, 1.0, 1.8, None));
+    reasons.push(eq.take_fallback());
+    let mut staged = ReactBuffer::paper_prototype();
+    staged.set_llb_voltage(Volts::new(2.5));
+    staged.force_bank_state(0, Volts::new(2.5), BankMode::Parallel);
+    staged.force_bank_state(1, Volts::new(0.2), BankMode::Series);
+    got.push(powered(&mut staged, 1.0e-5, 1.0e-5, 1.0, 2.6, None));
+    reasons.push(staged.take_fallback());
+    got.push(powered(&mut staged, 1.0e-3, 1.0e-5, 1.0, 1.8, None));
+    reasons.push(staged.take_fallback());
+    assert_eq!(
+        reasons,
+        [
+            None,
+            Some(TransitionDue),
+            Some(NoClosedForm),
+            Some(TransitionDue),
+            Some(NoClosedForm),
+            Some(TransitionDue),
+            Some(NoClosedForm),
+        ]
+    );
+    check("refused strides", &got, REFUSED);
 }
 
 /// Runs `n` fine steps at constant input and load, then pins the state
@@ -1008,5 +1126,253 @@ const STATIC_FINE: &[&[u64]] = &[
         0x0000000000000000,
         0x0000000000000000,
         0x0000000000000000,
+    ],
+];
+const MORPHY_IDLE_LADDER_MOVE: &[&[u64]] = &[
+    &[
+        0x4082c00000000000,
+        0x3ffccc32c87e0f1f,
+        0x3cb4cf11440e5640,
+        0x3cb4cf11440e5640,
+        0x0000000000000000,
+        0x3f48fc00c8d6771b,
+        0x0000000000000000,
+        0x3f426f52fa338af4,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000002,
+    ],
+    &[
+        0x3fe0000000000000,
+        0x3ffccabc5c04eed6,
+        0x3cb4d647d40e5640,
+        0x3cb4d647d40e5640,
+        0x0000000000000000,
+        0x3f48ffdb97cecd15,
+        0x0000000000000000,
+        0x3f426f52fa338af4,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000002,
+    ],
+];
+const REACT_STAGED_COUPLING: &[&[u64]] = &[
+    &[
+        0x4024000000000000,
+        0x40037909a014ede0,
+        0x3f50624eb7a875ee,
+        0x3f50624eb7a875ee,
+        0x0000000000000000,
+        0x3f1a633686244bce,
+        0x3d7d161800000000,
+        0x0000000000000000,
+        0x3f54978f3da77a86,
+        0x3f327b2cc70867ad,
+        0x0000000000000003,
+        0x0000000000000000,
+    ],
+    &[
+        0x3fd6666666666666,
+        0x40036df89711aa0a,
+        0x3f50f51bae66adca,
+        0x3f50f51bae66adca,
+        0x0000000000000000,
+        0x3f1b405a04128a5e,
+        0x3d7d161800000000,
+        0x0000000000000000,
+        0x3f554a065dcd290a,
+        0x3f3320c41acc8a07,
+        0x0000000000000003,
+        0x0000000000000000,
+    ],
+];
+const REACT_GUARD_PARTIAL: &[&[u64]] = &[
+    &[
+        0x3fe999999999999d,
+        0x400bf8a22e2de1ce,
+        0x3f24f8b588e368fc,
+        0x3f24f8b588e368fc,
+        0x0000000000000000,
+        0x3eed670e3d44ad02,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3ec760214b260b18,
+        0x3ee87ea6f9ff5ff5,
+        0x0000000000000002,
+        0x0000000000000000,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x400bf8a22e2de1ce,
+        0x3f24f8b588e368fc,
+        0x3f24f8b588e368fc,
+        0x0000000000000000,
+        0x3eed670e3d44ad02,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3ec760214b260b18,
+        0x3ee87ea6f9ff5ff5,
+        0x0000000000000002,
+        0x0000000000000000,
+    ],
+    &[
+        0x3ffccccccccccb8a,
+        0x3ffe72430d73a266,
+        0x3c26080000000000,
+        0x3c26080000000000,
+        0x0000000000000000,
+        0x3ee4499e1a09a0a4,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f122e37499eb284,
+        0x3f0a9ce451cea89e,
+        0x0000000000000003,
+        0x0000000000000000,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x3ffe72430d73a266,
+        0x3c26080000000000,
+        0x3c26080000000000,
+        0x0000000000000000,
+        0x3ee4499e1a09a0a4,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x3f122e37499eb284,
+        0x3f0a9ce451cea89e,
+        0x0000000000000003,
+        0x0000000000000000,
+    ],
+];
+const REFUSED: &[&[u64]] = &[
+    &[
+        0x0000000000000000,
+        0x4004000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000003,
+        0x0000000000000000,
+    ],
+    &[
+        0x0000000000000000,
+        0x4004000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000003,
+        0x0000000000000000,
+    ],
+    &[
+        0x0000000000000000,
+        0x4004000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000003,
+        0x0000000000000000,
+    ],
+    &[
+        0x0000000000000000,
+        0x4004000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000002,
+        0x0000000000000000,
+    ],
+    &[
+        0x0000000000000000,
+        0x4004000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000002,
+        0x0000000000000000,
+    ],
+    &[
+        0x0000000000000000,
+        0x4004000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000003,
+        0x0000000000000000,
+    ],
+    &[
+        0xffffffffffffffff,
+        0x4004000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000000,
+        0x0000000000000003,
+        0x0000000000000000,
+    ],
+];
+const MORPHY_BAND_COOLDOWN: &[&[u64]] = &[
+    &[
+        0x3ffb3333333332ff,
+        0x3ffe60aea55443d3,
+        0x3c47400000000000,
+        0x3c47400000000000,
+        0x0000000000000000,
+        0x3ede5ba0a4205136,
+        0x0000000000000000,
+        0x3f439a0788b63fe0,
+        0x3f5cd152325c3def,
+        0x0000000000000000,
+        0x0000000000000003,
+        0x0000000000000002,
+    ],
+    &[
+        0x3fd3333333333337,
+        0x40004a0756c454a7,
+        0x3c58700000000000,
+        0x3c58700000000000,
+        0x0000000000000000,
+        0x3ee148861a074b61,
+        0x0000000000000000,
+        0x3f556d73596f1a80,
+        0x3f60b3c368ba83f5,
+        0x0000000000000000,
+        0x0000000000000002,
+        0x0000000000000003,
     ],
 ];
