@@ -5,7 +5,7 @@
 //!
 //! report scenario [--quick]     # scenario FoM matrix   -> SCENARIO_report.json, SCENARIO_attribution.{json,txt}
 //! report fault [--quick]        # fault-campaign matrix -> FAULT_report.json
-//! report fleet [--quick] [--checkpoint <path>] [--nodes <n>] [--scenario <name>]
+//! report fleet [--quick] [--nodes <n>] [--scenario <name>]
 //!                               # salted fleet          -> FLEET_report.json, FLEET_attribution.{json,txt}
 //! report attribution            # kernel-overhead budget of SCENARIO_attribution.json
 //! report paper                  # Tables 2–5, Figs. 1/6/7, §5.1, §3.3.1 -> PAPER_report.json, PAPER_ledgers.csv, <table>.{txt,csv}
@@ -43,9 +43,7 @@
 //!   top fine-step sources. The committed baseline *is* the `--quick`
 //!   configuration (10k nodes, one day); the report fingerprint binds
 //!   the gate to the exact fleet configuration, so a full-size report
-//!   never gates against it. `--checkpoint` persists per-shard
-//!   aggregates so an interrupted run resumes bit-identically; a
-//!   resumed run's attribution covers only the freshly run shards.
+//!   never gates against it.
 //! * **attribution** reads the `SCENARIO_attribution.json` that
 //!   `report scenario` wrote and budgets each fallback class in engine
 //!   steps per simulated hour, two-sided
@@ -87,13 +85,7 @@ const USAGE: &str = "usage: report <scenario|fault|fleet|attribution|paper> \
                      [--check <baseline.json>] [--write-baseline <path>] [options]";
 
 /// Flags that take a value; every other flag is a switch.
-const VALUE_FLAGS: [&str; 5] = [
-    "--check",
-    "--write-baseline",
-    "--checkpoint",
-    "--nodes",
-    "--scenario",
-];
+const VALUE_FLAGS: [&str; 4] = ["--check", "--write-baseline", "--nodes", "--scenario"];
 
 /// Horizon cap of the scenario and fault `--quick` previews.
 const PREVIEW_HORIZON: Seconds = Seconds::new(900.0);
@@ -109,7 +101,7 @@ fn accepts(kind: Kind, flag: &str) -> bool {
     match flag {
         "--check" | "--write-baseline" => true,
         "--quick" => matches!(kind, Kind::Scenario | Kind::Fault | Kind::Fleet),
-        "--checkpoint" | "--nodes" | "--scenario" => kind == Kind::Fleet,
+        "--nodes" | "--scenario" => kind == Kind::Fleet,
         _ => false,
     }
 }
@@ -255,8 +247,6 @@ fn fleet(cli: &Cli) -> Result<FleetReport, String> {
         .transpose()?;
     let spec = fleet_spec(cli.value("--scenario"), nodes, cli.has("--quick"))?;
     let opts = FleetRunOptions {
-        checkpoint: cli.value("--checkpoint").map(std::path::PathBuf::from),
-        max_shards: None,
         parallel: true,
         attribution: true,
     };
@@ -275,13 +265,6 @@ fn fleet(cli: &Cli) -> Result<FleetReport, String> {
     let started = Instant::now();
     let result = run_fleet(&spec, &opts)?;
     let elapsed = started.elapsed().as_secs_f64();
-    let fresh_shards = result.shards_done - result.shards_resumed;
-    if result.shards_resumed > 0 {
-        println!(
-            "resumed {} shard(s) from checkpoint; ran {fresh_shards} fresh",
-            result.shards_resumed
-        );
-    }
 
     let report = FleetReport::from_run(&spec, result.aggregate, elapsed);
     let s = &report.summary;
@@ -321,9 +304,6 @@ fn fleet(cli: &Cli) -> Result<FleetReport, String> {
                 row.steps,
                 row.seconds
             );
-        }
-        if result.shards_resumed > 0 {
-            println!("  (profile covers the {fresh_shards} freshly executed shard(s) only)");
         }
         save("FLEET_attribution.json", &to_json(attr)?)?;
         save("FLEET_attribution.txt", &attr.render())?;

@@ -22,8 +22,7 @@
 //! not gated here.
 
 use react_core::{
-    compare_fleet_reports, compare_reports, find_scenario, FleetReport, FleetTolerances,
-    ScenarioReport, Tolerances,
+    compare_fleet_reports, compare_reports, find_scenario, FleetReport, ScenarioReport,
 };
 use serde::{Deserialize, Serialize};
 
@@ -216,7 +215,7 @@ impl Gate for ScenarioReport {
                 "{} baseline cells compared; {new_cells} cell(s) have no baseline yet",
                 baseline.cells.len()
             )],
-            violations: compare_reports(baseline, self, &Tolerances::default()),
+            violations: compare_reports(baseline, self),
         }
     }
 
@@ -232,7 +231,7 @@ impl Gate for FleetReport {
     fn compare(&self, baseline: &Self) -> Comparison {
         Comparison {
             table: vec![format!("fleet fingerprint {}", self.fingerprint)],
-            violations: compare_fleet_reports(baseline, self, &FleetTolerances::default()),
+            violations: compare_fleet_reports(baseline, self),
         }
     }
 }

@@ -275,7 +275,8 @@ impl PollModel for MorphyWalk<'_> {
     /// decays on its own e^{−2kt}, leaking ½C_unit·Σw²·(1−e^{−2kT}) on
     /// top of the terminal's G_eff·v² integral; the books close against
     /// the committed energies, the powered stride's on gross delivery.
-    fn commit(&mut self, t_adv: f64, sol: PoweredSolution) {
+    #[inline]
+    fn commit(&mut self, t_adv: f64, sol: &PoweredSolution) {
         let buffer = &mut *self.buffer;
         let decay = (-self.k * t_adv).exp();
         let (imbalance, e_after, v_after) = buffer

@@ -565,7 +565,8 @@ impl PollModel for EqualizedWalk<'_> {
     /// The LLB and every connected bank land on `fin.v_final`, the
     /// ledger closes against the committed pack energy, disconnected
     /// banks decay, and dwell accrues.
-    fn commit(&mut self, t_adv: f64, fin: PoweredSolution) {
+    #[inline]
+    fn commit(&mut self, t_adv: f64, fin: &PoweredSolution) {
         let buffer = &mut *self.buffer;
         buffer.llb.set_voltage(Volts::new(fin.v_final));
         for bank in buffer
@@ -882,7 +883,7 @@ impl PollModel for StagedWalk<'_> {
     /// remaining low banks decay on their leaks, and the ledger closes
     /// against the committed energies exactly (∫q·dt = ΔE on each
     /// trajectory, summed).
-    fn commit(&mut self, t_adv: f64, (pack_fin, front_fin): Self::Span) {
+    fn commit(&mut self, t_adv: f64, (pack_fin, front_fin): &Self::Span) {
         let buffer = &mut *self.buffer;
         let lows = self.lows.as_slice();
         buffer.llb.set_voltage(Volts::new(pack_fin.v_final));

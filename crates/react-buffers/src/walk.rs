@@ -80,7 +80,7 @@ pub(crate) trait PollModel {
 
     /// Commits a span `t_adv` long: the buffer's state, its energy books
     /// and its dwell.
-    fn commit(&mut self, t_adv: f64, span: Self::Span);
+    fn commit(&mut self, t_adv: f64, span: &Self::Span);
 
     /// Fires the poll; `true` hands the rest of the stride back.
     fn poll(&mut self) -> bool;
@@ -138,7 +138,7 @@ pub(crate) fn walk_polls<M: PollModel>(
                 .then(|| model.band(window, band_lo, band_stop_up, dt))
                 .flatten();
             if let Some((t_adv, span)) = span.filter(|&(t_adv, _)| t_adv > 2.0 * period) {
-                model.commit(t_adv, span);
+                model.commit(t_adv, &span);
                 let c = model.controller();
                 *c.acc = tick.advance(*c.acc, (t_adv / dt).round() as u64);
                 if let Some(cooldown) = c.cooldown {
@@ -171,7 +171,7 @@ pub(crate) fn walk_polls<M: PollModel>(
         }
 
         // 3. Commit the span.
-        model.commit(t_adv, span);
+        model.commit(t_adv, &span);
 
         // 4. Commit the poll ticks. A finished segment with no cooldown
         // left commits by assignment; a draining cooldown or a stop

@@ -37,7 +37,6 @@ pub mod equalize;
 mod fault;
 mod ledger;
 mod network;
-mod switch;
 
 pub use bank::{BankMode, BankSpec, SeriesParallelBank};
 pub use capacitor::{Capacitor, CapacitorSpec, LeakageSpec};
@@ -46,4 +45,3 @@ pub use equalize::{pair_equalize, pool_equalize, EqualizeOutcome};
 pub use fault::{offset_enable, FaultCampaign, FaultEvent, FaultKind, FaultPlan};
 pub use ledger::EnergyLedger;
 pub use network::{ChainNetwork, Partition, PartitionError};
-pub use switch::{BreakBeforeMake, SwitchPhase};

@@ -53,9 +53,9 @@ pub mod sweep;
 pub use audit::{AuditConfig, AuditSnapshot, InvariantAuditor};
 pub use experiment::{Experiment, ExperimentMatrix, MatrixCell, MatrixRow, WorkloadKind};
 pub use fleet::{
-    compare_fleet_reports, run_fleet, run_shard, run_shard_attributed, FleetAggregate, FleetBins,
-    FleetCheckpoint, FleetReport, FleetRunOptions, FleetRunResult, FleetSim, FleetSpec,
-    FleetSummary, FleetTolerances, Histogram, NodeStats, PoisonedNode, ShardEntry, TimedOutNode,
+    compare_fleet_reports, run_fleet, run_shard, FleetAggregate, FleetBins, FleetReport,
+    FleetRunOptions, FleetRunResult, FleetSim, FleetSpec, FleetSummary, Histogram, NodeStats,
+    PoisonedNode, TimedOutNode,
 };
 pub use metrics::{LevelDwell, RunMetrics, RunOutcome, VoltageSample};
 pub use scenario::{
@@ -65,6 +65,6 @@ pub use scenario::{
 pub use scenario_report::{
     build_report, compare_reports, expand_cells, fault_cells, merged_attribution,
     render_attribution, render_class_sinks, report_scenarios, CellAttribution, PoisonedCell,
-    ResilienceRow, ScenarioCell, ScenarioReport, SurvivalRow, Tolerances,
+    ResilienceRow, ScenarioCell, ScenarioReport, SurvivalRow,
 };
 pub use sim::{ConstantLoad, KernelMode, SimCore, SimError, Simulator};

@@ -22,11 +22,11 @@
 //! Because every scenario is seeded and deterministic, the rendered
 //! report is a *committable baseline*: CI regenerates it and diffs the
 //! FoM / on-time / reconfiguration fields against
-//! `ci/scenario-baseline.json` under explicit tolerances
-//! ([`Tolerances`]), turning scenario behavior itself into a
-//! regression gate. Tolerances absorb the only legitimate cross-machine
-//! variation (libm differences shifting a boot across a threshold);
-//! anything larger is a semantic change that must ship with a baseline
+//! `ci/scenario-baseline.json` under explicit per-field tolerances,
+//! turning scenario behavior itself into a regression gate. The
+//! tolerances absorb the only legitimate cross-machine variation
+//! (libm differences shifting a boot across a threshold); anything
+//! larger is a semantic change that must ship with a baseline
 //! refresh.
 
 use rayon::prelude::*;
@@ -920,59 +920,37 @@ pub fn render_class_sinks(cells: &[CellAttribution]) -> TextTable {
     table
 }
 
-/// Per-field tolerances for the CI conformance gate. Defaults absorb
-/// cross-platform libm drift (a boot sliding across a threshold, a few
-/// operations gained or lost at a segment edge) without letting real
-/// behavioral changes through.
-#[derive(Clone, Copy, Debug)]
-pub struct Tolerances {
-    /// Relative tolerance on the figure of merit.
-    pub fom_rel: f64,
-    /// Absolute slack on the figure of merit (for near-zero cells).
-    pub fom_abs: f64,
-    /// Absolute tolerance on the on-time fraction.
-    pub on_time_abs: f64,
-    /// Relative tolerance on counters (boots, reconfigurations).
-    pub count_rel: f64,
-    /// Absolute slack on counters.
-    pub count_abs: f64,
-    /// Relative tolerance on the longest outage survived.
-    pub outage_rel: f64,
-    /// Absolute slack on the longest outage survived, in seconds.
-    pub outage_abs: f64,
-    /// Absolute tolerance on the FoM-retained-under-attack ratio.
-    pub retained_abs: f64,
-}
-
-impl Default for Tolerances {
-    fn default() -> Self {
-        Self {
-            fom_rel: 0.05,
-            fom_abs: 3.0,
-            on_time_abs: 0.02,
-            count_rel: 0.05,
-            count_abs: 2.0,
-            outage_rel: 0.05,
-            outage_abs: 2.0,
-            retained_abs: 0.05,
-        }
-    }
-}
+// Per-field tolerances of the CI conformance gate. They absorb
+// cross-platform libm drift (a boot sliding across a threshold, a few
+// operations gained or lost at a segment edge) without letting real
+// behavioral changes through.
+/// Relative tolerance on the figure of merit.
+const FOM_REL: f64 = 0.05;
+/// Absolute slack on the figure of merit (for near-zero cells).
+const FOM_ABS: f64 = 3.0;
+/// Absolute tolerance on the on-time fraction.
+const ON_TIME_ABS: f64 = 0.02;
+/// Relative tolerance on counters (boots, reconfigurations).
+const COUNT_REL: f64 = 0.05;
+/// Absolute slack on counters.
+const COUNT_ABS: f64 = 2.0;
+/// Relative tolerance on the longest outage survived.
+const OUTAGE_REL: f64 = 0.05;
+/// Absolute slack on the longest outage survived, in seconds.
+const OUTAGE_ABS_S: f64 = 2.0;
+/// Absolute tolerance on the FoM-retained-under-attack ratio.
+const RETAINED_ABS: f64 = 0.05;
 
 fn within(a: f64, b: f64, rel: f64, abs: f64) -> bool {
     (a - b).abs() <= rel * a.abs().max(b.abs()) + abs
 }
 
-/// Diffs `current` against `baseline` under `tol`, returning one
-/// human-readable violation per out-of-tolerance field or missing
-/// cell (empty = conformant). Cells present only in `current` are new
-/// scenarios, not violations — they flow into the next committed
-/// baseline.
-pub fn compare_reports(
-    baseline: &ScenarioReport,
-    current: &ScenarioReport,
-    tol: &Tolerances,
-) -> Vec<String> {
+/// Diffs `current` against `baseline` under the gate's tolerances,
+/// returning one human-readable violation per out-of-tolerance field
+/// or missing cell (empty = conformant). Cells present only in
+/// `current` are new scenarios, not violations — they flow into the
+/// next committed baseline.
+pub fn compare_reports(baseline: &ScenarioReport, current: &ScenarioReport) -> Vec<String> {
     let mut violations = Vec::new();
     // Poisoned cells are unconditional failures: a panicking model is
     // never within tolerance of anything.
@@ -990,10 +968,10 @@ pub fn compare_reports(
             // below reports which.
             continue;
         };
-        if !within(cur.retained, base.retained, 0.0, tol.retained_abs) {
+        if !within(cur.retained, base.retained, 0.0, RETAINED_ABS) {
             violations.push(format!(
                 "{id}: FoM retained {:.3} vs baseline {:.3} (±{:.3})",
-                cur.retained, base.retained, tol.retained_abs
+                cur.retained, base.retained, RETAINED_ABS
             ));
         }
     }
@@ -1006,10 +984,10 @@ pub fn compare_reports(
         let Some(cur) = current_survival.iter().find(|r| r.id() == id) else {
             continue;
         };
-        if !within(cur.retained, base.retained, 0.0, tol.retained_abs) {
+        if !within(cur.retained, base.retained, 0.0, RETAINED_ABS) {
             violations.push(format!(
                 "{id}: FoM retained under faults {:.3} vs baseline {:.3} (±{:.3})",
-                cur.retained, base.retained, tol.retained_abs
+                cur.retained, base.retained, RETAINED_ABS
             ));
         }
         // An audited campaign that stops tripping (or a benign twin
@@ -1027,24 +1005,24 @@ pub fn compare_reports(
             violations.push(format!("{id}: cell missing from current report"));
             continue;
         };
-        if !within(cur.fom, base.fom, tol.fom_rel, tol.fom_abs) {
+        if !within(cur.fom, base.fom, FOM_REL, FOM_ABS) {
             violations.push(format!(
                 "{id}: FoM {:.1} vs baseline {:.1} (±{:.0}% + {:.0})",
                 cur.fom,
                 base.fom,
-                100.0 * tol.fom_rel,
-                tol.fom_abs
+                100.0 * FOM_REL,
+                FOM_ABS
             ));
         }
         if !within(
             cur.on_time_fraction,
             base.on_time_fraction,
             0.0,
-            tol.on_time_abs,
+            ON_TIME_ABS,
         ) {
             violations.push(format!(
                 "{id}: on-time {:.3} vs baseline {:.3} (±{:.3})",
-                cur.on_time_fraction, base.on_time_fraction, tol.on_time_abs
+                cur.on_time_fraction, base.on_time_fraction, ON_TIME_ABS
             ));
         }
         for (field, cur_n, base_n) in [
@@ -1057,26 +1035,26 @@ pub fn compare_reports(
             ("faults-injected", cur.faults_injected, base.faults_injected),
             ("audit-trips", cur.audit_trips, base.audit_trips),
         ] {
-            if !within(cur_n as f64, base_n as f64, tol.count_rel, tol.count_abs) {
+            if !within(cur_n as f64, base_n as f64, COUNT_REL, COUNT_ABS) {
                 violations.push(format!(
                     "{id}: {field} {cur_n} vs baseline {base_n} (±{:.0}% + {:.0})",
-                    100.0 * tol.count_rel,
-                    tol.count_abs
+                    100.0 * COUNT_REL,
+                    COUNT_ABS
                 ));
             }
         }
         if !within(
             cur.longest_outage_survived_s,
             base.longest_outage_survived_s,
-            tol.outage_rel,
-            tol.outage_abs,
+            OUTAGE_REL,
+            OUTAGE_ABS_S,
         ) {
             violations.push(format!(
                 "{id}: longest outage {:.1} s vs baseline {:.1} s (±{:.0}% + {:.0} s)",
                 cur.longest_outage_survived_s,
                 base.longest_outage_survived_s,
-                100.0 * tol.outage_rel,
-                tol.outage_abs
+                100.0 * OUTAGE_REL,
+                OUTAGE_ABS_S
             ));
         }
     }
@@ -1139,20 +1117,20 @@ mod tests {
     #[test]
     fn self_comparison_is_conformant_and_drift_is_caught() {
         let r = tiny_report();
-        assert!(compare_reports(&r, &r, &Tolerances::default()).is_empty());
+        assert!(compare_reports(&r, &r).is_empty());
 
         let mut drifted = r.clone();
         drifted.cells[0].fom *= 1.5;
         drifted.cells[0].fom += 50.0;
         drifted.cells[1].on_time_fraction += 0.5;
-        let violations = compare_reports(&r, &drifted, &Tolerances::default());
+        let violations = compare_reports(&r, &drifted);
         assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(violations[0].contains("FoM"), "{violations:?}");
         assert!(violations[1].contains("on-time"), "{violations:?}");
 
         let mut missing = r.clone();
         missing.cells.remove(0);
-        let violations = compare_reports(&r, &missing, &Tolerances::default());
+        let violations = compare_reports(&r, &missing);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("missing"), "{violations:?}");
     }
@@ -1197,7 +1175,7 @@ mod tests {
         assert_eq!(r.poisoned[0].buffer, BufferKind::React.label());
         assert!(r.poisoned[0].message.contains("injected fault"));
         // The gate flags both the poisoning and the hole it left.
-        let violations = compare_reports(&healthy, &r, &Tolerances::default());
+        let violations = compare_reports(&healthy, &r);
         assert!(
             violations.iter().any(|v| v.contains("poisoned")),
             "{violations:?}"
@@ -1237,7 +1215,7 @@ mod tests {
             .position(|c| c.scenario == "attack-bootstrike-hour-de")
             .expect("attacked cell present");
         drifted.cells[idx].fom = drifted.cells[idx].fom * 3.0 + 100.0;
-        let violations = compare_reports(&r, &drifted, &Tolerances::default());
+        let violations = compare_reports(&r, &drifted);
         assert!(
             violations.iter().any(|v| v.contains("retained")),
             "{violations:?}"
@@ -1279,7 +1257,7 @@ mod tests {
             .position(|c| c.audited)
             .expect("audited cell present");
         drifted.cells[idx].audit_trips = 0;
-        let violations = compare_reports(&r, &drifted, &Tolerances::default());
+        let violations = compare_reports(&r, &drifted);
         assert!(
             violations.iter().any(|v| v.contains("detection flipped")),
             "{violations:?}"

@@ -237,9 +237,8 @@ pub(crate) fn cycle_phase(t: f64, period: f64) -> (f64, f64) {
 /// This is the adapter that makes every pre-existing code path one
 /// instance of the streaming abstraction: the trace is held behind an
 /// [`Arc`] (shared with sweep/matrix runners), and queries resolve
-/// through the same [`WindowCache`] fast path `PowerCursor` uses, so
-/// `power_at` here is bit-identical to [`PowerTrace::power_at`] for
-/// every input.
+/// through a [`WindowCache`] fast path, so `power_at` here is
+/// bit-identical to [`PowerTrace::power_at`] for every input.
 ///
 /// [`WindowCache`]: react_traces::WindowCache
 #[derive(Clone, Debug)]

@@ -1,16 +1,18 @@
-//! Regression: non-monotone `PowerCursor` queries.
+//! Regression: non-monotone [`TraceSource`] queries.
 //!
 //! The streaming kernel makes backward probes easy to trigger — the
 //! adaptive kernel stamps probe samples "one step back" from a stride
 //! end, drain accounting re-reads the window it just left, and
 //! scenario code re-queries a time after peeking ahead at a segment
-//! boundary. The cursor's contract is graceful rewind: every query,
+//! boundary. The source's contract is graceful rewind: every query,
 //! in any order, answers exactly what [`PowerTrace::power_at`] would,
-//! and the cached window left behind never corrupts later queries.
+//! and the window its cache leaves behind never corrupts later
+//! queries.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use react_traces::{paper_trace, PaperTrace, PowerCursor, PowerTrace};
+use react_env::{PowerSource, TraceSource};
+use react_traces::{paper_trace, PaperTrace, PowerTrace};
 use react_units::{Seconds, Watts};
 
 fn ramp(n: usize, dt: f64) -> PowerTrace {
@@ -23,12 +25,12 @@ fn ramp(n: usize, dt: f64) -> PowerTrace {
 #[test]
 fn kernel_style_backward_stamps_match_power_at() {
     let trace = ramp(500, 0.1);
-    let mut cursor = PowerCursor::new(&trace);
+    let mut cursor = TraceSource::new(trace.clone());
     let dt = 0.001;
     let mut t = 0.0;
     while t < trace.duration().get() + 2.0 {
-        let (p, end) = cursor.sample_window(Seconds::new(t));
-        assert_eq!(p, trace.power_at(Seconds::new(t)), "window at {t}");
+        let seg = cursor.segment(Seconds::new(t));
+        assert_eq!(seg.power, trace.power_at(Seconds::new(t)), "window at {t}");
         // Stamp one step back (the probe-series pattern).
         let back = Seconds::new((t - dt).max(0.0));
         assert_eq!(cursor.power_at(back), trace.power_at(back), "stamp at {t}");
@@ -38,7 +40,7 @@ fn kernel_style_backward_stamps_match_power_at() {
             trace.power_at(Seconds::new(t)),
             "re-read at {t}"
         );
-        t = end.get().min(t + 7.3).max(t + dt);
+        t = seg.end.get().min(t + 7.3).max(t + dt);
     }
 }
 
@@ -47,7 +49,7 @@ fn kernel_style_backward_stamps_match_power_at() {
 #[test]
 fn random_bidirectional_walk_matches_power_at() {
     let trace = ramp(200, 0.25);
-    let mut cursor = PowerCursor::new(&trace);
+    let mut cursor = TraceSource::new(trace.clone());
     let mut rng = StdRng::seed_from_u64(0xC0_FFEE);
     let mut t = 0.0_f64;
     for step in 0..20_000 {
@@ -72,7 +74,7 @@ fn random_bidirectional_walk_matches_power_at() {
 #[test]
 fn boundary_pingpong_on_a_paper_trace() {
     let trace = paper_trace(PaperTrace::RfCart);
-    let mut cursor = PowerCursor::new(&trace);
+    let mut cursor = TraceSource::new(trace.clone());
     let dt = trace.sample_interval().get();
     for i in (0..3000).step_by(7) {
         let boundary = i as f64 * dt;

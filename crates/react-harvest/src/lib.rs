@@ -12,8 +12,7 @@
 //!   actually delivered at the buffer rail.
 //! * [`PowerReplay`] — the record-and-replay frontend: any streaming
 //!   [`PowerSource`] (a recorded trace or a generative `react-env`
-//!   environment) in, buffer input current out, with a charge-current
-//!   limit like a real IC.
+//!   environment) in, converted rail power out.
 //! * [`ReplayCursor`] — one run's stepping input: the replay's source
 //!   walked one converted segment at a time, so in-segment queries
 //!   check only the converter's OVP cutoff.
@@ -26,8 +25,9 @@
 //! use react_units::{Seconds, Volts};
 //!
 //! let replay = PowerReplay::new(paper_trace(PaperTrace::RfCart), Converter::rf_rectifier());
-//! let i = replay.input_current(Seconds::new(10.0), Volts::new(2.5));
-//! assert!(i.get() >= 0.0);
+//! let mut input = replay.cursor();
+//! let rail = input.rail_power(Seconds::new(10.0), Volts::new(2.5));
+//! assert!(rail.get() >= 0.0);
 //! ```
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]

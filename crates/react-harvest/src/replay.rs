@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use react_env::{PowerSource, TraceSource, VictimEvent};
 use react_traces::PowerTrace;
-use react_units::{Amps, Seconds, Volts, Watts};
+use react_units::{Seconds, Volts, Watts};
 
 use crate::Converter;
 
@@ -14,9 +14,10 @@ use crate::Converter;
 /// The paper's frontend drives the energy buffer from a high-drive DAC,
 /// measuring load voltage and current and servoing the DAC to the
 /// programmed power level; we model the steady-state result: at time `t`
-/// the rail receives `η(P_avail(t)) · P_avail(t)` watts, delivered as a
-/// current at the present buffer voltage, limited to a realistic
-/// charge-current ceiling.
+/// the rail receives `η(P_avail(t)) · P_avail(t)` watts. Each buffer
+/// turns that power into charge at its receiving element's voltage,
+/// under the harvester IC's charge-current ceiling
+/// (`react_buffers::power_intake`).
 ///
 /// `PowerReplay` is generic over its [`PowerSource`]. The default is
 /// [`TraceSource`] — a recorded [`PowerTrace`] held behind an [`Arc`]
@@ -28,65 +29,20 @@ use crate::Converter;
 pub struct PowerReplay<S = TraceSource> {
     source: S,
     converter: Converter,
-    current_limit: Amps,
-    /// Voltage floor used when converting power to current so a fully
-    /// discharged buffer sees the current limit rather than infinity.
-    min_conversion_voltage: Volts,
 }
 
 impl PowerReplay<TraceSource> {
-    /// Creates a trace-replay frontend with a 50 mA charge-current
-    /// limit (the recorded-trace path every paper experiment uses).
+    /// Creates a trace-replay frontend (the recorded-trace path every
+    /// paper experiment uses).
     pub fn new(trace: impl Into<Arc<PowerTrace>>, converter: Converter) -> Self {
         Self::from_source(TraceSource::new(trace), converter)
-    }
-
-    /// The trace being replayed.
-    pub fn trace(&self) -> &PowerTrace {
-        self.source.trace()
-    }
-
-    /// A cheap handle on the shared trace (for parallel runners).
-    pub fn shared_trace(&self) -> Arc<PowerTrace> {
-        self.source.shared_trace()
-    }
-
-    /// Rail power delivered at time `t` with the buffer at `v_buffer`.
-    pub fn rail_power(&self, t: Seconds, v_buffer: Volts) -> Watts {
-        self.rail_power_from(self.trace().power_at(t), v_buffer)
-    }
-
-    /// Charging current into the buffer at time `t`, `I = P_rail / V`,
-    /// clamped to the charge-current limit. A deeply discharged buffer is
-    /// charged at the current limit (constant-current region), as real
-    /// boost chargers do. Performs exactly one trace lookup and feeds
-    /// both the conversion and the current clamp from it.
-    pub fn input_current(&self, t: Seconds, v_buffer: Volts) -> Amps {
-        self.input_current_from(self.trace().power_at(t), v_buffer)
-    }
-
-    /// Duration of the underlying trace.
-    pub fn duration(&self) -> Seconds {
-        self.trace().duration()
     }
 }
 
 impl<S: PowerSource + Clone> PowerReplay<S> {
-    /// Creates a replay frontend over any streaming source with a
-    /// 50 mA charge-current limit.
+    /// Creates a replay frontend over any streaming source.
     pub fn from_source(source: S, converter: Converter) -> Self {
-        Self {
-            source,
-            converter,
-            current_limit: Amps::from_milli(50.0),
-            min_conversion_voltage: Volts::new(0.3),
-        }
-    }
-
-    /// Sets the charge-current ceiling.
-    pub fn with_current_limit(mut self, limit: Amps) -> Self {
-        self.current_limit = limit;
-        self
+        Self { source, converter }
     }
 
     /// The power source being replayed.
@@ -112,20 +68,6 @@ impl<S: PowerSource + Clone> PowerReplay<S> {
     #[inline]
     pub fn rail_power_from(&self, available: Watts, v_buffer: Volts) -> Watts {
         self.converter.output_power(available, v_buffer)
-    }
-
-    /// Converts already-looked-up available power into charging current
-    /// at `v_buffer`: `I = P_rail / V`, clamped to the charge-current
-    /// limit, with the conversion-floor voltage keeping a fully
-    /// discharged buffer at the limit rather than at infinity.
-    #[inline]
-    pub fn input_current_from(&self, available: Watts, v_buffer: Volts) -> Amps {
-        let p = self.rail_power_from(available, v_buffer);
-        if p.get() <= 0.0 {
-            return Amps::ZERO;
-        }
-        let v = v_buffer.max(self.min_conversion_voltage);
-        (p / v).min(self.current_limit)
     }
 
     /// Starts a stepping cursor over a copy of the replay: the cursor
@@ -278,34 +220,16 @@ mod tests {
     }
 
     #[test]
-    fn current_is_power_over_voltage() {
-        let r = replay(3.3);
-        let i = r.input_current(Seconds::new(1.0), Volts::new(3.3));
-        assert!((i.to_milli() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn deep_discharge_hits_current_limit() {
-        let r = replay(1000.0).with_current_limit(Amps::from_milli(50.0));
-        let i = r.input_current(Seconds::new(1.0), Volts::new(0.01));
-        assert!((i.to_milli() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn no_power_after_trace_ends() {
-        let r = replay(3.3);
+        let mut input = replay(3.3).cursor();
         assert_eq!(
-            r.input_current(Seconds::new(200.0), Volts::new(2.0)),
-            Amps::ZERO
-        );
-        assert_eq!(
-            r.rail_power(Seconds::new(200.0), Volts::new(2.0)),
+            input.rail_power(Seconds::new(200.0), Volts::new(2.0)),
             Watts::ZERO
         );
     }
 
     #[test]
-    fn converter_losses_reduce_current() {
+    fn converter_losses_reduce_rail_power() {
         let trace = PowerTrace::constant(
             "c",
             Watts::from_milli(10.0),
@@ -314,18 +238,18 @@ mod tests {
         );
         let ideal = PowerReplay::new(trace.clone(), Converter::ideal());
         let rf = PowerReplay::new(trace, Converter::rf_rectifier());
-        let v = Volts::new(2.0);
-        let t = Seconds::new(1.0);
-        assert!(rf.input_current(t, v) < ideal.input_current(t, v));
+        let (v, t) = (Volts::new(2.0), Seconds::new(1.0));
+        let rf_rail = rf.cursor().rail_power(t, v);
+        assert!(rf_rail < ideal.cursor().rail_power(t, v));
         // 55 % at 10 mW.
-        assert!((rf.rail_power(t, v).to_milli() - 5.5).abs() < 1e-6);
+        assert!((rf_rail.to_milli() - 5.5).abs() < 1e-6);
     }
 
     #[test]
     fn accessors() {
         let r = replay(1.0);
-        assert!((r.duration().get() - 100.0).abs() < 1e-9);
-        assert_eq!(r.trace().name(), "const");
+        assert_eq!(r.source_duration(), Some(Seconds::new(100.0)));
+        assert_eq!(r.source().trace().name(), "const");
         assert_eq!(r.converter().kind(), crate::ConverterKind::Ideal);
     }
 

@@ -1,6 +1,7 @@
 //! Property-based tests for the harvester frontend.
 
 use proptest::prelude::*;
+use react_buffers::{power_intake, CHARGE_CURRENT_LIMIT};
 use react_env::MarkovRf;
 use react_harvest::{Converter, PowerReplay, PowerSource};
 use react_traces::PowerTrace;
@@ -36,8 +37,9 @@ proptest! {
         prop_assert!(hi >= lo);
     }
 
-    /// The replay frontend respects its charge-current ceiling at every
-    /// voltage, including a dead-short buffer.
+    /// Replayed rail power becomes buffer charge under the harvester
+    /// IC's charge-current ceiling at every voltage, including a
+    /// dead-short buffer.
     #[test]
     fn replay_respects_current_limit(
         power_mw in 0.0..1000.0f64,
@@ -50,9 +52,11 @@ proptest! {
             Seconds::new(0.1),
         );
         let replay = PowerReplay::new(trace, Converter::ideal());
-        let i = replay.input_current(Seconds::new(1.0), Volts::new(v));
-        prop_assert!(i.to_milli() <= 50.0 + 1e-9);
-        prop_assert!(i.get() >= 0.0);
+        let dt = Seconds::from_milli(1.0);
+        let rail = replay.cursor().rail_power(Seconds::new(1.0), Volts::new(v));
+        let i = power_intake(rail, Volts::new(v), dt).get() / dt.get();
+        prop_assert!(i <= CHARGE_CURRENT_LIMIT.get() * (1.0 + 1e-12));
+        prop_assert!(i >= 0.0);
     }
 
     /// The ideal converter through the streaming replay path is

@@ -7,15 +7,14 @@
 //! current zero-order-hold window and answers in-window queries with two
 //! float compares, re-seeking (via the authoritative
 //! [`PowerTrace::window_at`] computation) only when a query leaves the
-//! window. [`PowerCursor`] is the borrowing front-end the simulator
-//! uses; owning adapters (react-env's `TraceSource`) embed the same
-//! [`WindowCache`], so the ulp-sensitive boundary logic lives in exactly
-//! one place.
+//! window. Owning adapters (react-env's `TraceSource`) embed the
+//! cache, so the ulp-sensitive boundary logic lives in exactly one
+//! place.
 //!
 //! Out-of-order queries are always correct — they just pay the re-seek —
-//! so the cursor is a drop-in for `power_at` at every call site.
+//! so the cache is a drop-in for `power_at` at every call site.
 
-use react_units::{Seconds, Watts};
+use react_units::Seconds;
 
 use crate::PowerTrace;
 
@@ -55,9 +54,9 @@ fn two_ulps_up(x: f64) -> f64 {
 /// resolves through.
 ///
 /// The cache is not bound to a trace — **every `lookup` call on one
-/// cache must pass the same trace** (as [`PowerCursor`] and owning
-/// adapters do by construction); switching traces mid-stream can
-/// answer from the previous trace's cached window.
+/// cache must pass the same trace** (as owning adapters do by
+/// construction); switching traces mid-stream can answer from the
+/// previous trace's cached window.
 #[derive(Clone, Debug)]
 pub struct WindowCache {
     /// Cached window sample value (0 past the end of the trace).
@@ -114,51 +113,15 @@ impl WindowCache {
     }
 }
 
-/// A borrowing cursor over a [`PowerTrace`], built on [`WindowCache`].
-#[derive(Clone, Debug)]
-pub struct PowerCursor<'a> {
-    trace: &'a PowerTrace,
-    cache: WindowCache,
-}
-
-impl<'a> PowerCursor<'a> {
-    /// Creates a cursor positioned on the first sample window.
-    pub fn new(trace: &'a PowerTrace) -> Self {
-        let mut cache = WindowCache::new();
-        cache.lookup(trace, 0.0);
-        Self { trace, cache }
-    }
-
-    /// The trace being walked.
-    pub fn trace(&self) -> &'a PowerTrace {
-        self.trace
-    }
-
-    /// Harvested power at `t`; identical to [`PowerTrace::power_at`] for
-    /// all inputs, amortized O(1) for monotone queries. A query outside
-    /// the (conservatively shrunk) cached window re-seeks through the
-    /// authoritative window computation, whose cached answer is then the
-    /// exact result — including for boundary-ulp, negative, and
-    /// past-end times.
-    #[inline]
-    pub fn power_at(&mut self, t: Seconds) -> Watts {
-        Watts::new(self.cache.lookup(self.trace, t.get()).0)
-    }
-
-    /// The zero-order-hold window covering `t`: its constant available
-    /// power and its end time (`+inf` once past the trace, the trace
-    /// start for pre-trace times). One shared lookup for callers that
-    /// need both.
-    #[inline]
-    pub fn sample_window(&mut self, t: Seconds) -> (Watts, Seconds) {
-        let (p, end) = self.cache.lookup(self.trace, t.get());
-        (Watts::new(p), Seconds::new(end))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use react_units::Watts;
+
+    /// Available power at `t` through `cache`.
+    fn power_at(cache: &mut WindowCache, trace: &PowerTrace, t: Seconds) -> Watts {
+        Watts::new(cache.lookup(trace, t.get()).0)
+    }
 
     fn ramp() -> PowerTrace {
         let samples = (0..10).map(|i| Watts::from_milli(i as f64)).collect();
@@ -168,11 +131,11 @@ mod tests {
     #[test]
     fn monotone_walk_matches_power_at() {
         let t = ramp();
-        let mut c = PowerCursor::new(&t);
+        let mut c = WindowCache::new();
         let mut time = -0.25;
         while time < 6.0 {
             let s = Seconds::new(time);
-            assert_eq!(c.power_at(s), t.power_at(s), "at t={time}");
+            assert_eq!(power_at(&mut c, &t, s), t.power_at(s), "at t={time}");
             time += 0.001;
         }
     }
@@ -180,7 +143,7 @@ mod tests {
     #[test]
     fn boundary_times_match_exactly() {
         let t = ramp();
-        let mut c = PowerCursor::new(&t);
+        let mut c = WindowCache::new();
         for i in 0..=12 {
             for ulps in [-2i64, -1, 0, 1, 2] {
                 let base = i as f64 * 0.5;
@@ -194,7 +157,11 @@ mod tests {
                     f64::from_bits((base.to_bits() as i64 + ulps) as u64)
                 };
                 let s = Seconds::new(tt);
-                assert_eq!(c.power_at(s), t.power_at(s), "boundary {i} ulps {ulps}");
+                assert_eq!(
+                    power_at(&mut c, &t, s),
+                    t.power_at(s),
+                    "boundary {i} ulps {ulps}"
+                );
             }
         }
     }
@@ -202,23 +169,23 @@ mod tests {
     #[test]
     fn out_of_order_queries_are_correct() {
         let t = ramp();
-        let mut c = PowerCursor::new(&t);
+        let mut c = WindowCache::new();
         // A scrambled sequence covering backwards jumps, repeats, far
         // seeks past the end, and negative times.
         for &time in &[3.1, 0.2, 4.9, 4.9, 0.0, 7.5, -1.0, 2.6, 100.0, 1.1] {
             let s = Seconds::new(time);
-            assert_eq!(c.power_at(s), t.power_at(s), "at t={time}");
+            assert_eq!(power_at(&mut c, &t, s), t.power_at(s), "at t={time}");
         }
     }
 
     #[test]
     fn negative_and_past_end_are_zero() {
         let t = ramp();
-        let mut c = PowerCursor::new(&t);
-        assert_eq!(c.power_at(Seconds::new(-0.001)), Watts::ZERO);
-        assert_eq!(c.power_at(Seconds::new(5.0)), Watts::ZERO);
-        assert_eq!(c.power_at(Seconds::new(1e12)), Watts::ZERO);
-        assert_eq!(c.power_at(Seconds::new(f64::NAN)), Watts::ZERO);
+        let mut c = WindowCache::new();
+        assert_eq!(power_at(&mut c, &t, Seconds::new(-0.001)), Watts::ZERO);
+        assert_eq!(power_at(&mut c, &t, Seconds::new(5.0)), Watts::ZERO);
+        assert_eq!(power_at(&mut c, &t, Seconds::new(1e12)), Watts::ZERO);
+        assert_eq!(power_at(&mut c, &t, Seconds::new(f64::NAN)), Watts::ZERO);
         // And the trace agrees on every one of those.
         for time in [-0.001, 5.0, 1e12, f64::NAN] {
             assert_eq!(t.power_at(Seconds::new(time)), Watts::ZERO);
@@ -228,14 +195,14 @@ mod tests {
     #[test]
     fn sample_window_reports_constant_power_span() {
         let t = ramp();
-        let mut c = PowerCursor::new(&t);
-        let (p, end) = c.sample_window(Seconds::new(1.26));
-        assert!((p.to_milli() - 2.0).abs() < 1e-12);
-        assert!((end.get() - 1.5).abs() < 1e-12);
+        let mut c = WindowCache::new();
+        let (p, end) = c.lookup(&t, 1.26);
+        assert!((p * 1e3 - 2.0).abs() < 1e-12);
+        assert!((end - 1.5).abs() < 1e-12);
         // Past the end: zero power, infinite window.
-        let (p, end) = c.sample_window(Seconds::new(9.0));
-        assert_eq!(p, Watts::ZERO);
-        assert_eq!(end.get(), f64::INFINITY);
+        let (p, end) = c.lookup(&t, 9.0);
+        assert_eq!(p, 0.0);
+        assert_eq!(end, f64::INFINITY);
     }
 
     #[test]
@@ -243,12 +210,12 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let t = ramp();
-        let mut c = PowerCursor::new(&t);
+        let mut c = WindowCache::new();
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..20_000 {
             let time = rng.gen_range(-1.0..7.0);
             let s = Seconds::new(time);
-            assert_eq!(c.power_at(s), t.power_at(s), "at t={time}");
+            assert_eq!(power_at(&mut c, &t, s), t.power_at(s), "at t={time}");
         }
     }
 }

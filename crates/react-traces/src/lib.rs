@@ -29,7 +29,7 @@ mod stats;
 mod synth;
 mod trace;
 
-pub use cursor::{two_ulps_down, PowerCursor, WindowCache};
+pub use cursor::{two_ulps_down, WindowCache};
 pub use io::write_csv;
 pub use library::{paper_trace, PaperTrace, Table3Row, TABLE3_TARGETS};
 pub use stats::TraceStats;

@@ -70,7 +70,7 @@ impl PowerTrace {
     /// The zero-order-hold sample index covering time `t`, or `None`
     /// for times outside the trace (negative, non-finite, or at/past the
     /// end). This is the single source of truth for lookup semantics:
-    /// [`PowerTrace::power_at`] and [`PowerCursor`](crate::PowerCursor)
+    /// [`PowerTrace::power_at`] and [`WindowCache`](crate::WindowCache)
     /// both resolve through it, so their edge behaviour is identical by
     /// construction.
     #[inline]
@@ -103,8 +103,8 @@ impl PowerTrace {
     /// the trace the window is the covering sample's span; at or past
     /// the end it is the infinite zero-power tail `[duration, +inf)`;
     /// for negative or non-finite times it degenerates to `(0 W, 0, 0)`.
-    /// [`PowerCursor`](crate::PowerCursor) and streaming adapters build
-    /// their cached fast paths from this one computation.
+    /// [`WindowCache`](crate::WindowCache) builds the cached fast path
+    /// of every streaming adapter from this one computation.
     pub fn window_at(&self, t: Seconds) -> (Watts, Seconds, Seconds) {
         match self.sample_index(t.get()) {
             Some(idx) => (

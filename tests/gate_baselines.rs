@@ -92,6 +92,7 @@ fn perfbench_digests_pin_every_benchmark_workload_and_ci_reads_them() {
             ("1", "dark-week"),
             ("2", "dark-week"),
             ("1", "fine-burst"),
+            ("1", "fleet"),
         ]
     );
     let workflow = read(

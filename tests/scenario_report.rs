@@ -7,7 +7,7 @@ use react_repro::circuit::FaultCampaign;
 use react_repro::core::scenario_report::{REPORT_BUFFERS, REPORT_SEEDS};
 use react_repro::core::{
     build_report, cell_id, compare_reports, expand_cells, fault_scenario_registry, find_scenario,
-    scenario_registry, KernelMode, Scenario, Tolerances,
+    scenario_registry, KernelMode, Scenario,
 };
 use react_repro::harvest::ConverterKind;
 use react_repro::prelude::*;
@@ -211,11 +211,11 @@ fn report_slice_gates_like_ci() {
     let cells = expand_cells(&rows, &[BufferKind::Static770uF, BufferKind::React], &[0]);
     let (report, _) = build_report(&cells, &|s| (s.run(), ()));
     assert_eq!(report.cells.len(), 4);
-    assert!(compare_reports(&report, &report, &Tolerances::default()).is_empty());
+    assert!(compare_reports(&report, &report).is_empty());
 
     let mut drifted = report.clone();
     drifted.cells[2].reconfigurations += 40;
-    let violations = compare_reports(&report, &drifted, &Tolerances::default());
+    let violations = compare_reports(&report, &drifted);
     assert_eq!(violations.len(), 1, "{violations:?}");
     assert!(
         violations[0].contains(&report.cells[2].id()),
