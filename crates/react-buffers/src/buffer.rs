@@ -112,7 +112,9 @@ pub trait EnergyBuffer {
 
     /// Advances the buffer through an MCU-off stretch: constant rail
     /// `input` power, zero load, for up to `duration`, stopping early
-    /// once the rail reaches `v_stop` (the power gate's enable voltage).
+    /// once the rail reaches `v_stop` (the voltage that powers the MCU:
+    /// the power gate's enable voltage, or brown-out behind a welded
+    /// switch).
     /// Returns the simulated time actually advanced, always a whole
     /// number of `fine_dt` steps except possibly a short final partial
     /// step at the end of `duration`.

@@ -3,10 +3,10 @@
 //!
 //! Deployed batteryless hardware does not keep its datasheet values:
 //! capacitors fade, leakage rises with temperature and age, comparators
-//! develop offset, load switches weld or fail open, and harvester
-//! frontends derate. A [`FaultPlan`] is a time-sorted schedule of such
-//! events; the simulation kernel applies each event the first time its
-//! clock reaches the event's timestamp, and clamps coarse strides so no
+//! develop offset, load switches weld, and harvester frontends derate.
+//! A [`FaultPlan`] is a time-sorted schedule of such events; the
+//! simulation kernel applies each event the first time its clock
+//! reaches the event's timestamp, and clamps coarse strides so no
 //! closed-form span ever integrates *across* a fault edge.
 //!
 //! Plans are either scheduled explicitly ([`FaultPlan::scheduled`]) or
@@ -39,11 +39,10 @@ pub enum FaultKind {
         /// Offset added to the effective enable threshold, volts.
         volts: f64,
     },
-    /// The load switch fails open: the MCU disconnects and can never
-    /// reconnect (a dead node that still harvests).
-    SwitchStuckOpen,
-    /// The load switch welds closed: the MCU stays connected through
-    /// brown-out and drains the buffer to the floor (a drain-wedged
+    /// The load switch welds closed: the load stays connected through
+    /// brown-out, so the gate's hysteresis is gone. The MCU's own
+    /// brown-out reset still holds it off at or below brown-out, and it
+    /// boots again the moment the rail rises past it (a boot-looping
     /// node).
     SwitchStuckClosed,
     /// The harvester frontend derates: rail power multiplies by
@@ -61,7 +60,6 @@ impl FaultKind {
             FaultKind::CapacitanceFade { .. } => "capacitance-fade",
             FaultKind::LeakageGrowth { .. } => "leakage-growth",
             FaultKind::ComparatorOffset { .. } => "comparator-offset",
-            FaultKind::SwitchStuckOpen => "switch-stuck-open",
             FaultKind::SwitchStuckClosed => "switch-stuck-closed",
             FaultKind::HarvesterDerate { .. } => "harvester-derate",
         }
@@ -130,8 +128,8 @@ pub enum FaultCampaign {
     FadeOffset,
     /// Harvester derate to 60 % at 30 % of the horizon.
     Derate,
-    /// Load switch welds closed at 40 % of the horizon (the
-    /// drain-wedge watchdog case).
+    /// Load switch welds closed at 40 % of the horizon: the MCU boot-loops
+    /// at brown-out instead of waiting for the enable voltage.
     StuckClosed,
     /// Stochastic drift: 1–3 events sampled per node from the fade /
     /// leakage-growth / derate / comparator-offset families at
@@ -251,7 +249,7 @@ mod tests {
         let plan = FaultPlan::scheduled(vec![
             FaultEvent {
                 at: Seconds::new(30.0),
-                kind: FaultKind::SwitchStuckOpen,
+                kind: FaultKind::LeakageGrowth { factor: 2.0 },
             },
             FaultEvent {
                 at: Seconds::new(10.0),

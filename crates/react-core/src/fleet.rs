@@ -235,9 +235,8 @@ pub struct PoisonedNode {
 }
 
 /// A fleet cell that exceeded its engine-step watchdog budget — a
-/// fault-wedged cell (e.g. a welded switch fine-stepping below
-/// brown-out forever) becomes a reported entry instead of a hung
-/// shard.
+/// cell that never ends (say, a model that stops advancing the clock)
+/// becomes a reported entry instead of a hung shard.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimedOutNode {
     /// Fleet node index.
@@ -489,8 +488,8 @@ pub struct FleetSpec {
     /// default, and the only fingerprint-neutral value) derives the
     /// budget from the cell's scenario: `4·(horizon/dt) + 10_000`
     /// engine steps — four times what the fixed-`dt` reference would
-    /// spend, so no honest cell can trip it while a fault-wedged cell
-    /// becomes a [`TimedOutNode`] instead of a hung shard.
+    /// spend, so no honest cell can trip it while a cell that never
+    /// ends becomes a [`TimedOutNode`] instead of a hung shard.
     pub step_budget: Option<u64>,
 }
 

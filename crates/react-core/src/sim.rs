@@ -270,8 +270,8 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> Simulato
     }
 
     /// Schedules mid-run hardware-drift faults ([`FaultPlan`]):
-    /// capacitance fade, leakage growth, comparator offset, stuck
-    /// switches, harvester derating. Events fire at the top of the
+    /// capacitance fade, leakage growth, comparator offset, a welded
+    /// load switch, harvester derating. Events fire at the top of the
     /// engine iteration whose clock has reached them, and coarse
     /// strides never integrate across a pending event.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
@@ -404,8 +404,10 @@ pub struct SimCore<
     comparator_offset: f64,
     /// Multiplicative harvester derating on rail power (1.0 healthy).
     derate: f64,
-    /// Stuck power-gate switch: `Some(closed)` pins the gate.
-    stuck: Option<bool>,
+    /// The power gate's load switch has welded closed: the comparator
+    /// no longer matters, and only the MCU's own brown-out reset
+    /// decides whether it runs.
+    welded: bool,
     /// Online stride auditor; `None` runs unaudited.
     auditor: Option<InvariantAuditor>,
     /// Auditor verdicts, indexed by [`Regime::index`]: a tripped
@@ -568,7 +570,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             fault_next: 0,
             comparator_offset: 0.0,
             derate: 1.0,
-            stuck: None,
+            welded: false,
             auditor: audit.map(InvariantAuditor::new),
             degraded: [false; Regime::COUNT],
             finished: false,
@@ -665,8 +667,8 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
 
     /// Applies every fault event whose time has arrived, in schedule
     /// order. Buffer-level drifts go through
-    /// [`EnergyBuffer::apply_fault`]; comparator offset, stuck
-    /// switches, and harvester derating act on the engine's own
+    /// [`EnergyBuffer::apply_fault`]; comparator offset, a welded
+    /// switch, and harvester derating act on the engine's own
     /// periphery models.
     fn apply_due_faults(&mut self) {
         while self.fault_next < self.fault_plan.events().len() {
@@ -702,11 +704,15 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
                 FaultKind::HarvesterDerate { factor } => {
                     self.derate *= factor;
                 }
-                FaultKind::SwitchStuckOpen => {
-                    self.stuck = Some(false);
-                }
                 FaultKind::SwitchStuckClosed => {
-                    self.stuck = Some(true);
+                    // The weld takes hold at the fault's instant, not at
+                    // the next gate servicing, which a coarse stride could
+                    // push hours away.
+                    self.welded = true;
+                    let v = self.buffer.rail_voltage();
+                    if v.get().is_finite() {
+                        self.service_gate(v);
+                    }
                 }
                 kind => {
                     // Capacitance fade / leakage growth: buffers that
@@ -825,10 +831,13 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         self.check_termination();
     }
 
-    /// Termination: past the trace, once the system browns out it can
-    /// never restart (no input power) — or at the hard cap.
+    /// Termination: past the trace, once the MCU loses power it can
+    /// never restart (no input power) — or at the hard cap. Losing power
+    /// is the gate opening, or behind a welded switch the MCU's first
+    /// brown-out reset, so a welded cell ends with its drain rather than
+    /// at the hard cap.
     fn check_termination(&mut self) {
-        if (self.t >= self.trace_end && !self.gate.is_closed()) || self.t >= self.hard_end {
+        if (self.t >= self.trace_end && !self.mcu.is_powered()) || self.t >= self.hard_end {
             self.finished = true;
         }
     }
@@ -845,12 +854,6 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         }
         let dt = self.dt;
         let v = self.buffer.rail_voltage();
-        // A freshly-stuck switch flips the gate *now*, at the fault's
-        // instant — not at the next natural comparator servicing, which
-        // a coarse stride could push hours away.
-        if self.stuck.is_some_and(|c| c != self.gate.is_closed()) && v.get().is_finite() {
-            self.service_gate(v);
-        }
         // Invariant guard: a non-finite rail voltage disables both
         // fast paths for this span (their closed forms would chew
         // on garbage) and is counted once per contiguous span.
@@ -863,7 +866,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         // bottom. All of it folds away under `NullRecorder`.
         let entry_regime = if !R::ENABLED {
             Regime::Active // unused when recording is off
-        } else if !self.gate.is_closed() {
+        } else if !self.mcu.is_powered() {
             Regime::Idle
         } else if self.mcu.is_running() && self.mcu.mode() == PowerMode::Sleep {
             Regime::Sleep
@@ -898,11 +901,10 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         let stride = if self.fast[idle]
             && !self.degraded[idle]
             && v_ok
-            && !self.gate.is_closed()
             && !self.mcu.is_powered()
-            && v < self.gate.enable_voltage()
+            && v < self.power_up_voltage()
         {
-            // Adaptive idle fast path: gate open, MCU dark — the only
+            // Adaptive idle fast path: MCU dark — the only
             // dynamics are buffer physics (plus, for controller-driven
             // buffers, threshold-sparse controller decisions) under a
             // piecewise-constant input, which `idle_advance`
@@ -911,13 +913,12 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         } else if self.fast[sleep]
             && !self.degraded[sleep]
             && v_ok
-            && self.gate.is_closed()
             && self.mcu.is_running()
             && self.mcu.mode() == PowerMode::Sleep
             && self.poll_debt < dt.get()
             && v > self.gate.brownout_voltage()
         {
-            // Adaptive sleep fast path: gate closed, MCU asleep in LPM3
+            // Adaptive sleep fast path: MCU asleep in LPM3
             // on a quiet workload — the only dynamics are buffer
             // physics under the standing sleep draw (MCU sleep current
             // plus the held peripheral), which `powered_advance`
@@ -936,13 +937,12 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         } else if self.fast[active]
             && !self.degraded[active]
             && v_ok
-            && self.gate.is_closed()
             && self.mcu.is_running()
             && self.mcu.mode() == PowerMode::Active
             && v > self.gate.brownout_voltage()
             && self.holds_steady()
         {
-            // Adaptive active fast path: gate closed, MCU running a
+            // Adaptive active fast path: MCU running a
             // workload whose demand holds — the buffer integrates the
             // active draw in closed form up to the source window, a
             // probe, a fault event or the brown-out crossing, and the
@@ -962,6 +962,17 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         self.service_gate(v);
 
         self.post_gate_fine_step(v, dt, entry_regime, entry_poll_debt, t_entry, fine_reason)
+    }
+
+    /// The rail voltage that powers a dark MCU: the gate's enable
+    /// voltage, or behind a welded switch anything above brown-out.
+    /// The idle stride stops there so the boot fires on time.
+    fn power_up_voltage(&self) -> Volts {
+        if self.welded {
+            self.gate.brownout_voltage()
+        } else {
+            self.gate.enable_voltage()
+        }
     }
 
     /// What the workload sees at the current clock with the rail at `v`.
@@ -1094,7 +1105,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
         let advanced = match kind {
             StrideKind::Idle => {
                 self.buffer
-                    .idle_advance(p_rail, stride, self.gate.enable_voltage(), dt)
+                    .idle_advance(p_rail, stride, self.power_up_voltage(), dt)
             }
             StrideKind::Powered | StrideKind::Active => {
                 let held = if kind == StrideKind::Active {
@@ -1158,14 +1169,17 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
     /// attribution while leaving the physics timeline unchanged (the
     /// edge fires at the same simulated instant either way).
     fn service_gate(&mut self, v: Volts) {
-        // A stuck switch overrides the comparator entirely; the healthy
-        // path is the untouched pre-fault update.
-        let changed = match self.stuck {
-            Some(closed) => self.gate.force(closed),
-            None => self.gate.update(v),
+        // A healthy gate's MCU is powered exactly while the gate is
+        // closed, which already implies a rail above brown-out. Behind a
+        // welded switch only the MCU's brown-out reset is left: it holds
+        // the MCU in reset at or below brown-out and releases it above.
+        let changed = if self.welded {
+            (v > self.gate.brownout_voltage()) != self.mcu.is_powered()
+        } else {
+            self.gate.update(v)
         };
         if changed {
-            if self.gate.is_closed() {
+            if !self.mcu.is_powered() {
                 self.mcu.power_on();
                 if self.metrics.first_on_latency.is_none() {
                     self.metrics.first_on_latency = Some(self.t);
@@ -1297,66 +1311,63 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
 
         // Workload software (only past boot).
         let mut peripheral = Amps::ZERO;
-        if self.gate.is_closed() {
-            let was_running = self.mcu.is_running();
-            if was_running {
-                if self.hold_until.is_some() {
-                    // Defensive backoff: the workload is held in
-                    // LPM3 — no steps, no progress, minimal draw —
-                    // starving an attacker that times strikes off
-                    // the workload's activity. (The loop-top
-                    // release check clears the hold once the timer
-                    // is out and the rail has recovered.)
-                    self.mcu.set_mode(react_mcu::PowerMode::Sleep);
-                    self.sleep_peripheral = Amps::ZERO;
-                } else if self.poll_debt >= dt.get() {
-                    // The buffer's software component (REACT's 10 Hz
-                    // poller) services its interrupt: CPU active, no
-                    // workload progress this step. §5.1 measures this
-                    // as a 1.8 % penalty on *active* execution.
-                    self.poll_debt -= dt.get();
-                    self.mcu.set_mode(react_mcu::PowerMode::Active);
-                } else {
-                    let env = self.workload_env(v);
-                    let LoadDemand {
-                        mode,
-                        peripheral_current,
-                    } = self.workload.step(&env);
-                    self.mcu.set_mode(mode);
-                    peripheral = peripheral_current;
-                    if mode == react_mcu::PowerMode::Sleep {
-                        self.sleep_peripheral = peripheral_current;
+        if self.mcu.is_running() {
+            if self.hold_until.is_some() {
+                // Defensive backoff: the workload is held in
+                // LPM3 — no steps, no progress, minimal draw —
+                // starving an attacker that times strikes off
+                // the workload's activity. (The loop-top
+                // release check clears the hold once the timer
+                // is out and the rail has recovered.)
+                self.mcu.set_mode(react_mcu::PowerMode::Sleep);
+                self.sleep_peripheral = Amps::ZERO;
+            } else if self.poll_debt >= dt.get() {
+                // The buffer's software component (REACT's 10 Hz
+                // poller) services its interrupt: CPU active, no
+                // workload progress this step. §5.1 measures this
+                // as a 1.8 % penalty on *active* execution.
+                self.poll_debt -= dt.get();
+                self.mcu.set_mode(react_mcu::PowerMode::Active);
+            } else {
+                let env = self.workload_env(v);
+                let LoadDemand {
+                    mode,
+                    peripheral_current,
+                } = self.workload.step(&env);
+                self.mcu.set_mode(mode);
+                peripheral = peripheral_current;
+                if mode == react_mcu::PowerMode::Sleep {
+                    self.sleep_peripheral = peripheral_current;
+                }
+                // After each active step, ask with that step's
+                // environment whether its demand now holds for every
+                // later step; an active stride relies on the answer.
+                let active = Regime::Active.index();
+                self.steady_peripheral = (mode == react_mcu::PowerMode::Active
+                    && self.fast[active]
+                    && !self.degraded[active]
+                    && self.workload.next_wake(&env) == WakeHint::Steady)
+                    .then_some(peripheral_current);
+                if self.feedback {
+                    // Radio spans, by their draw signature: the
+                    // RF workloads key 6–18 mA peripherals, so a
+                    // milliamp threshold cleanly separates them
+                    // from sensor bias currents.
+                    let keyed = peripheral_current >= RADIO_SENSE_CURRENT;
+                    if keyed != self.radio_on {
+                        self.radio_on = keyed;
+                        self.input.observe(if keyed {
+                            VictimEvent::RadioOn { at: self.t }
+                        } else {
+                            VictimEvent::RadioOff { at: self.t }
+                        });
                     }
-                    // After each active step, ask with that step's
-                    // environment whether its demand now holds for every
-                    // later step; an active stride relies on the answer.
-                    let active = Regime::Active.index();
-                    self.steady_peripheral = (mode == react_mcu::PowerMode::Active
-                        && self.fast[active]
-                        && !self.degraded[active]
-                        && self.workload.next_wake(&env) == WakeHint::Steady)
-                        .then_some(peripheral_current);
-                    if self.feedback {
-                        // Radio spans, by their draw signature: the
-                        // RF workloads key 6–18 mA peripherals, so a
-                        // milliamp threshold cleanly separates them
-                        // from sensor bias currents.
-                        let keyed = peripheral_current >= RADIO_SENSE_CURRENT;
-                        if keyed != self.radio_on {
-                            self.radio_on = keyed;
-                            self.input.observe(if keyed {
-                                VictimEvent::RadioOn { at: self.t }
-                            } else {
-                                VictimEvent::RadioOff { at: self.t }
-                            });
-                        }
-                    }
-                    // Poll overhead accrues against active cycles
-                    // only; a sleeping CPU wakes for ~100 µs per
-                    // poll, which is already inside the LPM3 budget.
-                    if mode == react_mcu::PowerMode::Active {
-                        self.poll_debt += self.software_overhead * dt.get();
-                    }
+                }
+                // Poll overhead accrues against active cycles
+                // only; a sleeping CPU wakes for ~100 µs per
+                // poll, which is already inside the LPM3 budget.
+                if mode == react_mcu::PowerMode::Active {
+                    self.poll_debt += self.software_overhead * dt.get();
                 }
             }
         }
@@ -1401,8 +1412,8 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             .step(input, mcu_current + peripheral, dt, self.mcu.is_running());
         self.note_reconfigs();
 
-        // Accounting.
-        let on = self.gate.is_closed();
+        // Accounting: an MCU held in brown-out reset counts as off.
+        let on = self.mcu.is_powered();
         if on {
             self.metrics.on_time += dt;
         }

@@ -67,15 +67,6 @@ impl PowerGate {
         self.enable_at = enable_at;
     }
 
-    /// Forces the gate switch to a fixed state regardless of the
-    /// comparator thresholds — the stuck-open/stuck-closed hardware
-    /// fault model. Returns `true` if the gate state changed.
-    pub fn force(&mut self, closed: bool) -> bool {
-        let changed = closed != self.closed;
-        self.closed = closed;
-        changed
-    }
-
     /// Updates the gate with the present buffer voltage; returns `true`
     /// if the gate state changed.
     pub fn update(&mut self, v: Volts) -> bool {

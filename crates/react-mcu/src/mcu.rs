@@ -61,8 +61,9 @@ impl McuSpec {
 
 /// A live MCU: mode plus boot-sequencing state.
 ///
-/// The MCU draws no current at all while the power gate holds it off;
-/// when the gate enables, it boots (active current for
+/// The MCU draws no current at all while it is unpowered (the power
+/// gate holds it off, or its brown-out reset holds it); when power
+/// returns, it boots (active current for
 /// [`McuSpec::boot_time`]) and then enters the mode the workload
 /// requests.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -97,7 +98,8 @@ impl Mcu {
         self.mode
     }
 
-    /// `true` if the power gate has the MCU enabled.
+    /// `true` while the MCU has power: the power gate has it enabled
+    /// and it is out of brown-out reset.
     pub fn is_powered(&self) -> bool {
         self.powered
     }

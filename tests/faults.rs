@@ -1,15 +1,23 @@
 //! Fault-injection acceptance tests: the audited adaptive kernel must
 //! track a fine-stepped reference on faulted cells, benign cells must
-//! remain bit-identical with zero auditor trips, and an injected
+//! remain bit-identical with zero auditor trips, an injected
 //! capacitance fade must be detected within a bounded number of
-//! committed strides.
+//! committed strides, and no campaign may run a workload step at or
+//! below brown-out.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use react_repro::buffers::BufferKind;
-use react_repro::circuit::FaultPlan;
-use react_repro::core::{find_scenario, AuditConfig, KernelMode, RunMetrics, Scenario};
+use react_repro::circuit::{FaultCampaign, FaultPlan};
+use react_repro::core::{
+    calib, find_scenario, AuditConfig, KernelMode, RunMetrics, Scenario, Simulator,
+};
+use react_repro::harvest::PowerReplay;
 use react_repro::telemetry::{EventKind, FallbackReason, Regime, RingRecorder, StrideKind};
 use react_repro::units::Seconds;
+use react_repro::workloads::{LoadDemand, WakeHint, Workload, WorkloadEnv};
 
 /// Same buffer matrix the kernel-equivalence suite pins.
 const MATRIX_BUFFERS: [BufferKind; 5] = [
@@ -273,4 +281,147 @@ fn fade_trips_and_degrades_the_active_regime() {
         }
     }
     assert!(degraded_spans > 0, "no active fine span after the trip");
+}
+
+/// Every fault campaign, healthy included.
+const CAMPAIGNS: [FaultCampaign; 5] = [
+    FaultCampaign::None,
+    FaultCampaign::FadeOffset,
+    FaultCampaign::Derate,
+    FaultCampaign::StuckClosed,
+    FaultCampaign::Drift,
+];
+
+/// Wraps a workload and records the lowest rail voltage any of its
+/// steps ran at. An op can only complete inside a step, so this also
+/// bounds the rail of every completed op.
+struct LowestStepRail {
+    inner: Box<dyn Workload>,
+    lowest: Rc<Cell<f64>>,
+}
+
+impl Workload for LowestStepRail {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn on_power_up(&mut self, now: Seconds) {
+        self.inner.on_power_up(now);
+    }
+    fn on_power_down(&mut self, now: Seconds) {
+        self.inner.on_power_down(now);
+    }
+    fn step(&mut self, env: &WorkloadEnv) -> LoadDemand {
+        self.lowest
+            .set(self.lowest.get().min(env.rail_voltage.get()));
+        self.inner.step(env)
+    }
+    fn next_wake(&self, env: &WorkloadEnv) -> WakeHint {
+        self.inner.next_wake(env)
+    }
+    fn finalize(&mut self, now: Seconds) {
+        self.inner.finalize(now);
+    }
+    fn ops_completed(&self) -> u64 {
+        self.inner.ops_completed()
+    }
+    fn ops_failed(&self) -> u64 {
+        self.inner.ops_failed()
+    }
+    fn aux_completed(&self) -> u64 {
+        self.inner.aux_completed()
+    }
+    fn events_missed(&self) -> u64 {
+        self.inner.events_missed()
+    }
+}
+
+/// Runs `s` under `kernel` the way [`Scenario::simulator`] builds it,
+/// with its workload wrapped, and returns the run's ops and the lowest
+/// rail voltage any workload step saw.
+fn ops_and_lowest_step_rail(s: &Scenario, kernel: KernelMode) -> (u64, f64) {
+    let lowest = Rc::new(Cell::new(f64::INFINITY));
+    let workload = LowestStepRail {
+        inner: s.workload.build_streaming(s.horizon, s.workload_seed()),
+        lowest: Rc::clone(&lowest),
+    };
+    let replay = PowerReplay::from_source(s.source(), s.converter.build());
+    let out = Simulator::new(replay, s.buffer.build(), workload)
+        .with_timestep(s.dt)
+        .with_horizon(s.horizon)
+        .with_gate(s.gate())
+        .with_kernel(kernel)
+        .with_faults(s.fault.plan(s.fault_seed(), s.horizon))
+        .run();
+    (out.metrics.ops_completed, lowest.get())
+}
+
+/// An MCU cannot execute below brown-out, whatever the power gate
+/// does: under every fault campaign and in both kernels, no workload
+/// step runs (and so no op completes) with the rail at or below
+/// `BROWNOUT_VOLTAGE`. A welded switch keeps the load connected, so
+/// only the MCU's own brown-out reset can hold this.
+fn assert_no_step_at_or_below_brownout(buffer: BufferKind) {
+    let brownout = calib::BROWNOUT_VOLTAGE.get();
+    for campaign in CAMPAIGNS {
+        let mut s = truncated("rf-ge-hour-10mf-de", 600.0).with_buffer(buffer);
+        s.fault = campaign;
+        for kernel in [KernelMode::Adaptive, KernelMode::FixedDt] {
+            let (ops, lowest) = ops_and_lowest_step_rail(&s, kernel);
+            let label = format!("{} / {} / {kernel:?}", buffer.label(), campaign.label());
+            assert!(ops > 0, "{label}: no op completed");
+            assert!(
+                lowest > brownout,
+                "{label}: a workload step ran at {lowest} V, at or below brown-out ({brownout} V)"
+            );
+        }
+    }
+}
+
+#[test]
+fn no_step_below_brownout_on_static_10mf() {
+    assert_no_step_at_or_below_brownout(BufferKind::Static10mF);
+}
+
+#[test]
+fn no_step_below_brownout_on_react() {
+    assert_no_step_at_or_below_brownout(BufferKind::React);
+}
+
+#[test]
+fn no_step_below_brownout_on_morphy() {
+    assert_no_step_at_or_below_brownout(BufferKind::Morphy);
+}
+
+/// A welded switch leaves the MCU to boot-loop at brown-out: it resets
+/// there and boots the moment the rail rises past it. The adaptive
+/// kernel carries the dark spans between boots in idle strides, and the
+/// run ends at the first reset past the horizon. Fine-stepping a 0 V
+/// rail to the hard cap took 9,303,640 engine steps on this cell. Both
+/// kernels agree on the loop within the kernel-equivalence tolerances.
+#[test]
+fn welded_switch_boot_loops_at_brownout_and_kernels_agree() {
+    let s = *find_scenario("fault-stuck-closed-hour-10mf-de").expect("registry scenario");
+    let a = s.run_with_kernel(KernelMode::Adaptive).metrics;
+    assert_eq!(a.engine_steps, 29_701, "adaptive engine steps");
+    assert!(a.boots > 1_000, "no boot loop: {} boots", a.boots);
+
+    let r = s.run_with_kernel(KernelMode::FixedDt).metrics;
+    assert!(
+        rel_close(r.ops_completed as f64, a.ops_completed as f64, 0.02, 2.0),
+        "ops: reference {} vs adaptive {}",
+        r.ops_completed,
+        a.ops_completed
+    );
+    assert!(
+        r.boots.abs_diff(a.boots) <= 2u64.max(r.boots / 50),
+        "boots: reference {} vs adaptive {}",
+        r.boots,
+        a.boots
+    );
+    assert!(
+        rel_close(r.on_time.get(), a.on_time.get(), 0.02, 0.05),
+        "on-time: reference {} vs adaptive {}",
+        r.on_time.get(),
+        a.on_time.get()
+    );
 }
