@@ -14,8 +14,9 @@
 //!   draw ([`EnergyBuffer::powered_advance`], up to the next wake or
 //!   the brown-out crossing); and while a running workload declares its
 //!   demand steady ([`WakeHint::Steady`]), the same closed form carries
-//!   the buffer under the active draw, and the workload's own `step` is
-//!   replayed once per covered step. All three run through one stride
+//!   the buffer under the active draw, and the covered steps are handed
+//!   to the workload's [`Workload::replay_steady`] in bulk (DE books
+//!   whole ops at once). All three run through one stride
 //!   path over whole zero-order-hold source windows, quantized back
 //!   onto the `dt` grid, collapsing ~10⁵-step phases into a handful of
 //!   strides. Wherever the demand may change — or a buffer has no
@@ -1001,28 +1002,34 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
     }
 
     /// Replays the workload across `steps` steps covered by an active
-    /// stride from its entry `env`, as fine steps would drive it (only
-    /// the clock advances; the steady demand does not read the rest): a
-    /// step with poll debt due services the buffer's software instead
-    /// of the workload (same active draw), every other step runs the
-    /// workload, which returns its steady demand and accrues the poll
-    /// overhead.
-    fn replay_steady(&mut self, steps: u64, mut env: WorkloadEnv) {
+    /// stride from its entry `env`, as fine steps would drive it: a step
+    /// with poll debt due services the buffer's software instead of the
+    /// workload (same active draw), every other step runs the workload
+    /// and accrues the poll overhead. The debt recurrence is per step;
+    /// each run of consecutive workload steps goes to
+    /// [`Workload::replay_steady`] in one call, and without overhead the
+    /// whole stride is one run.
+    fn replay_steady(&mut self, steps: u64, env: WorkloadEnv) {
         let dt = self.dt.get();
-        let t0 = self.t;
+        if self.software_overhead == 0.0 {
+            self.workload.replay_steady(0, steps, &env);
+            return;
+        }
+        let mut run_start = 0;
         for i in 0..steps {
             if self.poll_debt >= dt {
                 self.poll_debt -= dt;
-                continue;
+                if i > run_start {
+                    self.workload.replay_steady(run_start, i - run_start, &env);
+                }
+                run_start = i + 1;
+            } else {
+                self.poll_debt += self.software_overhead * dt;
             }
-            env.now = t0 + Seconds::new(dt * i as f64);
-            let demand = self.workload.step(&env);
-            debug_assert_eq!(
-                (demand.mode, Some(demand.peripheral_current)),
-                (PowerMode::Active, self.steady_peripheral),
-                "a workload declaring WakeHint::Steady changed its demand"
-            );
-            self.poll_debt += self.software_overhead * dt;
+        }
+        if steps > run_start {
+            self.workload
+                .replay_steady(run_start, steps - run_start, &env);
         }
     }
 

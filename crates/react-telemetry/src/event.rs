@@ -37,7 +37,9 @@ pub enum FallbackReason {
     /// The MCU is actively executing a workload that has not declared
     /// its demand steady (`WakeHint::Steady`), or is booting: each step
     /// may change the demand, so fine stepping is inherent, not a
-    /// fallback. A refused active stride carries its own reason instead.
+    /// fallback. (A steady workload's covered steps are replayed in
+    /// bulk by an active stride.) A refused active stride carries its
+    /// own reason instead.
     McuActive,
     /// The invariant auditor tripped on a committed stride and
     /// permanently degraded this regime's fast path to fine stepping

@@ -61,6 +61,34 @@ impl DataEncryption {
         }
         digest
     }
+
+    /// One step of the op in flight, or of a fresh one.
+    fn count_down(&mut self, dt: Seconds) {
+        let remaining = self.op_remaining.get_or_insert(self.op_duration);
+        *remaining -= dt;
+        if remaining.get() <= 0.0 {
+            self.ops += 1;
+            self.op_remaining = None;
+        }
+    }
+
+    /// Steps the op in flight (or a fresh one) until it completes or
+    /// `budget` steps run out, and returns the steps it took. A
+    /// countdown that stops moving (an infinite or NaN duration, or one
+    /// `dt` no longer dents) never completes and later steps change
+    /// nothing, so it returns `budget` at once.
+    fn step_op(&mut self, dt: Seconds, budget: u64) -> u64 {
+        for taken in 1..=budget {
+            let before = self.op_remaining;
+            self.count_down(dt);
+            match self.op_remaining {
+                None => return taken,
+                Some(r) if r.get().is_nan() || before == Some(r) => return budget,
+                Some(_) => {}
+            }
+        }
+        budget
+    }
 }
 
 impl Default for DataEncryption {
@@ -83,13 +111,27 @@ impl Workload for DataEncryption {
     }
 
     fn step(&mut self, env: &WorkloadEnv) -> LoadDemand {
-        let remaining = self.op_remaining.get_or_insert(self.op_duration);
-        *remaining -= env.dt;
-        if remaining.get() <= 0.0 {
-            self.ops += 1;
-            self.op_remaining = None;
-        }
+        self.count_down(env.dt);
         LoadDemand::active()
+    }
+
+    /// Finishes the op in flight step by step, then steps one fresh op
+    /// to count its steps. Every fresh op repeats the same countdown
+    /// from `op_duration`, so the whole ops left in the stretch book at
+    /// once, and only the remainder is stepped.
+    fn replay_steady(&mut self, _first: u64, steps: u64, env: &WorkloadEnv) {
+        let mut left = steps;
+        if self.op_remaining.is_some() {
+            left -= self.step_op(env.dt, left);
+        }
+        if left > 0 {
+            let per_op = self.step_op(env.dt, left);
+            left -= per_op;
+            if self.op_remaining.is_none() {
+                self.ops += left / per_op;
+                self.step_op(env.dt, left % per_op);
+            }
+        }
     }
 
     /// DE never sleeps — the CPU encrypts continuously at one constant

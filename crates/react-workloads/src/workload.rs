@@ -78,9 +78,9 @@ impl LoadDemand {
 /// step from now until power-down returns the demand of its last step
 /// (an `Active` mode and its peripheral current), whatever the rail
 /// voltage and usable energy. The kernel then integrates the buffer in
-/// closed form under that constant load, and replays the workload's
-/// own `step` once per covered step, so its counters advance exactly
-/// as fine steps would advance them.
+/// closed form under that constant load, and hands the covered steps to
+/// [`Workload::replay_steady`], so its counters advance exactly as fine
+/// steps would advance them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum WakeHint {
     /// No coarse stride may be taken: the workload is active, about to
@@ -139,10 +139,26 @@ pub trait Workload {
     /// next timer deadline so the kernel can integrate whole LPM3
     /// stretches in closed form, and a workload whose active demand
     /// never changes (DE) answers [`WakeHint::Steady`] so the kernel can
-    /// integrate its MCU-active time too.
+    /// integrate its MCU-active time too, replaying the covered steps
+    /// through [`replay_steady`](Workload::replay_steady).
     fn next_wake(&self, env: &WorkloadEnv) -> WakeHint {
         let _ = env;
         WakeHint::Immediate
+    }
+
+    /// Runs the `steps` steps `first..first + steps` of an active stride
+    /// that entered at `env` (step `i` at `env.now + i·dt`), leaving the
+    /// state those [`step`](Workload::step) calls would leave. The
+    /// kernel calls it only after the workload declared
+    /// [`WakeHint::Steady`], so the demands are known and not returned.
+    /// The default makes the calls; a workload whose state has a closed
+    /// form over a steady stretch (DE counts whole ops) overrides it.
+    fn replay_steady(&mut self, first: u64, steps: u64, env: &WorkloadEnv) {
+        let mut step_env = *env;
+        for i in first..first + steps {
+            step_env.now = env.now + Seconds::new(env.dt.get() * i as f64);
+            self.step(&step_env);
+        }
     }
 
     /// Called once when the simulation ends, with the final time, so
@@ -192,6 +208,10 @@ impl<T: Workload + ?Sized> Workload for Box<T> {
 
     fn next_wake(&self, env: &WorkloadEnv) -> WakeHint {
         (**self).next_wake(env)
+    }
+
+    fn replay_steady(&mut self, first: u64, steps: u64, env: &WorkloadEnv) {
+        (**self).replay_steady(first, steps, env)
     }
 
     fn finalize(&mut self, now: Seconds) {

@@ -11,7 +11,9 @@
 //! run), which is exactly what these properties guard against. A
 //! running workload that declares its demand steady must return that
 //! one `Active` demand on every later step, under randomized energy
-//! and rail voltage, since the kernel integrates the buffer under it.
+//! and rail voltage, since the kernel integrates the buffer under it,
+//! and its `replay_steady` must leave the state that many `step` calls
+//! would leave, since the kernel replays a stride's steps through it.
 
 use proptest::prelude::*;
 use react_mcu::PowerMode;
@@ -138,7 +140,8 @@ fn assert_hint_consistent<W: Workload + Clone>(
 }
 
 /// Checks a [`WakeHint::Steady`] declaration: every later step returns
-/// one `Active` demand, whatever the energy budget and rail voltage.
+/// one `Active` demand, whatever the energy budget and rail voltage,
+/// and replaying steps in bulk matches stepping them.
 fn assert_steady<W: Workload + Clone>(
     w: &W,
     now: f64,
@@ -146,6 +149,10 @@ fn assert_steady<W: Workload + Clone>(
     longevity: bool,
     stream: &mut EnergyStream,
 ) {
+    let entry = env(now + dt, dt, stream.next_mj(20.0), longevity);
+    for n in [0, 1, 2, 99, 100, 101, 1000] {
+        assert_replay_matches_steps(w, 0, n, &entry, 2000);
+    }
     let mut clone = w.clone();
     let mut steady: Option<LoadDemand> = None;
     let mut t = now + dt;
@@ -167,6 +174,64 @@ fn assert_steady<W: Workload + Clone>(
         );
         t += dt;
     }
+}
+
+/// The step (1-based) on which the workload's next op completes, if it
+/// does within `limit` steps from `e`'s clock.
+fn next_completion<W: Workload>(w: &mut W, e: &WorkloadEnv, limit: u64) -> Option<u64> {
+    let ops = w.ops_completed();
+    (1..=limit).find(|&i| {
+        w.step(&WorkloadEnv {
+            now: e.now + e.dt * (i - 1) as f64,
+            ..*e
+        });
+        w.ops_completed() > ops
+    })
+}
+
+/// `replay_steady(first, n, e)` leaves what `n` calls to `step` leave:
+/// the same completed ops, the same step on which the next op
+/// completes (searched up to `limit` steps), and the same failed ops
+/// after a power-down.
+fn assert_replay_matches_steps<W: Workload + Clone>(
+    w: &W,
+    first: u64,
+    n: u64,
+    e: &WorkloadEnv,
+    limit: u64,
+) {
+    let mut replayed = w.clone();
+    replayed.replay_steady(first, n, e);
+    let mut stepped = w.clone();
+    for i in first..first + n {
+        stepped.step(&WorkloadEnv {
+            now: e.now + e.dt * i as f64,
+            ..*e
+        });
+    }
+    let label = format!("{} replaying {n} steps from step {first}", w.name());
+    assert_eq!(
+        replayed.ops_completed(),
+        stepped.ops_completed(),
+        "{label}: ops"
+    );
+    let end = WorkloadEnv {
+        now: e.now + e.dt * (first + n) as f64,
+        ..*e
+    };
+    let (mut r, mut s) = (replayed.clone(), stepped.clone());
+    assert_eq!(
+        next_completion(&mut r, &end, limit),
+        next_completion(&mut s, &end, limit),
+        "{label}: next op completion"
+    );
+    replayed.on_power_down(end.now);
+    stepped.on_power_down(end.now);
+    assert_eq!(
+        replayed.ops_failed(),
+        stepped.ops_failed(),
+        "{label}: failed ops after a power-down"
+    );
 }
 
 /// Drives a workload with generous energy for `prefix_s`, returning
@@ -265,5 +330,40 @@ proptest! {
         prop_assert_eq!(w.next_wake(&env(now, dt, 1.0, false)), WakeHint::Steady);
         assert_hint_consistent(&w, now, dt, false, seed);
     }
-
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// DE's bulk replay books whole ops at once: from any phase of the
+    /// op in flight, over any stretch up to three ops and a step, it
+    /// matches stepping, for step sizes that divide its op duration or
+    /// not, and for op durations that never complete.
+    #[test]
+    fn de_replay_matches_stepping(
+        dt_i in 0usize..DE_STEPS.len(),
+        duration_i in 0usize..6,
+        custom_s in 0.0..0.3f64,
+        phase_seed in any::<u64>(),
+        n_seed in any::<u64>(),
+        first in 0u64..10_000,
+    ) {
+        let dt = DE_STEPS[dt_i];
+        let duration = [0.1, custom_s, 0.0, dt, f64::INFINITY, f64::NAN][duration_i];
+        let fresh = DataEncryption::with_op_duration(Seconds::new(duration));
+        let e = env(1.0, dt, 1.0, false);
+        // Steps per op; an op that never completes gets a short span.
+        let limit = 1_000;
+        let per_op = next_completion(&mut fresh.clone(), &e, limit).unwrap_or(50);
+        let mut w = fresh;
+        for i in 0..phase_seed % per_op {
+            w.step(&env(dt * i as f64, dt, 1.0, false));
+        }
+        let n = n_seed % (3 * per_op + 2);
+        assert_replay_matches_steps(&w, first, n, &e, limit);
+    }
+}
+
+/// The fine steps DE's replay is checked at: the 1 ms and 10 ms grids
+/// the scenarios use, and one that divides no op duration.
+const DE_STEPS: [f64; 3] = [1e-3, 10e-3, 0.7e-3];

@@ -8,14 +8,27 @@
 //! quantizing enable and brown-out crossings back onto the fine-step
 //! grid, so ops/boots/on-time should agree to within the reference
 //! kernel's own discretization noise. Conservation must hold
-//! independently in both.
+//! independently in both. An active stride replays the workload's
+//! covered steps in bulk, and that replay must be bit-identical to
+//! stepping the workload once per covered step.
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use react_repro::buffers::BufferKind;
-use react_repro::core::{calib, Experiment, KernelMode, RunMetrics, WorkloadKind};
+use react_repro::buffers::defense::DefenseConfig;
+use react_repro::buffers::{BufferKind, EnergyBuffer};
+use react_repro::circuit::FaultCampaign;
+use react_repro::core::scenario_report::REPORT_BUFFERS;
+use react_repro::core::{
+    calib, find_scenario, scenario_registry, AuditConfig, Experiment, KernelMode, RunMetrics,
+    Scenario, Simulator, WorkloadKind,
+};
+use react_repro::env::PowerSource;
+use react_repro::harvest::PowerReplay;
 use react_repro::traces::{paper_trace, PaperTrace};
 use react_repro::units::Seconds;
+use react_repro::workloads::{LoadDemand, WakeHint, Workload, WorkloadEnv};
 
 fn rel_close(a: f64, b: f64, rel: f64, abs: f64) -> bool {
     (a - b).abs() <= rel * a.abs().max(b.abs()) + abs
@@ -394,4 +407,226 @@ fn sweep_parallel_adaptive_matches_serial_reference() {
             r.metrics.ops_completed
         );
     }
+}
+
+/// Forwards the [`Workload`] methods an active-stride replay does not
+/// touch to the wrapped workload in field `0`.
+macro_rules! forward_workload {
+    () => {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn on_power_up(&mut self, now: Seconds) {
+            self.0.on_power_up(now)
+        }
+        fn on_power_down(&mut self, now: Seconds) {
+            self.0.on_power_down(now)
+        }
+        fn next_wake(&self, env: &WorkloadEnv) -> WakeHint {
+            self.0.next_wake(env)
+        }
+        fn finalize(&mut self, now: Seconds) {
+            self.0.finalize(now)
+        }
+        fn ops_completed(&self) -> u64 {
+            self.0.ops_completed()
+        }
+        fn ops_failed(&self) -> u64 {
+            self.0.ops_failed()
+        }
+        fn aux_completed(&self) -> u64 {
+            self.0.aux_completed()
+        }
+        fn events_missed(&self) -> u64 {
+            self.0.events_missed()
+        }
+    };
+}
+
+/// Forwards every method except `replay_steady`, so an active stride
+/// replays its covered steps through the trait's default loop, one
+/// `step` call each.
+struct PerStep<W>(W);
+
+impl<W: Workload> Workload for PerStep<W> {
+    forward_workload!();
+    fn step(&mut self, env: &WorkloadEnv) -> LoadDemand {
+        self.0.step(env)
+    }
+}
+
+/// Forwards every method, `replay_steady` included, and counts the
+/// `step` calls made on it.
+struct CountSteps<W>(W, Rc<Cell<u64>>);
+
+impl<W: Workload> Workload for CountSteps<W> {
+    forward_workload!();
+    fn step(&mut self, env: &WorkloadEnv) -> LoadDemand {
+        self.1.set(self.1.get() + 1);
+        self.0.step(env)
+    }
+    fn replay_steady(&mut self, first: u64, steps: u64, env: &WorkloadEnv) {
+        self.0.replay_steady(first, steps, env)
+    }
+}
+
+/// Builds `s` the way [`Scenario::simulator`] does, with its workload
+/// wrapped by `wrap`.
+fn wrapped_simulator<W: Workload>(
+    s: &Scenario,
+    wrap: impl FnOnce(Box<dyn Workload>) -> W,
+) -> Simulator<Box<dyn EnergyBuffer>, W, Box<dyn PowerSource>> {
+    let replay = PowerReplay::from_source(s.source(), s.converter.build());
+    let workload = wrap(s.workload.build_streaming(s.horizon, s.workload_seed()));
+    let mut sim = Simulator::new(replay, s.buffer.build(), workload)
+        .with_timestep(s.dt)
+        .with_horizon(s.horizon)
+        .with_gate(s.gate());
+    if s.env.adversarial() {
+        sim = sim.with_feedback();
+    }
+    if s.defended {
+        sim = sim.with_defense(DefenseConfig::default());
+    }
+    if s.fault != FaultCampaign::None {
+        sim = sim.with_faults(s.fault.plan(s.fault_seed(), s.horizon));
+    }
+    if s.audited {
+        sim = sim.with_auditor(AuditConfig::default());
+    }
+    sim
+}
+
+/// Every scalar of a run's metrics, floats by their bits. The
+/// exhaustive destructuring makes a new field a compile error here.
+fn metric_bits(m: &RunMetrics) -> Vec<(&'static str, u64)> {
+    let RunMetrics {
+        ops_completed,
+        ops_failed,
+        aux_completed,
+        events_missed,
+        first_on_latency,
+        on_time,
+        total_time,
+        boots,
+        mean_on_period,
+        max_on_period,
+        max_off_period,
+        engine_steps,
+        reconfigurations,
+        guard_fallbacks,
+        detections,
+        false_positives,
+        defensive_reconfigurations,
+        faults_injected,
+        audit_checks,
+        audit_trips,
+        capacitance_dwell,
+        ledger,
+        initial_stored,
+        final_stored,
+    } = m;
+    let mut bits = vec![
+        ("ops_completed", *ops_completed),
+        ("ops_failed", *ops_failed),
+        ("aux_completed", *aux_completed),
+        ("events_missed", *events_missed),
+        (
+            "first_on_latency",
+            first_on_latency.map_or(u64::MAX, |l| l.get().to_bits()),
+        ),
+        ("on_time", on_time.get().to_bits()),
+        ("total_time", total_time.get().to_bits()),
+        ("boots", *boots),
+        ("mean_on_period", mean_on_period.get().to_bits()),
+        ("max_on_period", max_on_period.get().to_bits()),
+        ("max_off_period", max_off_period.get().to_bits()),
+        ("engine_steps", *engine_steps),
+        ("reconfigurations", *reconfigurations),
+        ("guard_fallbacks", *guard_fallbacks),
+        ("detections", *detections),
+        ("false_positives", *false_positives),
+        ("defensive_reconfigurations", *defensive_reconfigurations),
+        ("faults_injected", *faults_injected),
+        ("audit_checks", *audit_checks),
+        ("audit_trips", *audit_trips),
+        ("ledger.harvested", ledger.harvested.get().to_bits()),
+        ("ledger.delivered", ledger.delivered.get().to_bits()),
+        ("ledger.clipped", ledger.clipped.get().to_bits()),
+        ("ledger.leaked", ledger.leaked.get().to_bits()),
+        ("ledger.diode_loss", ledger.diode_loss.get().to_bits()),
+        ("ledger.switch_loss", ledger.switch_loss.get().to_bits()),
+        ("ledger.load_consumed", ledger.load_consumed.get().to_bits()),
+        (
+            "ledger.overhead_consumed",
+            ledger.overhead_consumed.get().to_bits(),
+        ),
+        ("initial_stored", initial_stored.get().to_bits()),
+        ("final_stored", final_stored.get().to_bits()),
+    ];
+    for d in capacitance_dwell {
+        bits.push(("dwell.level", d.level as u64));
+        bits.push(("dwell.seconds", d.seconds.to_bits()));
+    }
+    bits
+}
+
+/// Replaying an active stride in bulk (`Workload::replay_steady`) is
+/// bit-identical to stepping the workload once per covered step: every
+/// DE report row on every report buffer at salt 0, REACT's poll-debt
+/// runs included, leaves every metric scalar bit-equal with the
+/// default per-step loop.
+#[test]
+fn bulk_steady_replay_is_bit_identical_to_per_step() {
+    let mut checked = 0;
+    for row in scenario_registry()
+        .iter()
+        .filter(|s| s.workload == WorkloadKind::DataEncryption)
+    {
+        for &buffer in &REPORT_BUFFERS {
+            let s = row.with_buffer(buffer);
+            let bulk = s.simulator().run().metrics;
+            let stepped = wrapped_simulator(&s, PerStep).run().metrics;
+            assert_eq!(
+                metric_bits(&bulk),
+                metric_bits(&stepped),
+                "{} / {}",
+                s.name,
+                buffer.label()
+            );
+            assert!(
+                bulk.ops_completed > 0,
+                "{} / {}: no op",
+                s.name,
+                buffer.label()
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 40, "DE report rows x buffers");
+}
+
+/// The engine hands an active stride's covered steps to the workload
+/// in bulk, through the `Box<dyn Workload>` forward, so DE on the
+/// 770 µF buffer under the spoof-baiter is stepped directly only on
+/// fine steps: 123 calls, where the default per-step loop makes 3.6M.
+#[test]
+fn active_strides_replay_de_without_stepping_it() {
+    let s = find_scenario("attack-baitswitch-hour-de")
+        .expect("registry scenario")
+        .with_buffer(BufferKind::Static770uF);
+    let count = |per_step: bool| {
+        let calls = Rc::new(Cell::new(0));
+        let counted = |w| CountSteps(w, Rc::clone(&calls));
+        let out = if per_step {
+            wrapped_simulator(&s, |w| PerStep(counted(w))).run()
+        } else {
+            wrapped_simulator(&s, |w| Box::new(counted(w)) as Box<dyn Workload>).run()
+        };
+        (calls.get(), out.metrics.ops_completed)
+    };
+    let (bulk_calls, bulk_ops) = count(false);
+    let (stepped_calls, stepped_ops) = count(true);
+    assert_eq!(bulk_ops, stepped_ops);
+    assert_eq!((bulk_calls, stepped_calls), (123, 3_600_605));
 }
