@@ -1,5 +1,5 @@
-//! Calibration constants — the single source of truth DESIGN.md points
-//! at.
+//! Calibration constants — the single source of truth README's
+//! "Calibration and workload costs" section points at.
 //!
 //! Everything tunable in the reproduction lives here or is re-exported
 //! here, with provenance:

@@ -1,8 +1,10 @@
 //! Per-operation timing/energy constants shared by the benchmarks.
 //!
-//! These are the calibration constants DESIGN.md documents: durations
-//! come from datasheet timings and the paper's description of each
-//! benchmark; they are the only "tuned" numbers in the reproduction.
+//! These are the calibration constants README's "Calibration and
+//! workload costs" section documents: durations come from datasheet
+//! timings and the paper's description of each benchmark. With
+//! `react_core::calib` they are the only "tuned" numbers in the
+//! reproduction.
 
 use react_units::{Amps, Joules, Seconds, Volts};
 
@@ -16,8 +18,9 @@ pub const SC_COMPUTE: Seconds = Seconds::new(0.020);
 /// SC: sensing deadline period (§4.2: "once every five seconds").
 pub const SC_PERIOD: Seconds = Seconds::new(5.0);
 
-/// RT: one atomic transmission burst (16 framed packets ≈ 1 KiB plus
-/// preamble/settling time at the ZL70251's low data rate).
+/// RT: one atomic transmission burst: 16 framed packets, each a 60-byte
+/// payload plus an 8-byte header and CRC (1,088 wire bytes ≈ 1 KiB),
+/// plus preamble/settling time at the ZL70251's low data rate.
 pub const RT_BURST: Seconds = Seconds::new(0.300);
 
 /// PF: receive window for one incoming packet.

@@ -15,13 +15,6 @@ use react_units::{Joules, Seconds};
 use crate::costs;
 use crate::{LoadDemand, WakeHint, Workload, WorkloadEnv};
 
-/// Packets per burst.
-const BURST_PACKETS: u64 = 16;
-
-/// Wire bytes of one burst: [`BURST_PACKETS`] frames of a 60-byte
-/// payload plus the 8-byte [`radio`](crate::radio) header and CRC.
-const BURST_BYTES: u64 = BURST_PACKETS * (8 + 60);
-
 /// The Radio Transmission workload.
 #[derive(Clone, Debug)]
 pub struct RadioTransmit {
@@ -54,11 +47,6 @@ impl RadioTransmit {
     /// Energy the longevity API is asked to guarantee per burst.
     pub fn energy_needed(&self) -> Joules {
         self.energy_needed
-    }
-
-    /// Total wire bytes of the completed bursts.
-    pub fn bytes_sent(&self) -> u64 {
-        self.ops * BURST_BYTES
     }
 }
 
@@ -131,7 +119,6 @@ impl Workload for RadioTransmit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::radio::Packet;
     use react_units::Volts;
 
     fn env(usable_mj: f64, longevity: bool) -> WorkloadEnv {
@@ -152,13 +139,6 @@ mod tests {
         }
         // 0.7 s at 0.3 s per burst → 2 complete bursts.
         assert_eq!(rt.ops_completed(), 2);
-        assert_eq!(rt.bytes_sent(), 2 * BURST_BYTES);
-    }
-
-    #[test]
-    fn burst_bytes_match_the_encoded_frames() {
-        let frame = Packet::new(1, 0, vec![0; 60]).encode();
-        assert_eq!(BURST_BYTES, frame.len() as u64 * BURST_PACKETS);
     }
 
     #[test]

@@ -9,8 +9,6 @@ use react_units::Seconds;
 
 use crate::costs;
 use crate::events::EventSchedule;
-use crate::fir::FirFilter;
-use crate::mic::Microphone;
 use crate::{LoadDemand, WakeHint, Workload, WorkloadEnv};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -20,23 +18,13 @@ enum Phase {
     Computing(Seconds),
 }
 
-/// Samples per acquisition window (10 ms at the SPU0414's 16 kHz).
-const WINDOW: usize = 160;
-
-/// Seed of measurement window 0; window `k` draws its noise from
-/// `MIC_SEED + k`.
-const MIC_SEED: u64 = 0x5C_5EED;
-
 /// The Sense-and-Compute workload.
-///
-/// Its simulated cost comes from [`costs`]; the DSP itself runs only
-/// when [`last_level`](Self::last_level) asks for its output.
 #[derive(Clone, Debug)]
 pub struct SenseCompute {
     deadlines: EventSchedule,
     mic_power: Peripheral,
     phase: Phase,
-    /// Completed measurements; measurement `k` filtered window `k`.
+    /// Completed measurements.
     ops: u64,
     failed: u64,
     missed: u64,
@@ -54,19 +42,6 @@ impl SenseCompute {
             failed: 0,
             missed: 0,
         }
-    }
-
-    /// The filtered signal level of the most recent completed
-    /// measurement (0.0 before the first): acquires its microphone
-    /// window, low-passes it and returns the mean square. A failed
-    /// measurement consumes no window.
-    pub fn last_level(&self) -> f64 {
-        let Some(window) = self.ops.checked_sub(1) else {
-            return 0.0;
-        };
-        let samples = Microphone::spu0414(MIC_SEED.wrapping_add(window)).acquire(WINDOW);
-        let filtered = FirFilter::lowpass(0.0625, 63).apply(&samples);
-        filtered.iter().map(|x| x * x).sum::<f64>() / filtered.len() as f64
     }
 }
 
@@ -189,7 +164,6 @@ mod tests {
         // Deadlines at 5..30 s: six measurements, none missed.
         assert_eq!(sc.ops_completed(), 6);
         assert_eq!(sc.events_missed(), 0);
-        assert!(sc.last_level() > 0.0);
     }
 
     #[test]
@@ -237,29 +211,14 @@ mod tests {
         assert_eq!(sc.ops_completed(), 0);
     }
 
-    /// The level the eager meter reported for window `k`: one
-    /// microphone acquiring windows `0..=k` in turn.
-    fn eager_level(window: u64) -> f64 {
-        let mut mic = Microphone::spu0414(MIC_SEED);
-        for _ in 0..window {
-            mic.acquire(WINDOW);
-        }
-        let filtered = FirFilter::lowpass(0.0625, 63).apply(&mic.acquire(WINDOW));
-        filtered.iter().map(|x| x * x).sum::<f64>() / filtered.len() as f64
-    }
-
     #[test]
     fn failed_measurement_consumes_no_window() {
         let mut sc = SenseCompute::new(Seconds::new(60.0));
-        assert_eq!(sc.last_level(), 0.0);
         sc.step(&env(5.0, 0.001)); // starts sampling
         sc.on_power_down(Seconds::new(5.001));
-        assert_eq!(sc.last_level(), 0.0);
         sc.on_power_up(Seconds::new(9.0));
         run(&mut sc, 9.0, 11.0); // services the 10 s deadline
         assert_eq!((sc.ops_completed(), sc.ops_failed()), (1, 1));
-        assert_eq!(sc.last_level().to_bits(), eager_level(0).to_bits());
-        assert_ne!(sc.last_level(), eager_level(1));
     }
 
     #[test]

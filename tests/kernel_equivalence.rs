@@ -10,7 +10,8 @@
 //! kernel's own discretization noise. Conservation must hold
 //! independently in both. An active stride replays the workload's
 //! covered steps in bulk, and that replay must be bit-identical to
-//! stepping the workload once per covered step.
+//! stepping the workload once per covered step. Three capped SC and DE
+//! cells are pinned to recorded outcomes.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -629,4 +630,39 @@ fn active_strides_replay_de_without_stepping_it() {
     let (stepped_calls, stepped_ops) = count(true);
     assert_eq!(bulk_ops, stepped_ops);
     assert_eq!((bulk_calls, stepped_calls), (123, 3_600_605));
+}
+
+fn truncated(name: &str, horizon_s: f64) -> Scenario {
+    let mut s = *find_scenario(name).expect("registry scenario");
+    s.horizon = s.horizon.min(Seconds::new(horizon_s));
+    s
+}
+
+/// (ops, engine steps, final stored energy bits) of three capped SC and
+/// DE cells, pinned so a workload change meant to be outcome-neutral
+/// shows when it is not; the DE cell's steps and stored energy are
+/// those since its MCU-active time runs in active strides.
+#[test]
+fn sc_and_de_cells_match_recorded_outcomes() {
+    for (name, horizon_s, expected) in [
+        (
+            "diurnal-day-react-sc",
+            3600.0,
+            (355, 4775, 4570455925511652526),
+        ),
+        (
+            "rf-sparse-week",
+            6.0 * 3600.0,
+            (101, 976, 4565922996638005458),
+        ),
+        ("rf-ge-hour-react-de", 300.0, (163, 33, 4563387086623499714)),
+    ] {
+        let m = truncated(name, horizon_s).run().metrics;
+        let got = (
+            m.ops_completed,
+            m.engine_steps,
+            m.final_stored.get().to_bits(),
+        );
+        assert_eq!(got, expected, "{name} capped at {horizon_s} s");
+    }
 }
