@@ -24,13 +24,12 @@ use react_circuit::{
 use react_core::fom::{mean_improvement_over, normalize_to_react};
 use react_core::report::TextTable;
 use react_core::{
-    calib, ConstantLoad, Experiment, ExperimentMatrix, RunMetrics, RunOutcome, Simulator,
-    WorkloadKind,
+    ConstantLoad, ExperimentMatrix, RunMetrics, RunOutcome, Scenario, Simulator, WorkloadKind,
 };
 use react_harvest::{Converter, PowerReplay};
 use react_traces::{paper_trace, PaperTrace, PowerTrace, TABLE3_TARGETS};
 use react_units::{Amps, Farads, Seconds, Volts, Watts};
-use react_workloads::DataEncryption;
+use react_workloads::{DataEncryption, RadioTransmit};
 use serde::{Deserialize, Serialize};
 
 use crate::gate::{Comparison, Gate};
@@ -381,12 +380,10 @@ const FIG6_BUFFERS: [BufferKind; 4] = [
 
 /// One Fig. 6 run: SC under RF Mobile, probed every 0.5 s.
 pub fn fig6_run(kind: BufferKind) -> RunOutcome {
-    Experiment::new(kind, WorkloadKind::SenseCompute).run_configured(
-        &paper_trace(PaperTrace::RfMobile),
-        Some(PaperTrace::RfMobile),
-        calib::DEFAULT_DT,
-        Some(Seconds::new(0.5)),
-    )
+    Scenario::paper(PaperTrace::RfMobile, kind, WorkloadKind::SenseCompute)
+        .simulator()
+        .with_probe(Seconds::new(0.5))
+        .run()
 }
 
 /// The largest capacitance a probed run's series reached (F).
@@ -454,19 +451,51 @@ fn fig6() -> Section {
 
 /// RT ops on RF Cart with a custom REACT configuration.
 fn react_rt_ops(config: ReactConfig) -> u64 {
-    let trace = paper_trace(PaperTrace::RfCart);
-    let replay = PowerReplay::new(trace.clone(), Converter::ideal());
-    let workload = WorkloadKind::RadioTransmit.build(&trace, Some(PaperTrace::RfCart));
-    let buffer: Box<dyn EnergyBuffer> = Box::new(ReactBuffer::new(config));
-    Simulator::new(replay, buffer, workload)
+    let replay = PowerReplay::new(paper_trace(PaperTrace::RfCart), Converter::ideal());
+    Simulator::new(replay, ReactBuffer::new(config), RadioTransmit::new())
         .run()
         .metrics
         .ops_completed
 }
 
+/// The REACT configurations the ablations compare, with each row's
+/// variant and note: charge reclamation (§3.3.4), the poll rate (§3.4)
+/// and every comparator threshold `V_high` that Eq. 2 admits (§3.3.5).
+fn react_ablations() -> Vec<(String, ReactConfig, &'static str)> {
+    let paper = ReactConfig::paper_prototype;
+    let mut rows = vec![
+        ("REACT (paper)".into(), paper(), "reclamation on"),
+        (
+            "REACT, no reclamation".into(),
+            ReactConfig {
+                charge_reclamation: false,
+                ..paper()
+            },
+            "banks disconnect at V_low",
+        ),
+    ];
+    for hz in [2.0, 10.0, 50.0] {
+        let cfg = ReactConfig {
+            poll_period: Seconds::new(1.0 / hz),
+            ..paper()
+        };
+        rows.push((format!("REACT, poll {hz} Hz"), cfg, ""));
+    }
+    for v_high in [3.4, 3.5, 3.6] {
+        let cfg = ReactConfig {
+            v_high: Volts::new(v_high),
+            ..paper()
+        };
+        if cfg.validate().is_ok() {
+            rows.push((format!("REACT, V_high {v_high} V"), cfg, ""));
+        }
+    }
+    rows
+}
+
 /// Ablations: charge reclamation (§3.3.4), poll rate (§3.4), the
 /// comparator threshold (§3.3.5) and the extension baselines.
-fn ablations() -> Section {
+pub fn ablations() -> Section {
     let mut s = Section::new("ablations");
     let mut table = TextTable::new(
         "Ablations (RT ops on RF Cart unless noted)",
@@ -477,48 +506,14 @@ fn ablations() -> Section {
         table.push_row(&[variant, ops.to_string(), note]);
     };
 
-    let mut no_reclaim = ReactConfig::paper_prototype();
-    no_reclaim.charge_reclamation = false;
-    let base = react_rt_ops(ReactConfig::paper_prototype());
-    push(
-        &mut s,
-        "REACT (paper)".into(),
-        base,
-        "reclamation on".into(),
-    );
-    let without = react_rt_ops(no_reclaim);
-    let note = "banks disconnect at V_low".into();
-    push(&mut s, "REACT, no reclamation".into(), without, note);
-
-    for hz in [2.0, 10.0, 50.0] {
-        let mut cfg = ReactConfig::paper_prototype();
-        cfg.poll_period = Seconds::new(1.0 / hz);
-        push(
-            &mut s,
-            format!("REACT, poll {hz} Hz"),
-            react_rt_ops(cfg),
-            String::new(),
-        );
-    }
-
-    // Eq. 2 bounds V_high: a variant that fails validation is skipped.
-    for v_high in [3.4, 3.5, 3.6] {
-        let mut cfg = ReactConfig::paper_prototype();
-        cfg.v_high = Volts::new(v_high);
-        if cfg.validate().is_ok() {
-            push(
-                &mut s,
-                format!("REACT, V_high {v_high} V"),
-                react_rt_ops(cfg),
-                String::new(),
-            );
-        }
+    for (variant, cfg, note) in react_ablations() {
+        push(&mut s, variant, react_rt_ops(cfg), note.into());
     }
 
     for kind in [BufferKind::Dewdrop, BufferKind::Capybara, BufferKind::React] {
         let ops = |w: WorkloadKind| {
-            Experiment::new(kind, w)
-                .run_paper_trace(PaperTrace::RfCart)
+            Scenario::paper(PaperTrace::RfCart, kind, w)
+                .run()
                 .metrics
                 .ops_completed
         };
@@ -804,5 +799,31 @@ impl Gate for PaperReport {
             baseline.values.len()
         ));
         Comparison { table, violations }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `Simulator::new` charges REACT's poller overhead by buffer name:
+    /// every ablated REACT configuration must keep the name, and no
+    /// other design may take it.
+    #[test]
+    fn only_react_buffers_carry_the_software_overhead_name() {
+        let react = BufferKind::React.label();
+        for (variant, cfg, _) in react_ablations() {
+            assert_eq!(ReactBuffer::new(cfg).name(), react, "{variant}");
+        }
+        for kind in [
+            BufferKind::Static770uF,
+            BufferKind::Static10mF,
+            BufferKind::Static17mF,
+            BufferKind::Morphy,
+            BufferKind::Dewdrop,
+            BufferKind::Capybara,
+        ] {
+            assert_ne!(kind.build().name(), react, "{}", kind.label());
+        }
     }
 }

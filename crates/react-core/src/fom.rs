@@ -7,7 +7,7 @@
 use react_buffers::BufferKind;
 use react_units::Seconds;
 
-use crate::experiment::{ExperimentMatrix, WorkloadKind};
+use crate::matrix::{ExperimentMatrix, WorkloadKind};
 use crate::metrics::RunMetrics;
 
 /// The benchmark figure of merit for one run.
@@ -108,7 +108,7 @@ pub fn mean_improvement_over(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{MatrixCell, MatrixRow};
+    use crate::matrix::{MatrixCell, MatrixRow};
     use crate::metrics::RunOutcome;
     use react_traces::PaperTrace;
 

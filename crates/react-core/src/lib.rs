@@ -9,14 +9,13 @@
 //!   workload, with two kernels: the fixed-`dt` reference and the
 //!   default adaptive kernel that integrates MCU-off charge phases
 //!   analytically ([`KernelMode`]).
-//! * [`Experiment`] / [`ExperimentMatrix`] — one (buffer, workload) pair
-//!   against a trace, or the full trace × buffer matrix behind
-//!   Tables 2, 4, and 5 (every cell in parallel, traces shared via
-//!   `Arc`).
-//! * [`scenario`] — the named scenario registry: streaming `react-env`
-//!   environments × buffer × workload × horizon, run through the same
-//!   parallel engine (week-long horizons stream segment by segment,
-//!   never materializing samples).
+//! * [`scenario`] — the named scenario registry and the one recipe that
+//!   turns an environment × buffer × workload into a [`Simulator`]
+//!   ([`Scenario::simulator`]): streaming `react-env` environments run
+//!   week-long horizons segment by segment, and [`Scenario::paper`]
+//!   puts a buffer and benchmark on one of the paper's library traces.
+//! * [`ExperimentMatrix`] — the trace × buffer matrix behind Tables 2,
+//!   4, and 5, every cell a [`Scenario::paper`] run in parallel.
 //! * [`RunMetrics`] / [`RunOutcome`] — what each run measures.
 //! * [`fom`] — figures of merit and REACT-normalized scores (Fig. 7).
 //! * [`report`] — text/CSV table rendering for the report tables.
@@ -25,14 +24,18 @@
 //! # Examples
 //!
 //! ```
-//! use react_core::{Experiment, WorkloadKind};
+//! use react_core::{Scenario, WorkloadKind};
 //! use react_buffers::BufferKind;
-//! use react_traces::{paper_trace, PaperTrace};
+//! use react_traces::PaperTrace;
 //!
-//! // One cell of Table 2: DE on RF Cart with the 770 µF buffer.
-//! let trace = paper_trace(PaperTrace::RfCart).truncated(react_units::Seconds::new(30.0));
-//! let out = Experiment::new(BufferKind::Static770uF, WorkloadKind::DataEncryption)
-//!     .run(&trace);
+//! // One cell of Table 2 (DE on RF Cart with the 770 µF buffer), cut to
+//! // its first 30 s.
+//! let cell = Scenario::paper(
+//!     PaperTrace::RfCart,
+//!     BufferKind::Static770uF,
+//!     WorkloadKind::DataEncryption,
+//! );
+//! let out = Scenario { horizon: react_units::Seconds::new(30.0), ..cell }.run();
 //! assert!(out.metrics.relative_conservation_error() < 1e-2);
 //! ```
 
@@ -40,9 +43,9 @@
 
 pub mod audit;
 pub mod calib;
-mod experiment;
 pub mod fleet;
 pub mod fom;
+mod matrix;
 mod metrics;
 pub mod report;
 pub mod scenario;
@@ -51,12 +54,12 @@ mod sim;
 pub mod sweep;
 
 pub use audit::{AuditConfig, AuditSnapshot, InvariantAuditor};
-pub use experiment::{Experiment, ExperimentMatrix, MatrixCell, MatrixRow, WorkloadKind};
 pub use fleet::{
     compare_fleet_reports, run_fleet, run_shard, FleetAggregate, FleetBins, FleetReport,
     FleetRunOptions, FleetRunResult, FleetSim, FleetSpec, FleetSummary, Histogram, NodeStats,
     PoisonedNode, TimedOutNode,
 };
+pub use matrix::{ExperimentMatrix, MatrixCell, MatrixRow, WorkloadKind};
 pub use metrics::{LevelDwell, RunMetrics, RunOutcome, VoltageSample};
 pub use scenario::{
     cell_id, fault_scenario_registry, find_scenario, resolve_cell, scenario_registry, EnvKind,

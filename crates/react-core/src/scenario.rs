@@ -7,7 +7,9 @@
 //! recorded traces wrapped as [`TraceSource`] instances of the same
 //! abstraction. Each [`Scenario`] is a complete, reproducible run
 //! description; the scenario report expands a selection over buffers
-//! and seeds and runs it rayon-parallel.
+//! and seeds and runs it rayon-parallel. [`Scenario::paper`] describes
+//! one cell of the paper's own trace × buffer matrix the same way, and
+//! [`Scenario::simulator`] turns every scenario into its simulator.
 //!
 //! [`SCENARIOS`] holds the report's rows; [`FAULT_SCENARIOS`] holds the
 //! fault campaigns together with the healthy 10 mF and Dewdrop twins
@@ -35,8 +37,10 @@ use react_harvest::{ConverterKind, PowerReplay};
 use react_telemetry::Recorder;
 use react_traces::{paper_trace, PaperTrace};
 use react_units::{Seconds, Watts};
+use react_workloads::{EventSchedule, PacketForward, Workload};
 
 use crate::audit::AuditConfig;
+use crate::calib;
 use crate::metrics::RunOutcome;
 use crate::sim::{KernelMode, Simulator};
 use crate::WorkloadKind;
@@ -334,6 +338,28 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// `buffer` running `workload` on one of the paper's library traces
+    /// (§4's testbed): the trace replays at the buffer rail through the
+    /// ideal converter for its full duration on millisecond fine steps,
+    /// and every other axis stays at rest. Table 2–5 cells and the
+    /// paper report's baselines are these runs.
+    pub fn paper(trace: PaperTrace, buffer: BufferKind, workload: WorkloadKind) -> Self {
+        Scenario {
+            name: trace.label(),
+            description: "a paper library trace replayed on the §4 testbed",
+            env: EnvKind::Paper(trace),
+            buffer,
+            workload,
+            converter: ConverterKind::Ideal,
+            horizon: paper_trace(trace).duration(),
+            dt: calib::DEFAULT_DT,
+            seed_salt: 0,
+            defended: false,
+            fault: FaultCampaign::None,
+            audited: false,
+        }
+    }
+
     /// Builds this scenario's (seeded, fresh) environment source.
     pub fn source(&self) -> Box<dyn PowerSource> {
         self.env.build_salted(self.seed_salt)
@@ -435,6 +461,25 @@ impl Scenario {
         salt_seed(base, self.seed_salt)
     }
 
+    /// Builds this scenario's (fresh) workload: SC deadlines and PF
+    /// arrivals span the horizon. PF on a paper trace replays that
+    /// trace's packet stream ([`calib::pf_arrival_rate`] and
+    /// [`calib::pf_arrival_seed`], fixed per trace as the paper's
+    /// external event generator is); every other PF cell draws its
+    /// arrivals from [`Scenario::workload_seed`]. Both seeds fold in the
+    /// seed salt.
+    pub fn build_workload(&self) -> Box<dyn Workload> {
+        match (self.workload, self.env) {
+            (WorkloadKind::PacketForward, EnvKind::Paper(p)) => {
+                let seed = salt_seed(calib::pf_arrival_seed(p), self.seed_salt);
+                let rate = calib::pf_arrival_rate(p);
+                let arrivals = EventSchedule::poisson(rate, self.horizon, seed);
+                Box::new(PacketForward::new(arrivals))
+            }
+            (kind, _) => kind.build_streaming(self.horizon, self.workload_seed()),
+        }
+    }
+
     /// Runs the scenario with the default adaptive kernel.
     pub fn run(&self) -> RunOutcome {
         self.run_with_kernel(KernelMode::Adaptive)
@@ -460,9 +505,9 @@ impl Scenario {
     pub fn gate(&self) -> react_mcu::PowerGate {
         if self.buffer == BufferKind::Dewdrop {
             let enable = react_buffers::DewdropBuffer::reference().adaptive_enable_voltage();
-            react_mcu::PowerGate::new(enable, crate::calib::BROWNOUT_VOLTAGE)
+            react_mcu::PowerGate::new(enable, calib::BROWNOUT_VOLTAGE)
         } else {
-            react_mcu::PowerGate::new(crate::calib::ENABLE_VOLTAGE, crate::calib::BROWNOUT_VOLTAGE)
+            react_mcu::PowerGate::new(calib::ENABLE_VOLTAGE, calib::BROWNOUT_VOLTAGE)
         }
     }
 
@@ -474,22 +519,18 @@ impl Scenario {
     }
 
     /// Builds the fully configured [`Simulator`] this scenario runs —
-    /// the single construction recipe shared by [`Scenario::run`] and
-    /// the fleet kernel, so a fleet cell is bit-identical to a scalar
-    /// run of the same (scenario, salt) pair. Defaults to the adaptive
-    /// kernel; callers may override with [`Simulator::with_kernel`].
+    /// the single construction recipe shared by [`Scenario::run`], the
+    /// fleet kernel and every [`Scenario::paper`] run, so a fleet cell is
+    /// bit-identical to a scalar run of the same (scenario, salt) pair
+    /// and every buffer runs under its own [`Scenario::gate`]. Defaults
+    /// to the adaptive kernel; callers may override with
+    /// [`Simulator::with_kernel`].
     pub fn simulator(
         &self,
-    ) -> Simulator<
-        Box<dyn react_buffers::EnergyBuffer>,
-        Box<dyn react_workloads::Workload>,
-        Box<dyn PowerSource>,
-    > {
+    ) -> Simulator<Box<dyn react_buffers::EnergyBuffer>, Box<dyn Workload>, Box<dyn PowerSource>>
+    {
         let replay = PowerReplay::from_source(self.source(), self.converter.build());
-        let workload = self
-            .workload
-            .build_streaming(self.horizon, self.workload_seed());
-        let mut sim = Simulator::new(replay, self.buffer.build(), workload)
+        let mut sim = Simulator::new(replay, self.buffer.build(), self.build_workload())
             .with_timestep(self.dt)
             .with_horizon(self.horizon)
             .with_gate(self.gate());
@@ -1077,14 +1118,38 @@ mod tests {
     }
 
     #[test]
-    fn paper_trace_scenario_runs_like_its_experiment() {
+    fn paper_constructor_is_the_registered_paper_cell() {
         let s = find_scenario("paper-rfcart-de").expect("registered");
-        let out = s.run();
-        let reference =
-            crate::Experiment::new(s.buffer, s.workload).run(&paper_trace(PaperTrace::RfCart));
-        // Same trace, same engine, same kernel: identical outcomes.
-        assert_eq!(out.metrics.ops_completed, reference.metrics.ops_completed);
-        assert_eq!(out.metrics.boots, reference.metrics.boots);
+        let built = Scenario::paper(
+            PaperTrace::RfCart,
+            BufferKind::Static770uF,
+            WorkloadKind::DataEncryption,
+        );
+        assert_eq!(
+            built,
+            Scenario {
+                name: built.name,
+                description: built.description,
+                ..*s
+            }
+        );
+    }
+
+    #[test]
+    fn no_registry_entry_forwards_packets_on_a_paper_trace() {
+        // PF on a paper trace is the one cell whose workload
+        // `build_workload` does not draw from `build_streaming(horizon,
+        // workload_seed())`. perfbench's `traced_simulator` copies the
+        // recipe and builds every workload that way, so its traced runs
+        // match the registry's only while no registered cell is PF on a
+        // paper trace.
+        for s in scenario_registry().iter().chain(fault_scenario_registry()) {
+            assert!(
+                !(s.workload == WorkloadKind::PacketForward && matches!(s.env, EnvKind::Paper(_))),
+                "{}: PF on a paper trace",
+                s.name
+            );
+        }
     }
 
     #[test]

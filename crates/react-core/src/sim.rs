@@ -35,12 +35,12 @@
 //!
 //! The engine is generic over the buffer, workload, power source and
 //! telemetry recorder (`Simulator<B, W, S, R>`), monomorphizing the hot
-//! loop for concrete types; the `Box<dyn …>` constructors used by
-//! `BufferKind::build` and `WorkloadKind::build` still work through
-//! forwarding impls and default type parameters.
+//! loop for concrete types; the `Box<dyn …>` components that
+//! [`Scenario::simulator`](crate::Scenario::simulator) builds still work
+//! through forwarding impls and default type parameters.
 
 use react_buffers::defense::{AttackDetector, DefenseConfig};
-use react_buffers::EnergyBuffer;
+use react_buffers::{BufferKind, EnergyBuffer};
 use react_circuit::{FaultKind, FaultPlan};
 use react_harvest::{PowerReplay, PowerSource, ReplayCursor, TraceSource, VictimEvent};
 use react_mcu::{Mcu, McuSpec, PowerGate, PowerMode};
@@ -139,8 +139,15 @@ pub struct Simulator<
 impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone> Simulator<B, W, S> {
     /// Builds a simulator with paper-default gate thresholds, MCU spec,
     /// timestep, and drain allowance.
+    ///
+    /// REACT's on-MCU poller overhead (§5.1) is charged to any buffer
+    /// whose name is [`BufferKind::React`]'s label. It is keyed on the
+    /// name rather than a kind because the engine is handed a buffer,
+    /// not a kind: every `ReactConfig` the paper's ablations build
+    /// reports that name, and a wrapper that forwards `name` (a timing
+    /// shim, say) keeps the overhead.
     pub fn new(replay: PowerReplay<S>, buffer: B, workload: W) -> Self {
-        let software_overhead = if buffer.name() == "REACT" {
+        let software_overhead = if buffer.name() == BufferKind::React.label() {
             calib::REACT_SOFTWARE_OVERHEAD
         } else {
             0.0

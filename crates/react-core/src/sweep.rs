@@ -20,6 +20,9 @@ use react_units::Farads;
 use crate::metrics::RunMetrics;
 use crate::{KernelMode, Simulator, WorkloadKind};
 
+/// PF's arrival-stream seed on a swept trace.
+const PF_SEED: u64 = 0xAF_2024_FFFF;
+
 /// One sweep point: a static buffer size and its run result.
 #[derive(Clone, Debug)]
 pub struct SweepPoint {
@@ -55,7 +58,8 @@ pub fn static_size_sweep_with(
         let spec = CapacitorSpec::supercap_scaled(capacitance);
         let buffer = StaticBuffer::new(format!("{:.0} µF", capacitance.to_micro()), spec);
         let replay = PowerReplay::new(Arc::clone(&shared), Converter::ideal());
-        let sim = Simulator::new(replay, buffer, workload.build(&shared, None)).with_kernel(kernel);
+        let workload = workload.build_streaming(shared.duration(), PF_SEED);
+        let sim = Simulator::new(replay, buffer, workload).with_kernel(kernel);
         SweepPoint {
             capacitance,
             metrics: sim.run().metrics,

@@ -7,6 +7,8 @@
 //! the mobile/pedestrian traces are spiky, the obstruction trace is a
 //! smooth low-power baseline.
 
+use std::sync::OnceLock;
+
 use react_units::{Seconds, Watts};
 
 use crate::{PowerTrace, SynthKind, TraceSynthesizer};
@@ -103,8 +105,18 @@ pub const TABLE3_TARGETS: [Table3Row; 5] = [
     },
 ];
 
-/// Builds a library trace (fixed seed; fully deterministic).
+/// A library trace (fixed seed; fully deterministic). Each variant is
+/// synthesized once per process and handed out as a clone: the solar
+/// traces take tens of milliseconds to synthesize, and every cell of a
+/// trace × buffer matrix replays its trace.
 pub fn paper_trace(which: PaperTrace) -> PowerTrace {
+    static LIBRARY: [OnceLock<PowerTrace>; 7] = [const { OnceLock::new() }; 7];
+    LIBRARY[which as usize]
+        .get_or_init(|| synthesize(which))
+        .clone()
+}
+
+fn synthesize(which: PaperTrace) -> PowerTrace {
     match which {
         PaperTrace::RfCart => TraceSynthesizer::new(
             which.label(),
@@ -339,14 +351,10 @@ mod tests {
 
     #[test]
     fn traces_are_deterministic() {
-        assert_eq!(
-            paper_trace(PaperTrace::RfCart),
-            paper_trace(PaperTrace::RfCart)
-        );
-        assert_eq!(
-            paper_trace(PaperTrace::Pedestrian),
-            paper_trace(PaperTrace::Pedestrian)
-        );
+        // A fresh synthesis reproduces the memoized trace.
+        for which in [PaperTrace::RfCart, PaperTrace::Pedestrian] {
+            assert_eq!(paper_trace(which), synthesize(which));
+        }
     }
 
     #[test]

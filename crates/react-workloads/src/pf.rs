@@ -8,7 +8,7 @@
 //! but abandons that reservation whenever a new packet arrives and enough
 //! energy is on hand to receive it.
 
-use react_mcu::Peripheral;
+use react_mcu::{McuSpec, Peripheral};
 use react_units::{Joules, Seconds};
 
 use crate::costs;
@@ -48,7 +48,7 @@ impl PacketForward {
     pub fn new(arrivals: EventSchedule) -> Self {
         let radio_rx = Peripheral::radio_rx();
         let radio_tx = Peripheral::radio_tx();
-        let mcu_active = react_units::Amps::from_milli(1.5);
+        let mcu_active = McuSpec::msp430fr5994().active_current;
         Self {
             rx_energy: costs::op_energy_estimate(
                 radio_rx.rated_current() + mcu_active,

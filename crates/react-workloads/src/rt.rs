@@ -9,7 +9,7 @@
 //! transmits greedily — and wastes energy on doomed attempts, which is
 //! exactly the §5.4 failure mode.
 
-use react_mcu::Peripheral;
+use react_mcu::{McuSpec, Peripheral};
 use react_units::{Joules, Seconds};
 
 use crate::costs;
@@ -30,7 +30,7 @@ impl RadioTransmit {
     /// Creates the benchmark with the calibrated burst parameters.
     pub fn new() -> Self {
         let radio = Peripheral::radio_tx();
-        let mcu_active = react_units::Amps::from_milli(1.5);
+        let mcu_active = McuSpec::msp430fr5994().active_current;
         Self {
             energy_needed: costs::op_energy_estimate(
                 radio.rated_current() + mcu_active,

@@ -31,7 +31,7 @@ fn main() {
             );
         }
         let best = best_static_size(workload, &points);
-        let react = Experiment::new(BufferKind::React, workload).run_paper_trace(which);
+        let react = Scenario::paper(which, BufferKind::React, workload).run();
         println!(
             "  -> best static: {:.0} µF with {} ops; REACT (no tuning): {} ops\n",
             best.capacitance.to_micro(),

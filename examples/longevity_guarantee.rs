@@ -17,8 +17,7 @@ use react_repro::prelude::*;
 fn main() {
     println!("-- RT benchmark, RF Cart trace --\n");
     for kind in [BufferKind::Static770uF, BufferKind::React] {
-        let out =
-            Experiment::new(kind, WorkloadKind::RadioTransmit).run_paper_trace(PaperTrace::RfCart);
+        let out = Scenario::paper(PaperTrace::RfCart, kind, WorkloadKind::RadioTransmit).run();
         let m = &out.metrics;
         let attempts = m.ops_completed + m.ops_failed;
         println!(

@@ -14,7 +14,12 @@ fn main() {
     let trace = paper_trace(PaperTrace::RfMobile);
     println!("trace: {} — {}", trace.name(), trace.stats());
 
-    let outcome = Experiment::new(BufferKind::React, WorkloadKind::SenseCompute).run(&trace);
+    let outcome = Scenario::paper(
+        PaperTrace::RfMobile,
+        BufferKind::React,
+        WorkloadKind::SenseCompute,
+    )
+    .run();
     let m = &outcome.metrics;
 
     println!();

@@ -22,8 +22,7 @@ fn main() {
         &["Buffer", "Rx", "Tx", "Missed", "Failed ops", "On-time (s)"],
     );
     for kind in BufferKind::PAPER_COLUMNS {
-        let out =
-            Experiment::new(kind, WorkloadKind::PacketForward).run_paper_trace(PaperTrace::RfCart);
+        let out = Scenario::paper(PaperTrace::RfCart, kind, WorkloadKind::PacketForward).run();
         let m = &out.metrics;
         table.push_row(&[
             kind.label().to_string(),

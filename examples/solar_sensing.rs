@@ -28,8 +28,7 @@ fn main() {
         ],
     );
     for kind in BufferKind::PAPER_COLUMNS {
-        let out = Experiment::new(kind, WorkloadKind::SenseCompute)
-            .run_paper_trace(PaperTrace::SolarCampus);
+        let out = Scenario::paper(PaperTrace::SolarCampus, kind, WorkloadKind::SenseCompute).run();
         let m = &out.metrics;
         table.push_row(&[
             kind.label().to_string(),

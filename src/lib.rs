@@ -15,18 +15,22 @@
 //! * [`buffers`] — static, REACT, Morphy, and extension buffer designs.
 //! * [`telemetry`] — structured event tracing, step attribution, and
 //!   timeline export for the simulation engine.
-//! * [`core`] — the simulator, experiment matrix, metrics, and reports.
+//! * [`core`] — the simulator, scenarios, experiment matrix, metrics, and
+//!   reports.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use react_repro::prelude::*;
 //!
-//! // Run the Sense-and-Compute benchmark on (a slice of) the RF Mobile
-//! // trace with REACT.
-//! let trace = paper_trace(PaperTrace::RfMobile).truncated(Seconds::new(40.0));
-//! let outcome = Experiment::new(BufferKind::React, WorkloadKind::SenseCompute)
-//!     .run(&trace);
+//! // Run the Sense-and-Compute benchmark with REACT on the first 40 s
+//! // of the RF Mobile trace.
+//! let cell = Scenario::paper(
+//!     PaperTrace::RfMobile,
+//!     BufferKind::React,
+//!     WorkloadKind::SenseCompute,
+//! );
+//! let outcome = Scenario { horizon: Seconds::new(40.0), ..cell }.run();
 //! assert!(outcome.metrics.relative_conservation_error() < 1e-2);
 //! ```
 
@@ -45,8 +49,8 @@ pub use react_workloads as workloads;
 pub mod prelude {
     pub use react_buffers::{BufferKind, EnergyBuffer};
     pub use react_core::{
-        calib, find_scenario, scenario_registry, Experiment, ExperimentMatrix, RunMetrics,
-        RunOutcome, Scenario, Simulator, WorkloadKind,
+        calib, find_scenario, scenario_registry, ExperimentMatrix, RunMetrics, RunOutcome,
+        Scenario, Simulator, WorkloadKind,
     };
     pub use react_env::{PowerSource, TraceSource};
     pub use react_traces::{paper_trace, PaperTrace, PowerTrace, TraceStats};

@@ -341,7 +341,7 @@ impl Workload for LowestStepRail {
 fn ops_and_lowest_step_rail(s: &Scenario, kernel: KernelMode) -> (u64, f64) {
     let lowest = Rc::new(Cell::new(f64::INFINITY));
     let workload = LowestStepRail {
-        inner: s.workload.build_streaming(s.horizon, s.workload_seed()),
+        inner: s.build_workload(),
         lowest: Rc::clone(&lowest),
     };
     let replay = PowerReplay::from_source(s.source(), s.converter.build());

@@ -1,12 +1,26 @@
 //! Cross-crate integration tests: full simulated deployments.
 
+use react_repro::harvest::{Converter, PowerReplay};
 use react_repro::prelude::*;
+
+/// The [`Scenario::paper`] run of `buffer` × `workload` on `trace`, cut
+/// to its first `horizon_s` seconds.
+fn paper_slice(
+    trace: PaperTrace,
+    buffer: BufferKind,
+    workload: WorkloadKind,
+    horizon_s: f64,
+) -> Scenario {
+    Scenario {
+        horizon: Seconds::new(horizon_s),
+        ..Scenario::paper(trace, buffer, workload)
+    }
+}
 
 /// Every (buffer, workload) pair runs end to end on a trace slice,
 /// conserves energy, and reports sane metrics.
 #[test]
 fn every_pair_runs_and_conserves_energy() {
-    let trace = paper_trace(PaperTrace::RfCart).truncated(Seconds::new(60.0));
     for buffer in [
         BufferKind::Static770uF,
         BufferKind::Static10mF,
@@ -17,7 +31,7 @@ fn every_pair_runs_and_conserves_energy() {
         BufferKind::Capybara,
     ] {
         for workload in WorkloadKind::ALL {
-            let out = Experiment::new(buffer, workload).run(&trace);
+            let out = paper_slice(PaperTrace::RfCart, buffer, workload, 60.0).run();
             let m = &out.metrics;
             assert!(
                 m.relative_conservation_error() < 5e-3,
@@ -35,15 +49,13 @@ fn every_pair_runs_and_conserves_energy() {
 /// Same seed, same everything: runs are bit-for-bit deterministic.
 #[test]
 fn runs_are_deterministic() {
-    let trace = paper_trace(PaperTrace::RfMobile).truncated(Seconds::new(45.0));
-    let run = || {
-        Experiment::new(BufferKind::React, WorkloadKind::PacketForward).run_configured(
-            &trace,
-            Some(PaperTrace::RfMobile),
-            Seconds::new(0.001),
-            Some(Seconds::new(1.0)),
-        )
-    };
+    let s = paper_slice(
+        PaperTrace::RfMobile,
+        BufferKind::React,
+        WorkloadKind::PacketForward,
+        45.0,
+    );
+    let run = || s.simulator().with_probe(Seconds::new(1.0)).run();
     let a = run();
     let b = run();
     assert_eq!(a.metrics, b.metrics);
@@ -54,8 +66,13 @@ fn runs_are_deterministic() {
 /// op duration cannot exceed the measured on-time.
 #[test]
 fn de_ops_bounded_by_on_time() {
-    let trace = paper_trace(PaperTrace::RfCart).truncated(Seconds::new(90.0));
-    let out = Experiment::new(BufferKind::Static10mF, WorkloadKind::DataEncryption).run(&trace);
+    let out = paper_slice(
+        PaperTrace::RfCart,
+        BufferKind::Static10mF,
+        WorkloadKind::DataEncryption,
+        90.0,
+    )
+    .run();
     let m = &out.metrics;
     let op_s = react_repro::workloads::costs::DE_OP.get();
     assert!(m.ops_completed > 0);
@@ -71,14 +88,16 @@ fn de_ops_bounded_by_on_time() {
 /// never above the 3.6 V rail clamp (plus numerical slack).
 #[test]
 fn probed_voltages_stay_in_envelope() {
-    let trace = paper_trace(PaperTrace::RfCart).truncated(Seconds::new(60.0));
     for buffer in BufferKind::PAPER_COLUMNS {
-        let out = Experiment::new(buffer, WorkloadKind::DataEncryption).run_configured(
-            &trace,
-            Some(PaperTrace::RfCart),
-            Seconds::new(0.001),
-            Some(Seconds::new(0.5)),
-        );
+        let out = paper_slice(
+            PaperTrace::RfCart,
+            buffer,
+            WorkloadKind::DataEncryption,
+            60.0,
+        )
+        .simulator()
+        .with_probe(Seconds::new(0.5))
+        .run();
         for s in &out.voltage_series {
             assert!(
                 s.voltage_v >= -1e-9 && s.voltage_v <= 3.6 + 1e-6,
@@ -101,7 +120,9 @@ fn starved_system_does_nothing() {
         Seconds::new(30.0),
         Seconds::new(0.1),
     );
-    let out = Experiment::new(BufferKind::Static17mF, WorkloadKind::SenseCompute).run(&trace);
+    let workload = WorkloadKind::SenseCompute.build_streaming(trace.duration(), 0);
+    let replay = PowerReplay::new(trace, Converter::ideal());
+    let out = Simulator::new(replay, BufferKind::Static17mF.build(), workload).run();
     let m = &out.metrics;
     assert_eq!(m.first_on_latency, None);
     assert_eq!(m.ops_completed, 0);
@@ -112,8 +133,13 @@ fn starved_system_does_nothing() {
 /// Metrics serialize for downstream analysis.
 #[test]
 fn outcomes_serialize() {
-    let trace = paper_trace(PaperTrace::RfObstructed).truncated(Seconds::new(30.0));
-    let out = Experiment::new(BufferKind::React, WorkloadKind::DataEncryption).run(&trace);
+    let out = paper_slice(
+        PaperTrace::RfObstructed,
+        BufferKind::React,
+        WorkloadKind::DataEncryption,
+        30.0,
+    )
+    .run();
     let json = serde_json::to_string(&out.metrics).expect("serialize");
     assert!(json.contains("ops_completed"));
 }

@@ -225,13 +225,20 @@ fn quick_fleet_spec_matches_the_committed_fleet_baseline() {
 
 #[test]
 fn paper_gate_builds_table3_and_switching_loss_as_committed() {
-    let fresh = PaperReport::new(&[paper::table3(), paper::switching_loss()]);
+    // In baseline order. The ablations pin the Dewdrop baseline's
+    // adaptive-gate runs and REACT's overhead under every ablated
+    // configuration.
+    let fresh = PaperReport::new(&[paper::table3(), paper::ablations(), paper::switching_loss()]);
     let baseline =
         PaperReport::parse(&read(&committed(Kind::Paper))).expect("paper baseline loads");
     let pinned: Vec<_> = baseline
         .values
         .into_iter()
-        .filter(|v| v.key.starts_with("table3/") || v.key.starts_with("switching_loss/"))
+        .filter(|v| {
+            ["table3/", "ablations/", "switching_loss/"]
+                .iter()
+                .any(|section| v.key.starts_with(section))
+        })
         .collect();
     assert!(!pinned.is_empty());
     assert_eq!(fresh.values, pinned);

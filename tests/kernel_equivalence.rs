@@ -22,8 +22,8 @@ use react_repro::buffers::{BufferKind, EnergyBuffer};
 use react_repro::circuit::FaultCampaign;
 use react_repro::core::scenario_report::REPORT_BUFFERS;
 use react_repro::core::{
-    calib, find_scenario, scenario_registry, AuditConfig, Experiment, KernelMode, RunMetrics,
-    Scenario, Simulator, WorkloadKind,
+    calib, find_scenario, scenario_registry, AuditConfig, KernelMode, RunMetrics, Scenario,
+    Simulator, WorkloadKind,
 };
 use react_repro::env::PowerSource;
 use react_repro::harvest::PowerReplay;
@@ -35,38 +35,15 @@ fn rel_close(a: f64, b: f64, rel: f64, abs: f64) -> bool {
     (a - b).abs() <= rel * a.abs().max(b.abs()) + abs
 }
 
-fn run_both(
-    buffer: BufferKind,
-    workload: WorkloadKind,
-    trace: &Arc<react_repro::traces::PowerTrace>,
-    which: PaperTrace,
-) -> (RunMetrics, RunMetrics) {
-    let exp = Experiment::new(buffer, workload);
-    let reference = exp
-        .run_shared(
-            trace,
-            Some(which),
-            calib::DEFAULT_DT,
-            None,
-            KernelMode::FixedDt,
-        )
-        .metrics;
-    let adaptive = exp
-        .run_shared(
-            trace,
-            Some(which),
-            calib::DEFAULT_DT,
-            None,
-            KernelMode::Adaptive,
-        )
-        .metrics;
-    (reference, adaptive)
-}
-
+/// The [`Scenario::paper`] run on the first 120 s of RF Cart, under the
+/// fixed-`dt` reference and the adaptive kernel.
 fn assert_equivalent(buffer: BufferKind, workload: WorkloadKind) {
-    let which = PaperTrace::RfCart;
-    let trace = Arc::new(paper_trace(which).truncated(Seconds::new(120.0)));
-    let (r, a) = run_both(buffer, workload, &trace, which);
+    let s = Scenario {
+        horizon: Seconds::new(120.0),
+        ..Scenario::paper(PaperTrace::RfCart, buffer, workload)
+    };
+    let r = s.run_with_kernel(KernelMode::FixedDt).metrics;
+    let a = s.run_with_kernel(KernelMode::Adaptive).metrics;
     let label = format!("{} × {}", buffer.label(), workload.label());
     assert_metrics_equivalent(&label, &r, &a);
 }
@@ -239,6 +216,7 @@ fn pf_matches_reference_on_all_buffers() {
 /// the duty-cycled workloads.
 #[test]
 fn sleep_dominated_workloads_match_reference_on_all_buffers() {
+    use react_repro::harvest::Converter;
     use react_repro::traces::PowerTrace;
     use react_repro::units::Watts;
 
@@ -248,19 +226,24 @@ fn sleep_dominated_workloads_match_reference_on_all_buffers() {
         Seconds::new(120.0),
         Seconds::new(0.1),
     ));
+    // A bare engine on a synthetic trace; PF draws its arrivals from a
+    // fixed seed.
+    let run = |buffer: BufferKind, workload: WorkloadKind, kernel: KernelMode| {
+        let workload = workload.build_streaming(trace.duration(), 0xAF_2024_FFFF);
+        let replay = PowerReplay::new(Arc::clone(&trace), Converter::ideal());
+        Simulator::new(replay, buffer.build(), workload)
+            .with_kernel(kernel)
+            .run()
+            .metrics
+    };
     for buffer in EQUIVALENCE_BUFFERS {
         for workload in [
             WorkloadKind::SenseCompute,
             WorkloadKind::PacketForward,
             WorkloadKind::RadioTransmit,
         ] {
-            let exp = Experiment::new(buffer, workload);
-            let r = exp
-                .run_shared(&trace, None, calib::DEFAULT_DT, None, KernelMode::FixedDt)
-                .metrics;
-            let a = exp
-                .run_shared(&trace, None, calib::DEFAULT_DT, None, KernelMode::Adaptive)
-                .metrics;
+            let r = run(buffer, workload, KernelMode::FixedDt);
+            let a = run(buffer, workload, KernelMode::Adaptive);
             let label = format!("sleepy {} × {}", buffer.label(), workload.label());
             assert_metrics_equivalent(&label, &r, &a);
             // The duty-cycled workloads must be sleep-dominated and
@@ -478,7 +461,7 @@ fn wrapped_simulator<W: Workload>(
     wrap: impl FnOnce(Box<dyn Workload>) -> W,
 ) -> Simulator<Box<dyn EnergyBuffer>, W, Box<dyn PowerSource>> {
     let replay = PowerReplay::from_source(s.source(), s.converter.build());
-    let workload = wrap(s.workload.build_streaming(s.horizon, s.workload_seed()));
+    let workload = wrap(s.build_workload());
     let mut sim = Simulator::new(replay, s.buffer.build(), workload)
         .with_timestep(s.dt)
         .with_horizon(s.horizon)

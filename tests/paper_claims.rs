@@ -8,18 +8,37 @@
 use react_repro::buffers::{
     BufferKind, EnergyBuffer, MorphyBuffer, ReactBuffer, ReactConfig, StaticBuffer,
 };
+use react_repro::harvest::{Converter, PowerReplay};
 use react_repro::prelude::*;
+
+/// `buffer` × `workload` on a synthetic trace: a bare engine, no
+/// scenario axis.
+fn run_on(trace: &PowerTrace, buffer: BufferKind, workload: WorkloadKind) -> RunMetrics {
+    let replay = PowerReplay::new(trace.clone(), Converter::ideal());
+    let workload = workload.build_streaming(trace.duration(), 0);
+    Simulator::new(replay, buffer.build(), workload)
+        .run()
+        .metrics
+}
+
+/// The [`Scenario::paper`] run on RF Cart, cut to its first `horizon_s`
+/// seconds.
+fn rf_cart_slice(buffer: BufferKind, workload: WorkloadKind, horizon_s: f64) -> RunMetrics {
+    Scenario {
+        horizon: Seconds::new(horizon_s),
+        ..Scenario::paper(PaperTrace::RfCart, buffer, workload)
+    }
+    .run()
+    .metrics
+}
 
 /// §5.2: from a cold start REACT charges like its last-level buffer —
 /// latency within a whisker of the 770 µF static design and far below
 /// the equal-capacity static buffer.
 #[test]
 fn react_latency_matches_small_static() {
-    let trace = paper_trace(PaperTrace::RfCart).truncated(Seconds::new(120.0));
     let latency = |kind: BufferKind| {
-        Experiment::new(kind, WorkloadKind::DataEncryption)
-            .run(&trace)
-            .metrics
+        rf_cart_slice(kind, WorkloadKind::DataEncryption, 120.0)
             .first_on_latency
             .expect("starts under cart power")
             .get()
@@ -47,11 +66,7 @@ fn react_captures_surplus_the_small_buffer_clips() {
     samples.extend(std::iter::repeat_n(Watts::from_milli(20.0), 50));
     samples.extend(std::iter::repeat_n(Watts::from_micro(50.0), 600));
     let trace = PowerTrace::new("spike", dt, samples);
-    let run = |kind: BufferKind| {
-        Experiment::new(kind, WorkloadKind::SenseCompute)
-            .run(&trace)
-            .metrics
-    };
+    let run = |kind: BufferKind| run_on(&trace, kind, WorkloadKind::SenseCompute);
     let small = run(BufferKind::Static770uF);
     let react = run(BufferKind::React);
     assert!(
@@ -69,13 +84,11 @@ fn react_captures_surplus_the_small_buffer_clips() {
 /// longevity guarantee eliminates failed bursts.
 #[test]
 fn longevity_guarantee_eliminates_doomed_bursts() {
-    let trace = paper_trace(PaperTrace::RfCart);
     let run = |kind: BufferKind| {
-        Experiment::new(kind, WorkloadKind::RadioTransmit)
-            .run_paper_trace(PaperTrace::RfCart)
+        Scenario::paper(PaperTrace::RfCart, kind, WorkloadKind::RadioTransmit)
+            .run()
             .metrics
     };
-    let _ = &trace;
     let small = run(BufferKind::Static770uF);
     let react = run(BufferKind::React);
     assert!(
@@ -115,12 +128,7 @@ fn small_buffer_outlasts_large_at_night() {
 /// every reconfiguration; REACT's isolated banks reconfigure for free.
 #[test]
 fn morphy_pays_switching_losses_react_does_not() {
-    let trace = paper_trace(PaperTrace::RfCart).truncated(Seconds::new(150.0));
-    let run = |kind: BufferKind| {
-        Experiment::new(kind, WorkloadKind::DataEncryption)
-            .run(&trace)
-            .metrics
-    };
+    let run = |kind: BufferKind| rf_cart_slice(kind, WorkloadKind::DataEncryption, 150.0);
     let morphy = run(BufferKind::Morphy);
     let react = run(BufferKind::React);
     assert!(
@@ -155,11 +163,7 @@ fn reactivity_longevity_tradeoff() {
         Seconds::new(200.0),
         Seconds::new(0.1),
     );
-    let run = |kind: BufferKind| {
-        Experiment::new(kind, WorkloadKind::DataEncryption)
-            .run(&trace)
-            .metrics
-    };
+    let run = |kind: BufferKind| run_on(&trace, kind, WorkloadKind::DataEncryption);
     let small = run(BufferKind::Static770uF);
     let big = run(BufferKind::Static10mF);
     let ls = small.first_on_latency.unwrap().get();

@@ -1,6 +1,7 @@
 //! Property-based integration tests: invariants over random scenarios.
 
 use proptest::prelude::*;
+use react_repro::harvest::{Converter, PowerReplay};
 use react_repro::prelude::*;
 use react_repro::traces::{SynthKind, TraceSynthesizer};
 
@@ -20,6 +21,13 @@ fn random_trace(seed: u64, mean_mw: f64, cv: f64, secs: f64) -> PowerTrace {
     .build()
 }
 
+/// DE on `kind` over a synthetic trace: a bare engine, no scenario axis.
+fn run_de(trace: &PowerTrace, kind: BufferKind) -> RunOutcome {
+    let workload = WorkloadKind::DataEncryption.build_streaming(trace.duration(), 0);
+    let replay = PowerReplay::new(trace.clone(), Converter::ideal());
+    Simulator::new(replay, kind.build(), workload).run()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -32,7 +40,7 @@ proptest! {
     ) {
         let trace = random_trace(seed, mean_mw, cv, 30.0);
         for kind in [BufferKind::Static770uF, BufferKind::Morphy, BufferKind::React] {
-            let out = Experiment::new(kind, WorkloadKind::DataEncryption).run(&trace);
+            let out = run_de(&trace, kind);
             prop_assert!(
                 out.metrics.relative_conservation_error() < 5e-3,
                 "{}: error {}",
@@ -51,9 +59,7 @@ proptest! {
     ) {
         let trace = random_trace(seed, mean_mw, 1.0, 30.0);
         for kind in [BufferKind::Static10mF, BufferKind::React, BufferKind::Morphy] {
-            let m = Experiment::new(kind, WorkloadKind::DataEncryption)
-                .run(&trace)
-                .metrics;
+            let m = run_de(&trace, kind).metrics;
             prop_assert!(
                 m.ledger.load_consumed.get()
                     <= m.ledger.harvested.get() + m.initial_stored.get() + 1e-9,
@@ -73,12 +79,7 @@ proptest! {
     ) {
         let lo = PowerTrace::constant("lo", Watts::from_milli(base_mw), Seconds::new(40.0), Seconds::new(0.1));
         let hi = PowerTrace::constant("hi", Watts::from_milli(base_mw * 2.0), Seconds::new(40.0), Seconds::new(0.1));
-        let ops = |t: &PowerTrace| {
-            Experiment::new(BufferKind::Static10mF, WorkloadKind::DataEncryption)
-                .run(t)
-                .metrics
-                .ops_completed
-        };
+        let ops = |t: &PowerTrace| run_de(t, BufferKind::Static10mF).metrics.ops_completed;
         prop_assert!(ops(&hi) >= ops(&lo));
     }
 

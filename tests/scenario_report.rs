@@ -285,8 +285,7 @@ fn dewdrop_scenarios_run_under_the_adaptive_enable_gate() {
 
     let run_with_gate = |gate: PowerGate| {
         let replay = PowerReplay::from_source(s.source(), s.converter.build());
-        let workload = s.workload.build_streaming(s.horizon, s.workload_seed());
-        Simulator::new(replay, s.buffer.build(), workload)
+        Simulator::new(replay, s.buffer.build(), s.build_workload())
             .with_timestep(s.dt)
             .with_horizon(s.horizon)
             .with_gate(gate)
