@@ -27,16 +27,17 @@
 //!   environment × buffer × seed matrix, runs it in parallel through
 //!   the adaptive kernel with step attribution on (bit-identical to the
 //!   unrecorded run by the telemetry contract), and prints the
-//!   environment, cell, attribution, resilience and normalized tables.
+//!   environment, cell, attribution, FoM-retained and normalized
+//!   tables.
 //!   Because every scenario is seeded and deterministic, a violation
 //!   means scenario *behavior* changed. To trace one cell, use
 //!   `sim_trace <scenario/buffer/s<seed>>`.
 //! * **fault** runs the fault-campaign registry as declared — every
 //!   drift campaign as an unaudited/audited pair plus the healthy twins
-//!   survival is scored against — and prints the cell and survival
-//!   tables. On
-//!   top of the FoM fields the gate covers the fault counters, the
-//!   survival ratios, and any flipped auditor detection.
+//!   it is scored against — and prints the cell table and the same
+//!   FoM-retained table. Both kinds gate, on top of the FoM fields and
+//!   fault counters, every cell's FoM retained against its twin and
+//!   any flipped auditor detection.
 //! * **fleet** fans one base scenario (default `rf-sparse-week`) out to
 //!   a salted fleet, reduces it shard by shard into streaming
 //!   percentile histograms, and prints the summary and the fleet-wide
@@ -197,9 +198,7 @@ fn scenario(cli: &Cli) -> Result<ScenarioReport, String> {
     println!("{}", report.render_environments().render());
     println!("{}", report.render_cells().render());
     println!("{attribution_tables}");
-    if !report.resilience().is_empty() {
-        println!("{}", report.render_resilience().render());
-    }
+    println!("{}", report.render_retained().render());
     print!("{}", report.render_normalized().render());
     println!(
         "\n{} cells over {} environments in {:.1} s wall-clock \
@@ -224,11 +223,11 @@ fn fault(cli: &Cli) -> Result<ScenarioReport, String> {
     let elapsed = started.elapsed().as_secs_f64();
 
     println!("{}", report.render_cells().render());
-    print!("{}", report.render_survival().render());
+    print!("{}", report.render_retained().render());
     println!(
-        "\n{} cells ({} survival pairs) in {:.1} s wall-clock{}",
+        "\n{} cells ({} twin pairs) in {:.1} s wall-clock{}",
         report.cells.len(),
-        report.survival().len(),
+        report.retained().len(),
         elapsed,
         if quick { "  (--quick preview)" } else { "" }
     );

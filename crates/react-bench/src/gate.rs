@@ -10,7 +10,7 @@
 //!
 //! | kind          | report type           | compared                                     |
 //! |---------------|-----------------------|----------------------------------------------|
-//! | `scenario`    | [`ScenarioReport`]    | per-cell FoM fields, resilience, survival    |
+//! | `scenario`    | [`ScenarioReport`]    | per-cell FoM fields, FoM retained vs twin    |
 //! | `fault`       | [`ScenarioReport`]    | the same, over the fault-campaign matrix     |
 //! | `fleet`       | [`FleetReport`]       | fingerprint, then the percentile summary     |
 //! | `attribution` | [`AttributionBudget`] | fallback steps per simulated hour, two-sided |

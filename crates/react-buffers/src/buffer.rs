@@ -430,7 +430,7 @@ impl BufferKind {
             BufferKind::Static17mF => Box::new(crate::StaticBuffer::static_17mf()),
             BufferKind::React => Box::new(crate::ReactBuffer::paper_prototype()),
             BufferKind::Morphy => Box::new(crate::MorphyBuffer::paper_implementation()),
-            BufferKind::Dewdrop => Box::new(crate::DewdropBuffer::reference()),
+            BufferKind::Dewdrop => Box::new(crate::StaticBuffer::dewdrop()),
             BufferKind::Capybara => Box::new(crate::CapybaraBuffer::reference()),
         }
     }

@@ -9,6 +9,13 @@
 //! small capacitor; the harvester charges the small capacitor first, then
 //! the big one; connecting the big bank to the rail equalizes it into the
 //! small one (dissipative if their voltages differ).
+//!
+//! Nothing in a simulated run calls [`CapybaraBuffer::connect_big`]:
+//! no workload directs the banks, so every run keeps the 10 mF burst
+//! bank off the rail. [`EnergyBuffer::usable_energy_above`] still counts
+//! that bank as reachable, so the longevity check of RT and PF sees
+//! energy no run can spend. The `ablations/Capybara baseline/*` rows of
+//! the paper report carry this.
 
 use react_circuit::{pair_equalize, Capacitor, CapacitorSpec, EnergyLedger};
 use react_units::{Amps, Farads, Joules, Seconds, Volts, Watts};

@@ -22,70 +22,58 @@
 
 use react_units::{Seconds, Volts};
 
-/// Tuning knobs for [`AttackDetector`] and the simulator's defensive
-/// responses.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DefenseConfig {
-    /// An on-period shorter than this is a *near-boot brown-out* — the
-    /// victim died suspiciously soon after waking.
-    pub short_cycle: Seconds,
-    /// A brown-out→boot recharge faster than this is an *implausible
-    /// charge slope* — more power on the air than the deployment's
-    /// ambient field plausibly delivers.
-    pub min_recharge: Seconds,
-    /// Consecutive suspicious cycles before the alarm trips.
-    pub streak_to_flag: u32,
-    /// How far the effective enable gate rises while alarmed.
-    pub gate_raise: Volts,
-    /// Hard cap on the total gate raise.
-    pub gate_raise_max: Volts,
-    /// Workload-restart hold after the first attack-correlated reboot
-    /// while alarmed; doubles per subsequent suspicious cycle.
-    pub backoff_base: Seconds,
-    /// Cap on the exponential backoff hold.
-    pub backoff_max: Seconds,
-    /// Quiet time (no suspicious cycles) after which the alarm clears.
-    pub clear_after: Seconds,
-}
+/// Arms the detect-and-degrade defense
+/// (`Simulator::with_defense(DefenseConfig::default())` in `react-core`).
+/// It carries no knobs: the detector's thresholds are the constants
+/// below, since every caller ran the same values. The type stays
+/// because the benchmark harness in `perfbench/` arms the defense
+/// through it.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct DefenseConfig {}
 
-impl Default for DefenseConfig {
-    fn default() -> Self {
-        Self {
-            short_cycle: Seconds::new(2.0),
-            min_recharge: Seconds::new(0.25),
-            streak_to_flag: 3,
-            // REACT's rail clamp sits at 3.5 V: the raise must leave
-            // headroom below it or the victim can never re-arm.
-            gate_raise: Volts::new(0.1),
-            gate_raise_max: Volts::new(0.4),
-            // The ramp has to overtake a realistic strike length
-            // (tens of seconds) within a few doublings — a victim that
-            // sleeps *through* the whole blackout survives it on µA of
-            // sleep current instead of paying a deep discharge. Long
-            // holds additionally convert strike-free recharge time into
-            // banked capacitance (REACT's controller steps up whenever
-            // the sleeping rail reaches `v_high`), amortizing the fixed
-            // per-strike cost over a much larger work window.
-            backoff_base: Seconds::new(16.0),
-            backoff_max: Seconds::new(480.0),
-            // On a weak ambient field a full strike cycle (blackout +
-            // recharge) runs minutes; the alarm must outlive several of
-            // them or it ages out between consecutive strikes.
-            clear_after: Seconds::new(900.0),
-        }
-    }
-}
+/// An on-period shorter than this is a *near-boot brown-out* — the
+/// victim died suspiciously soon after waking.
+const SHORT_CYCLE: Seconds = Seconds::new(2.0);
+/// A brown-out→boot recharge faster than this is an *implausible
+/// charge slope* — more power on the air than the deployment's ambient
+/// field plausibly delivers.
+const MIN_RECHARGE: Seconds = Seconds::new(0.25);
+/// Consecutive suspicious cycles before the alarm trips.
+const STREAK_TO_FLAG: u32 = 3;
+/// How far the effective enable gate rises while alarmed. REACT's rail
+/// clamp sits at 3.5 V: the raise must leave headroom below it or the
+/// victim can never re-arm.
+const GATE_RAISE: Volts = Volts::new(0.1);
+/// Hard cap on the total gate raise.
+const GATE_RAISE_MAX: Volts = Volts::new(0.4);
+/// Workload-restart hold after the first attack-correlated reboot while
+/// alarmed; doubles per subsequent suspicious cycle. The ramp has to
+/// overtake a realistic strike length (tens of seconds) within a few
+/// doublings — a victim that sleeps *through* the whole blackout
+/// survives it on µA of sleep current instead of paying a deep
+/// discharge. Long holds additionally convert strike-free recharge time
+/// into banked capacitance (REACT's controller steps up whenever the
+/// sleeping rail reaches `v_high`), amortizing the fixed per-strike
+/// cost over a much larger work window.
+const BACKOFF_BASE: Seconds = Seconds::new(16.0);
+/// Cap on the exponential backoff hold.
+const BACKOFF_MAX: Seconds = Seconds::new(480.0);
+/// Quiet time (no suspicious cycles) after which the alarm clears. On a
+/// weak ambient field a full strike cycle (blackout + recharge) runs
+/// minutes; the alarm must outlive several of them or it ages out
+/// between consecutive strikes.
+const CLEAR_AFTER: Seconds = Seconds::new(900.0);
 
 /// Detects energy attacks from the victim's own gate-event series and
 /// tracks the defensive posture (alarm, gate raise, restart backoff).
 ///
-/// Feed it every boot and brown-out with [`AttackDetector::on_boot`] /
-/// [`AttackDetector::on_brownout`]; query the posture with
+/// Starts quiet ([`Default`]). Feed it every boot and brown-out with
+/// [`AttackDetector::on_boot`] / [`AttackDetector::on_brownout`];
+/// query the posture with
 /// [`AttackDetector::alarmed`], [`AttackDetector::gate_raise`] and
 /// [`AttackDetector::backoff`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AttackDetector {
-    config: DefenseConfig,
     last_boot_at: Option<f64>,
     last_brownout_at: Option<f64>,
     /// Consecutive suspicious power cycles (reset by a healthy cycle).
@@ -108,9 +96,9 @@ pub struct AttackDetector {
     /// suspicious cycle, and don't book the earlier clear as a false
     /// positive.
     last_cleared_at: Option<f64>,
-    /// Whether the live alarm was raised outside the recidivism
-    /// window (a genuinely fresh detection).
-    fresh_alarm: bool,
+    /// Whether the live alarm was raised inside the recidivism window
+    /// (not a genuinely fresh detection).
+    recidivist_alarm: bool,
     /// Backoff escalation at the moment the previous alarm cleared,
     /// restored on a recidivist re-alarm so the hold resumes at the
     /// length that was already covering the attacker's blackout.
@@ -120,37 +108,13 @@ pub struct AttackDetector {
 }
 
 impl AttackDetector {
-    /// A quiet detector with the given configuration.
-    pub fn new(config: DefenseConfig) -> Self {
-        Self {
-            config,
-            last_boot_at: None,
-            last_brownout_at: None,
-            streak: 0,
-            cycle_suspicious: false,
-            last_suspicious_at: 0.0,
-            alarmed: false,
-            post_raise_suspicious: 0,
-            last_cleared_at: None,
-            fresh_alarm: true,
-            last_ramp: 0,
-            detections: 0,
-            false_positives: 0,
-        }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> DefenseConfig {
-        self.config
-    }
-
     /// Records a boot at `t`. An implausibly fast recharge from the
     /// previous brown-out counts as a suspicious cycle (spoofed field).
     pub fn on_boot(&mut self, t: Seconds) {
         let t = t.get();
         self.maybe_clear(t);
         self.cycle_suspicious = match self.last_brownout_at {
-            Some(down) => t - down < self.config.min_recharge.get(),
+            Some(down) => t - down < MIN_RECHARGE.get(),
             None => false,
         };
         if self.cycle_suspicious {
@@ -166,7 +130,7 @@ impl AttackDetector {
         let t = t.get();
         self.maybe_clear(t);
         if let Some(up) = self.last_boot_at {
-            if t - up < self.config.short_cycle.get() {
+            if t - up < SHORT_CYCLE.get() {
                 self.note_suspicious(t);
             } else if !self.cycle_suspicious {
                 // Fully healthy cycle: plausible recharge AND a long
@@ -186,27 +150,23 @@ impl AttackDetector {
         }
         let recidivist = self
             .last_cleared_at
-            .is_some_and(|c| t - c < self.config.clear_after.get());
-        let needed = if recidivist {
-            1
-        } else {
-            self.config.streak_to_flag
-        };
+            .is_some_and(|c| t - c < CLEAR_AFTER.get());
+        let needed = if recidivist { 1 } else { STREAK_TO_FLAG };
         if self.streak >= needed {
             self.alarmed = true;
-            self.fresh_alarm = !recidivist;
+            self.recidivist_alarm = recidivist;
             self.post_raise_suspicious = if recidivist { self.last_ramp } else { 0 };
             self.detections += 1;
         }
     }
 
     fn maybe_clear(&mut self, t: f64) {
-        if self.alarmed && t - self.last_suspicious_at >= self.config.clear_after.get() {
+        if self.alarmed && t - self.last_suspicious_at >= CLEAR_AFTER.get() {
             // The alarm aged out. If nothing suspicious happened after
             // a *fresh* raise, the streak that tripped it was benign
             // variance. A recidivist alarm is exempt: the hold masks
             // the very evidence that would confirm it.
-            if self.post_raise_suspicious == 0 && self.fresh_alarm {
+            if self.post_raise_suspicious == 0 && !self.recidivist_alarm {
                 self.false_positives += 1;
             }
             self.alarmed = false;
@@ -225,7 +185,7 @@ impl AttackDetector {
     /// How far to raise the effective enable gate right now.
     pub fn gate_raise(&self) -> Volts {
         if self.alarmed {
-            self.config.gate_raise.min(self.config.gate_raise_max)
+            GATE_RAISE.min(GATE_RAISE_MAX)
         } else {
             Volts::ZERO
         }
@@ -239,8 +199,8 @@ impl AttackDetector {
             return Seconds::ZERO;
         }
         let doubling = 1u64 << self.post_raise_suspicious.min(16);
-        let hold = self.config.backoff_base.get() * doubling as f64;
-        Seconds::new(hold.min(self.config.backoff_max.get()))
+        let hold = BACKOFF_BASE.get() * doubling as f64;
+        Seconds::new(hold.min(BACKOFF_MAX.get()))
     }
 
     /// Alarms raised so far.
@@ -276,7 +236,7 @@ mod tests {
 
     #[test]
     fn repeated_near_boot_brownouts_trip_the_alarm() {
-        let mut d = AttackDetector::new(DefenseConfig::default());
+        let mut d = AttackDetector::default();
         strike_cycles(&mut d, 0.0, 2, 10.0);
         assert!(!d.alarmed(), "two suspicious cycles are below the streak");
         strike_cycles(&mut d, 20.0, 1, 10.0);
@@ -288,7 +248,7 @@ mod tests {
 
     #[test]
     fn healthy_cycles_reset_the_streak() {
-        let mut d = AttackDetector::new(DefenseConfig::default());
+        let mut d = AttackDetector::default();
         strike_cycles(&mut d, 0.0, 2, 10.0);
         d.on_boot(s(30.0));
         d.on_brownout(s(50.0)); // 20 s on-period: healthy
@@ -299,7 +259,7 @@ mod tests {
 
     #[test]
     fn implausible_recharge_counts_as_suspicious() {
-        let mut d = AttackDetector::new(DefenseConfig::default());
+        let mut d = AttackDetector::default();
         let mut t = 0.0;
         d.on_boot(s(t));
         for _ in 0..3 {
@@ -312,19 +272,18 @@ mod tests {
 
     #[test]
     fn backoff_escalates_and_caps_while_alarmed() {
-        let cfg = DefenseConfig::default();
-        let mut d = AttackDetector::new(cfg);
+        let mut d = AttackDetector::default();
         let t = strike_cycles(&mut d, 0.0, 3, 10.0);
-        assert_eq!(d.backoff(), cfg.backoff_base);
+        assert_eq!(d.backoff(), BACKOFF_BASE);
         strike_cycles(&mut d, t, 1, 10.0);
-        assert_eq!(d.backoff().get(), cfg.backoff_base.get() * 2.0);
+        assert_eq!(d.backoff().get(), BACKOFF_BASE.get() * 2.0);
         strike_cycles(&mut d, t + 10.0, 10, 10.0);
-        assert_eq!(d.backoff(), cfg.backoff_max);
+        assert_eq!(d.backoff(), BACKOFF_MAX);
     }
 
     #[test]
     fn confirmed_alarm_clears_without_a_false_positive() {
-        let mut d = AttackDetector::new(DefenseConfig::default());
+        let mut d = AttackDetector::default();
         let t = strike_cycles(&mut d, 0.0, 3, 10.0);
         strike_cycles(&mut d, t, 1, 10.0); // attack continues post-raise
         d.on_boot(s(t + 1200.0)); // long quiet: alarm ages out
@@ -335,7 +294,7 @@ mod tests {
 
     #[test]
     fn unconfirmed_alarm_counts_a_false_positive() {
-        let mut d = AttackDetector::new(DefenseConfig::default());
+        let mut d = AttackDetector::default();
         strike_cycles(&mut d, 0.0, 3, 10.0); // trips the alarm…
         d.on_boot(s(1200.0)); // …then nothing suspicious ever again
         assert!(!d.alarmed());
@@ -344,7 +303,7 @@ mod tests {
 
     #[test]
     fn quiet_detector_reports_no_posture() {
-        let d = AttackDetector::new(DefenseConfig::default());
+        let d = AttackDetector::default();
         assert!(!d.alarmed());
         assert_eq!(d.gate_raise(), Volts::ZERO);
         assert_eq!(d.backoff(), Seconds::ZERO);

@@ -2,13 +2,15 @@
 //!
 //! This crate holds the paper's primary contribution and its baselines:
 //!
-//! * [`StaticBuffer`] — fixed capacitors (770 µF / 10 mF / 17 mF, §4.1).
+//! * [`StaticBuffer`] — fixed capacitors (770 µF / 10 mF / 17 mF, §4.1),
+//!   and Dewdrop \[6\] ([`StaticBuffer::dewdrop`]): a 3 mF capacitor
+//!   whose runtime moves only the enable voltage (§2.4).
 //! * [`ReactBuffer`] — REACT: the last-level buffer plus isolated
 //!   series/parallel banks with a polled software controller (§3).
 //! * [`MorphyBuffer`] — the Morphy \[49\] fully-interconnected
 //!   switched-capacitor network used as the dynamic-buffer comparison.
-//! * [`DewdropBuffer`] / [`CapybaraBuffer`] — extension baselines from
-//!   the related-work discussion (§2.3–2.4), used by the ablations.
+//! * [`CapybaraBuffer`] — the dual-capacitor extension baseline from
+//!   the related-work discussion (§2.3), used by the ablations.
 //!
 //! All designs implement [`EnergyBuffer`] and are driven step-by-step by
 //! the simulator in `react-core`, or strided in closed form
@@ -37,7 +39,6 @@ mod buffer;
 mod capybara;
 pub mod charge_ode;
 pub mod defense;
-mod dewdrop;
 mod morphy;
 mod react;
 pub mod static_buf;
@@ -48,7 +49,6 @@ pub use buffer::{
     CONVERSION_FLOOR,
 };
 pub use capybara::CapybaraBuffer;
-pub use dewdrop::DewdropBuffer;
 pub use morphy::{transition_path as morphy_transition_path, MorphyBuffer};
 pub use react::{ConfigError, ReactBuffer, ReactConfig, MAX_BANKS};
 pub use static_buf::StaticBuffer;

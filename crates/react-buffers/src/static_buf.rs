@@ -1,4 +1,6 @@
-//! Fixed-capacity buffers: the paper's baseline designs (§4.1).
+//! Fixed-capacity buffers: the paper's baseline designs (§4.1), and
+//! Dewdrop \[6\], which is one of them with a runtime that moves only
+//! the enable voltage (§2.4).
 
 use react_circuit::{Capacitor, CapacitorSpec, EnergyLedger};
 use react_units::{Amps, Farads, Joules, Seconds, Volts, Watts};
@@ -20,6 +22,9 @@ pub struct StaticBuffer {
     cap: Capacitor,
     believed: CapacitorSpec,
     faulted: bool,
+    /// Whether the runtime reasons about energy per task (Dewdrop's
+    /// adaptive enable does; a plain static capacitor does not).
+    longevity: bool,
     ledger: EnergyLedger,
 }
 
@@ -37,6 +42,7 @@ impl StaticBuffer {
             cap: Capacitor::new(spec),
             believed: spec,
             faulted: false,
+            longevity: false,
             ledger: EnergyLedger::new(),
         }
     }
@@ -78,9 +84,42 @@ impl StaticBuffer {
         )
     }
 
+    /// Dewdrop \[6\]: a 3 mF supercap whose runtime starts at the
+    /// lowest voltage holding one task quantum above brown-out
+    /// ([`EnergyBuffer::rail_voltage_for_usable`]) instead of a fixed
+    /// enable voltage. Electrically it is a static capacitor; the
+    /// adaptive enable only moves the gate the simulator runs under.
+    /// Energy per task is the longevity API's contract, so it reports
+    /// [`EnergyBuffer::supports_longevity`].
+    pub fn dewdrop() -> Self {
+        Self {
+            longevity: true,
+            ..Self::new(
+                "Dewdrop",
+                CapacitorSpec::supercap_scaled(Farads::from_milli(3.0)),
+            )
+        }
+    }
+
     /// Force the stored voltage (test setup).
     pub fn set_voltage(&mut self, v: Volts) {
         self.cap.set_voltage(v);
+    }
+
+    /// Commits a closed-form stride's final voltage and returns the
+    /// stored-energy change to book. Under drift the books carry the
+    /// *believed* delta (½·C_believed·Δv²) while the stored pool moved
+    /// by the actual one — the inconsistency the invariant auditor's
+    /// per-stride ledger residual detects.
+    fn commit_stride(&mut self, v0: f64, v_final: f64) -> Joules {
+        let e0 = self.cap.energy();
+        self.cap.set_voltage(Volts::new(v_final));
+        if self.faulted {
+            let c = self.believed.capacitance.get();
+            Joules::new(0.5 * c * (v_final * v_final - v0 * v0))
+        } else {
+            self.cap.energy() - e0
+        }
     }
 }
 
@@ -107,6 +146,10 @@ impl EnergyBuffer for StaticBuffer {
             return Joules::ZERO;
         }
         self.cap.capacitance().energy_at(v) - self.cap.capacitance().energy_at(v_floor)
+    }
+
+    fn supports_longevity(&self) -> bool {
+        self.longevity
     }
 
     /// Closed-form idle integration: whole charge phases (the dominant
@@ -139,17 +182,7 @@ impl EnergyBuffer for StaticBuffer {
         let (t_adv, fin) =
             charge_ode::integrate_quantized(&ode, v0, duration.get(), vs, fine_dt.get())
                 .expect("drain-free charge ODE is total");
-        let e0 = self.cap.energy();
-        self.cap.set_voltage(Volts::new(fin.v_final));
-        // Under drift the books carry the *believed* energy delta
-        // (½·C_believed·Δv²) while the stored pool moved by the actual
-        // one — the inconsistency the invariant auditor's per-stride
-        // ledger residual detects.
-        let delta_e = if self.faulted {
-            Joules::new(0.5 * spec.capacitance.get() * (fin.v_final * fin.v_final - v0 * v0))
-        } else {
-            self.cap.energy() - e0
-        };
+        let delta_e = self.commit_stride(v0, fin.v_final);
         // delivered := ΔE + leaked keeps the ledger residual exactly
         // zero; the closure clamps the p = 0 case's rounding dust at zero.
         self.ledger.close_net(
@@ -210,14 +243,7 @@ impl EnergyBuffer for StaticBuffer {
         if t_adv <= 0.0 {
             return Some(Seconds::ZERO);
         }
-        let e0 = self.cap.energy();
-        self.cap.set_voltage(Volts::new(fin.v_final));
-        // Believed-model booking under drift; see `idle_advance`.
-        let delta_e = if self.faulted {
-            Joules::new(0.5 * spec.capacitance.get() * (fin.v_final * fin.v_final - v0 * v0))
-        } else {
-            self.cap.energy() - e0
-        };
+        let delta_e = self.commit_stride(v0, fin.v_final);
         // delivered := ΔE + losses keeps the ledger residual exactly
         // zero against the committed (re-rounded) stored energy.
         self.ledger.close_gross(
@@ -392,9 +418,42 @@ mod tests {
 
     #[test]
     fn no_longevity_api() {
-        let b = StaticBuffer::static_770uf();
-        assert!(!b.supports_longevity());
-        assert_eq!(b.capacitance_level(), 0);
+        for b in [
+            StaticBuffer::static_770uf(),
+            StaticBuffer::static_10mf(),
+            StaticBuffer::static_17mf(),
+        ] {
+            assert!(!b.supports_longevity(), "{}", b.name());
+            assert_eq!(b.capacitance_level(), 0);
+        }
+    }
+
+    #[test]
+    fn dewdrop_enable_sits_between_brownout_and_rail() {
+        let v = StaticBuffer::dewdrop()
+            .rail_voltage_for_usable(Joules::from_milli(5.0), Volts::new(1.8))
+            .expect("static inversion is total");
+        // sqrt(1.8² + 2·5m/3m) = sqrt(3.24 + 3.333) ≈ 2.564 V.
+        assert!((v.get() - (3.24_f64 + 10.0 / 3.0).sqrt()).abs() < 1e-9);
+        assert!(v > Volts::new(1.8) && v < Volts::new(3.3));
+    }
+
+    #[test]
+    fn dewdrop_is_a_static_buffer_with_the_longevity_api() {
+        let mut d = StaticBuffer::dewdrop();
+        assert_eq!(d.name(), "Dewdrop");
+        assert!(d.supports_longevity());
+        assert!((d.equivalent_capacitance().to_milli() - 3.0).abs() < 1e-9);
+        for _ in 0..1000 {
+            d.step(
+                Watts::from_milli(2.0),
+                Amps::ZERO,
+                Seconds::from_milli(1.0),
+                false,
+            );
+        }
+        assert!(d.rail_voltage().get() > 0.2);
+        assert_eq!(d.capacitance_level(), 0);
     }
 
     /// Runs the default (reference) fine-step idle loop on a clone.

@@ -37,34 +37,10 @@ use react_buffers::EnergyBuffer;
 use react_circuit::EnergyLedger;
 use react_units::{Joules, Seconds, Volts, Watts};
 
-/// Tolerances and knobs for the [`InvariantAuditor`].
+/// The [`InvariantAuditor`]'s one setting. Its tolerances are the
+/// constants below.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AuditConfig {
-    /// Absolute slack on the per-stride ledger residual, in joules.
-    /// Benign strides hold the residual to floating-point dust, so this
-    /// only needs to cover rounding noise.
-    pub residual_abs: Joules,
-    /// Relative slack on the ledger residual, scaled by the run's
-    /// cumulative energy magnitude.
-    pub residual_rel: f64,
-    /// Absolute slack on the harvest bound, in joules.
-    pub harvest_abs: Joules,
-    /// Relative slack on the harvest bound.
-    pub harvest_rel: f64,
-    /// Absolute floor under which the leakage shadow check never trips
-    /// (sub-`leak_abs` bookings are numerically indistinct), in joules.
-    pub leak_abs: Joules,
-    /// Relative mismatch between the believed leakage booking and the
-    /// actual-law trapezoid estimate that trips the shadow check. Loose
-    /// by design: the two-point quadrature is approximate, and real
-    /// drift grows leakage by integer factors.
-    pub leak_rel: f64,
-    /// Largest relative voltage change across a stride for which the
-    /// leakage shadow check is attempted (beyond it the endpoint
-    /// trapezoid is not a credible quadrature).
-    pub leak_dv_rel: f64,
-    /// Any committed rail voltage above this is a violation outright.
-    pub v_max: Volts,
     /// Stride-length clamp while auditing: bounds how far one wrong
     /// closed-form stride can run before its commit is cross-checked,
     /// i.e. the worst-case detection latency in simulated seconds.
@@ -74,18 +50,36 @@ pub struct AuditConfig {
 impl Default for AuditConfig {
     fn default() -> Self {
         Self {
-            residual_abs: Joules::new(1e-9),
-            residual_rel: 1e-9,
-            harvest_abs: Joules::new(1e-9),
-            harvest_rel: 1e-6,
-            leak_abs: Joules::new(1e-5),
-            leak_rel: 0.35,
-            leak_dv_rel: 0.1,
-            v_max: Volts::new(6.0),
             max_stride: Seconds::new(300.0),
         }
     }
 }
+
+/// Absolute slack on the per-stride ledger residual, in joules. Benign
+/// strides hold the residual to floating-point dust, so this only needs
+/// to cover rounding noise.
+const RESIDUAL_ABS: Joules = Joules::new(1e-9);
+/// Relative slack on the ledger residual, scaled by the run's
+/// cumulative energy magnitude.
+const RESIDUAL_REL: f64 = 1e-9;
+/// Absolute slack on the harvest bound, in joules.
+const HARVEST_ABS: Joules = Joules::new(1e-9);
+/// Relative slack on the harvest bound.
+const HARVEST_REL: f64 = 1e-6;
+/// Absolute floor under which the leakage shadow check never trips
+/// (sub-`LEAK_ABS` bookings are numerically indistinct), in joules.
+const LEAK_ABS: Joules = Joules::new(1e-5);
+/// Relative mismatch between the believed leakage booking and the
+/// actual-law trapezoid estimate that trips the shadow check. Loose by
+/// design: the two-point quadrature is approximate, and real drift
+/// grows leakage by integer factors.
+const LEAK_REL: f64 = 0.35;
+/// Largest relative voltage change across a stride for which the
+/// leakage shadow check is attempted (beyond it the endpoint trapezoid
+/// is not a credible quadrature).
+const LEAK_DV_REL: f64 = 0.1;
+/// Any committed rail voltage above this is a violation outright.
+const V_MAX: Volts = Volts::new(6.0);
 
 /// Pre-stride state captured for the post-commit cross-check.
 #[derive(Clone, Copy, Debug)]
@@ -119,7 +113,7 @@ pub struct InvariantAuditor {
 }
 
 impl InvariantAuditor {
-    /// Creates an auditor with the given tolerances.
+    /// Creates an auditor with the given stride clamp.
     pub fn new(config: AuditConfig) -> Self {
         Self {
             config,
@@ -172,7 +166,6 @@ impl InvariantAuditor {
         window: Seconds,
         dt: Seconds,
     ) -> bool {
-        let c = &self.config;
         let stored = buffer.stored_energy();
         let v = buffer.rail_voltage();
 
@@ -180,7 +173,7 @@ impl InvariantAuditor {
         if !v.get().is_finite() || !stored.get().is_finite() {
             return true;
         }
-        if v.get() < -1e-9 || v > c.v_max || stored.get() < -1e-9 {
+        if v.get() < -1e-9 || v > V_MAX || stored.get() < -1e-9 {
             return true;
         }
 
@@ -214,14 +207,14 @@ impl InvariantAuditor {
             .abs()
             .max(stored.get().abs())
             .max(snap.stored.get().abs());
-        if residual.abs() > c.residual_abs.get() + c.residual_rel * scale {
+        if residual.abs() > RESIDUAL_ABS.get() + RESIDUAL_REL * scale {
             return true;
         }
 
         // Harvest bound: the books cannot create rail energy.
         let delta_harvested = d(after.harvested, snap.ledger.harvested);
         let cap = p_rail.get().max(0.0) * advanced.get();
-        if delta_harvested > cap + c.harvest_abs.get() + c.harvest_rel * cap {
+        if delta_harvested > cap + HARVEST_ABS.get() + HARVEST_REL * cap {
             return true;
         }
 
@@ -229,10 +222,10 @@ impl InvariantAuditor {
         // actual-law trapezoid, only where the quadrature is credible.
         if let (Some(p0), Some(p1)) = (snap.leak_power, buffer.leakage_probe()) {
             let dv = (v.get() - snap.voltage.get()).abs();
-            if dv <= c.leak_dv_rel * snap.voltage.get().abs().max(0.1) {
+            if dv <= LEAK_DV_REL * snap.voltage.get().abs().max(0.1) {
                 let est = 0.5 * (p0.get() + p1.get()) * advanced.get();
                 let err = (delta_leaked - est).abs();
-                if err > c.leak_abs.get() + c.leak_rel * est.abs().max(delta_leaked.abs()) {
+                if err > LEAK_ABS.get() + LEAK_REL * est.abs().max(delta_leaked.abs()) {
                     return true;
                 }
             }

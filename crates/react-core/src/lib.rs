@@ -68,6 +68,6 @@ pub use scenario::{
 pub use scenario_report::{
     build_report, compare_reports, expand_cells, fault_cells, merged_attribution,
     render_attribution, render_class_sinks, report_scenarios, CellAttribution, PoisonedCell,
-    ResilienceRow, ScenarioCell, ScenarioReport, SurvivalRow,
+    ScenarioCell, ScenarioReport, TwinRow,
 };
 pub use sim::{ConstantLoad, KernelMode, SimCore, SimError, Simulator};

@@ -14,11 +14,10 @@
 //! [`SCENARIOS`] holds the report's rows; [`FAULT_SCENARIOS`] holds the
 //! fault campaigns together with the healthy 10 mF and Dewdrop twins
 //! they are scored against. Twins are derived, never named: a cell's
-//! [`Scenario::healthy_twin`] and [`Scenario::benign_twin`] are the
-//! registered entries equal to it with one axis reset (the fault
-//! campaign and auditor, or the attack wrapper and defense). Variants
-//! are declared as one-axis edits of their base entry, so the two
-//! cannot drift apart on any other axis.
+//! [`Scenario::twin`] is the registered entry equal to it with the
+//! fault campaign, auditor, attack wrapper and defense at rest.
+//! Variants are declared as one-axis edits of their base entry, so the
+//! two cannot drift apart on any other axis.
 //!
 //! Long-horizon scenarios pick a coarser fine-step (10 ms instead of
 //! 1 ms) — the adaptive kernel strides MCU-off spans analytically
@@ -27,7 +26,7 @@
 //! [`TraceSource`]: react_harvest::TraceSource
 
 use react_buffers::defense::DefenseConfig;
-use react_buffers::BufferKind;
+use react_buffers::{BufferKind, EnergyBuffer, StaticBuffer};
 use react_circuit::FaultCampaign;
 use react_env::{
     AdaptiveAttack, AttackPolicy, Diurnal, EnergyAttack, MarkovRf, Mobility, PowerSource,
@@ -36,7 +35,7 @@ use react_env::{
 use react_harvest::{ConverterKind, PowerReplay};
 use react_telemetry::Recorder;
 use react_traces::{paper_trace, PaperTrace};
-use react_units::{Seconds, Watts};
+use react_units::{Joules, Seconds, Watts};
 use react_workloads::{EventSchedule, PacketForward, Workload};
 
 use crate::audit::AuditConfig;
@@ -320,7 +319,7 @@ pub struct Scenario {
     /// environment and workload models.
     pub seed_salt: u64,
     /// Whether the run arms the detect-and-degrade defense
-    /// ([`DefenseConfig`] default knobs). The red-vs-blue registry
+    /// ([`DefenseConfig`]). The red-vs-blue registry
     /// pairs each adversary with a defended and an undefended entry;
     /// benign scenarios run undefended.
     pub defended: bool,
@@ -330,7 +329,7 @@ pub struct Scenario {
     /// leaves the run untouched.
     pub fault: FaultCampaign,
     /// Whether the run arms the kernel invariant auditor
-    /// ([`AuditConfig`] default tolerances). Audited runs clamp stride
+    /// ([`AuditConfig`] default stride clamp). Audited runs clamp stride
     /// lengths, so their step counts differ from unaudited twins; the
     /// fault registry pairs each campaign with an audited and an
     /// unaudited entry.
@@ -387,38 +386,25 @@ impl Scenario {
         self.workload_seed() ^ 0xFAD3_D21F_7C65_A1B3
     }
 
-    /// The healthy-twin scenario a faulted run is scored against: the
-    /// registered entry equal to this one with no fault campaign and no
-    /// auditor. `None` for unfaulted scenarios. The fault report
-    /// divides faulted FoM by the twin's to get *FoM retained under
-    /// faults*.
-    pub fn healthy_twin(&self) -> Option<&'static str> {
-        self.registered_twin(Scenario {
+    /// The twin this scenario is scored against: the registered entry
+    /// equal to it with the fault campaign, the auditor, the attack
+    /// wrapper ([`EnvKind::benign`]) and the defense all at rest, on
+    /// every axis but name, description and seed salt (a report pairs
+    /// replicates by salt itself). `None` when every one of those axes
+    /// already is at rest, or when the rested cell is not registered.
+    /// The reports divide this cell's FoM by the twin's to get the *FoM
+    /// retained* under attack or under faults
+    /// ([`ScenarioReport::retained`]).
+    ///
+    /// [`ScenarioReport::retained`]: crate::ScenarioReport::retained
+    pub fn twin(&self) -> Option<&'static str> {
+        let twin = Scenario {
+            env: self.env.benign(),
+            defended: false,
             fault: FaultCampaign::None,
             audited: false,
             ..*self
-        })
-    }
-
-    /// The benign-twin scenario this adversarial scenario is scored
-    /// against: the registered entry equal to this one with the
-    /// attack's field unwrapped ([`EnvKind::benign`]) and no defense.
-    /// `None` for benign scenarios and for attacks whose unwrapped cell
-    /// is not registered. The report divides attacked FoM by the twin's
-    /// to get *FoM retained under attack*.
-    pub fn benign_twin(&self) -> Option<&'static str> {
-        self.registered_twin(Scenario {
-            env: self.env.benign(),
-            defended: false,
-            ..*self
-        })
-    }
-
-    /// The registered entry equal to `twin` on every axis but its name,
-    /// description and seed salt (a report pairs replicates by salt
-    /// itself). `None` when `twin` is this scenario, i.e. the reset axis
-    /// was already at rest.
-    fn registered_twin(&self, twin: Scenario) -> Option<&'static str> {
+        };
         if twin == *self {
             return None;
         }
@@ -434,6 +420,12 @@ impl Scenario {
                 }
             })
             .map(|s| s.name)
+    }
+
+    /// The same as [`Scenario::twin`]. The benchmark harness in
+    /// `perfbench/` pairs the fault registry through this name.
+    pub fn healthy_twin(&self) -> Option<&'static str> {
+        self.twin()
     }
 
     /// Whether a non-zero seed salt changes this scenario's run at
@@ -498,13 +490,14 @@ impl Scenario {
     /// The power gate this scenario runs under: the paper's fixed
     /// 3.3 V / 1.8 V testbed gate for every buffer except Dewdrop,
     /// whose runtime computes its *adaptive* enable voltage — the
-    /// lowest voltage holding one task quantum above brown-out
-    /// (`≈2.56 V` for the reference configuration). Scenario runs used
-    /// to hard-code the fixed gate for Dewdrop too, measuring a
-    /// strictly handicapped version of the design.
+    /// lowest voltage holding one 5 mJ task quantum above brown-out,
+    /// √(1.8² + 2·5 mJ / 3 mF) ≈ 2.564 V. The fixed gate would measure
+    /// a strictly handicapped version of the design.
     pub fn gate(&self) -> react_mcu::PowerGate {
         if self.buffer == BufferKind::Dewdrop {
-            let enable = react_buffers::DewdropBuffer::reference().adaptive_enable_voltage();
+            let enable = StaticBuffer::dewdrop()
+                .rail_voltage_for_usable(Joules::from_milli(5.0), calib::BROWNOUT_VOLTAGE)
+                .expect("static inversion is total");
             react_mcu::PowerGate::new(enable, calib::BROWNOUT_VOLTAGE)
         } else {
             react_mcu::PowerGate::new(calib::ENABLE_VOLTAGE, calib::BROWNOUT_VOLTAGE)
@@ -527,8 +520,7 @@ impl Scenario {
     /// [`Simulator::with_kernel`].
     pub fn simulator(
         &self,
-    ) -> Simulator<Box<dyn react_buffers::EnergyBuffer>, Box<dyn Workload>, Box<dyn PowerSource>>
-    {
+    ) -> Simulator<Box<dyn EnergyBuffer>, Box<dyn Workload>, Box<dyn PowerSource>> {
         let replay = PowerReplay::from_source(self.source(), self.converter.build());
         let mut sim = Simulator::new(replay, self.buffer.build(), self.build_workload())
             .with_timestep(self.dt)
@@ -917,7 +909,8 @@ mod tests {
         for s in scenario_registry() {
             assert_eq!(s.fault, FaultCampaign::None, "{}", s.name);
             assert!(!s.audited, "{}", s.name);
-            assert!(s.healthy_twin().is_none(), "{}", s.name);
+            // Only an attack moves a benign-registry cell off its twin.
+            assert!(s.twin().is_none() || s.env.benign() != s.env, "{}", s.name);
         }
     }
 
@@ -927,7 +920,7 @@ mod tests {
             if s.fault == FaultCampaign::None {
                 continue;
             }
-            let twin = s.healthy_twin().expect("faulted scenario has a twin");
+            let twin = s.twin().expect("faulted scenario has a twin");
             let healthy = find_scenario(twin).expect("twin registered");
             assert_eq!(healthy.fault, FaultCampaign::None, "{twin}");
             assert!(!healthy.audited, "{twin}");
@@ -981,8 +974,7 @@ mod tests {
                 ..*s
             };
             assert_eq!(reset, *base, "{} drifted from its base", s.name);
-            assert_eq!(s.benign_twin(), base.benign_twin(), "{}", s.name);
-            assert_eq!(s.healthy_twin(), base.healthy_twin(), "{}", s.name);
+            assert_eq!(s.twin(), base.twin(), "{}", s.name);
             variants += 1;
         }
         assert_eq!(variants, 7);
@@ -992,8 +984,7 @@ mod tests {
     fn derived_twins_pair_exactly_the_attacked_and_faulted_cells() {
         let mut pairs: Vec<(&str, &str)> = Vec::new();
         for s in scenario_registry().iter().chain(fault_scenario_registry()) {
-            pairs.extend(s.benign_twin().map(|twin| (s.name, twin)));
-            pairs.extend(s.healthy_twin().map(|twin| (s.name, twin)));
+            pairs.extend(s.twin().map(|twin| (s.name, twin)));
         }
         let react = "rf-ge-hour-react-de";
         let static10 = "rf-ge-hour-10mf-de";

@@ -10,11 +10,11 @@
 //! environment × buffer × seed matrix, runs rayon-parallel through the
 //! adaptive kernel, and reduces every cell to a [`ScenarioCell`].
 //!
-//! Adversarial scenarios additionally score *resilience*: each
-//! attacked cell is paired with its benign twin
-//! ([`Scenario::benign_twin`]) and reported as the fraction of the
-//! figure of merit retained under attack ([`ResilienceRow`]), which
-//! the CI gate bounds alongside the raw fields. The matrix itself is
+//! Attacked and faulted scenarios additionally score *retention*: each
+//! such cell is paired with its registered twin ([`Scenario::twin`])
+//! and reported as the fraction of the figure of merit retained under
+//! attack or under faults ([`TwinRow`]), which the CI gate bounds
+//! alongside the raw fields. The matrix itself is
 //! crash-proof: every cell runs inside `catch_unwind`, so a panicking
 //! model poisons that one cell ([`PoisonedCell`]) instead of taking
 //! down the runner — and any poisoned cell fails the gate.
@@ -31,6 +31,7 @@
 
 use rayon::prelude::*;
 use react_buffers::BufferKind;
+use react_circuit::FaultCampaign;
 use react_env::dark_stats;
 use react_telemetry::{FallbackReason, Regime, StepAttribution};
 use react_units::Watts;
@@ -204,68 +205,41 @@ impl PoisonedCell {
     }
 }
 
-/// One attacked cell paired with its benign twin: how much of the
-/// figure of merit survived the adversary.
+/// One cell paired with its registered twin ([`Scenario::twin`]): how
+/// much of the figure of merit survived the axis that moved — an
+/// adversary or a hardware-drift campaign — and whether the invariant
+/// auditor caught it.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ResilienceRow {
-    /// Attacked registry scenario.
+pub struct TwinRow {
+    /// Registry scenario of the cell.
     pub scenario: String,
     /// Buffer design label.
     pub buffer: String,
     /// Seed salt.
     pub seed: u64,
+    /// What moved off the twin: the fault campaign's label, or the
+    /// attack environment's when no campaign runs.
+    pub moved: String,
     /// Whether the detect-and-degrade defense was armed.
     pub defended: bool,
-    /// Figure of merit under attack.
-    pub fom_attacked: f64,
-    /// Figure of merit of the benign twin (same workload, horizon and
-    /// converter, no adversary).
-    pub fom_benign: f64,
-    /// `fom_attacked / fom_benign` (1.0 when the twin did no work —
-    /// an attack cannot lose work that was never available).
-    pub retained: f64,
-}
-
-impl ResilienceRow {
-    /// Stable identity of the attacked cell, aligned with
-    /// [`ScenarioCell::id`].
-    pub fn id(&self) -> String {
-        cell_id(&self.scenario, &self.buffer, self.seed)
-    }
-}
-
-/// One faulted cell paired with its healthy twin: how much of the
-/// figure of merit survived the hardware-drift campaign, and whether
-/// the invariant auditor caught the drift.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SurvivalRow {
-    /// Faulted registry scenario.
-    pub scenario: String,
-    /// Fault campaign label.
-    pub campaign: String,
-    /// Buffer design label.
-    pub buffer: String,
-    /// Seed salt.
-    pub seed: u64,
     /// Whether the invariant auditor was armed.
     pub audited: bool,
     /// Fault events injected over the run.
     pub faults_injected: u64,
     /// Auditor divergences that degraded a fast path.
     pub audit_trips: u64,
-    /// Figure of merit under the fault campaign.
-    pub fom_faulted: f64,
-    /// Figure of merit of the healthy twin (same environment, buffer,
-    /// and workload, no faults, no auditor).
-    pub fom_healthy: f64,
-    /// `fom_faulted / fom_healthy` (1.0 when the twin did no work — a
-    /// fault cannot lose work that was never available).
+    /// Figure of merit of the cell.
+    pub fom: f64,
+    /// Figure of merit of the twin (same buffer and seed, every moved
+    /// axis at rest).
+    pub twin_fom: f64,
+    /// `fom / twin_fom` (1.0 when the twin did no work — an attack or
+    /// a fault cannot lose work that was never available).
     pub retained: f64,
 }
 
-impl SurvivalRow {
-    /// Stable identity of the faulted cell, aligned with
-    /// [`ScenarioCell::id`].
+impl TwinRow {
+    /// Stable identity of the cell, aligned with [`ScenarioCell::id`].
     pub fn id(&self) -> String {
         cell_id(&self.scenario, &self.buffer, self.seed)
     }
@@ -415,130 +389,71 @@ impl ScenarioReport {
         table
     }
 
-    /// Pairs every attacked cell with its benign twin (same buffer and
-    /// seed, [`Scenario::benign_twin`] scenario) and computes the
-    /// fraction of the figure of merit that survived the adversary.
-    /// Cells whose twin is absent from the report are skipped — a
-    /// partial matrix cannot score resilience.
-    pub fn resilience(&self) -> Vec<ResilienceRow> {
-        self.cells
-            .iter()
-            .filter_map(|c| {
-                let twin = find_scenario(&c.scenario)?.benign_twin()?;
-                let benign = self
-                    .cells
-                    .iter()
-                    .find(|b| b.scenario == twin && b.buffer == c.buffer && b.seed == c.seed)?;
-                let retained = if benign.fom > 0.0 {
-                    c.fom / benign.fom
-                } else {
-                    1.0
-                };
-                Some(ResilienceRow {
-                    scenario: c.scenario.clone(),
-                    buffer: c.buffer.clone(),
-                    seed: c.seed,
-                    defended: c.defended,
-                    fom_attacked: c.fom,
-                    fom_benign: benign.fom,
-                    retained,
-                })
-            })
-            .collect()
-    }
-
-    /// Pairs every faulted cell with its healthy twin (same buffer and
-    /// seed, [`Scenario::healthy_twin`] scenario) and computes the
-    /// fraction of the figure of merit that survived the fault
-    /// campaign. Cells whose twin is absent from the report are
-    /// skipped — a partial matrix cannot score survival. The fault
-    /// registry carries every healthy twin, so the lookup searches this
-    /// report's cells only.
-    pub fn survival(&self) -> Vec<SurvivalRow> {
+    /// Pairs every cell that has a [`Scenario::twin`] with the twin's
+    /// cell of the same buffer and seed, and computes the fraction of
+    /// the figure of merit retained under attack or under faults. Cells
+    /// whose twin is absent from the report are skipped — a partial
+    /// matrix cannot score retention. Both registries carry every twin
+    /// their cells need, so the lookup searches this report's cells
+    /// only.
+    pub fn retained(&self) -> Vec<TwinRow> {
         self.cells
             .iter()
             .filter_map(|c| {
                 let s = find_scenario(&c.scenario)?;
-                let twin = s.healthy_twin()?;
-                let healthy = self
-                    .cells
-                    .iter()
-                    .find(|h| h.scenario == twin && h.buffer == c.buffer && h.seed == c.seed)?;
-                let retained = if healthy.fom > 0.0 {
-                    c.fom / healthy.fom
+                let twin_name = s.twin()?;
+                let twin = self.cells.iter().find(|t| {
+                    t.scenario == twin_name && t.buffer == c.buffer && t.seed == c.seed
+                })?;
+                let retained = if twin.fom > 0.0 {
+                    c.fom / twin.fom
                 } else {
                     1.0
                 };
-                Some(SurvivalRow {
+                let moved = if s.fault == FaultCampaign::None {
+                    s.env.label()
+                } else {
+                    s.fault.label()
+                };
+                Some(TwinRow {
                     scenario: c.scenario.clone(),
-                    campaign: s.fault.label().to_string(),
                     buffer: c.buffer.clone(),
                     seed: c.seed,
+                    moved: moved.to_string(),
+                    defended: c.defended,
                     audited: c.audited,
                     faults_injected: c.faults_injected,
                     audit_trips: c.audit_trips,
-                    fom_faulted: c.fom,
-                    fom_healthy: healthy.fom,
+                    fom: c.fom,
+                    twin_fom: twin.fom,
                     retained,
                 })
             })
             .collect()
     }
 
-    /// Renders the FoM-retained-under-faults table.
-    pub fn render_survival(&self) -> TextTable {
+    /// Renders the FoM-retained table (cell / registered twin).
+    pub fn render_retained(&self) -> TextTable {
         let mut table = TextTable::new(
-            "FoM retained under faults (faulted / healthy twin)",
+            "FoM retained (cell / registered twin)",
             &[
-                "scenario",
-                "campaign",
-                "buffer",
-                "audited",
-                "faults",
-                "trips",
-                "FoM",
-                "healthy FoM",
-                "retained",
+                "scenario", "buffer", "seed", "moved", "defended", "audited", "faults", "trips",
+                "FoM", "twin FoM", "retained",
             ],
         );
-        for r in self.survival() {
+        let yes_no = |b: bool| if b { "yes" } else { "no" }.to_string();
+        for r in self.retained() {
             table.push_row(&[
-                r.scenario.clone(),
-                r.campaign.clone(),
-                r.buffer.clone(),
-                if r.audited { "yes" } else { "no" }.to_string(),
+                r.scenario,
+                r.buffer,
+                r.seed.to_string(),
+                r.moved,
+                yes_no(r.defended),
+                yes_no(r.audited),
                 r.faults_injected.to_string(),
                 r.audit_trips.to_string(),
-                format!("{:.0}", r.fom_faulted),
-                format!("{:.0}", r.fom_healthy),
-                format!("{:.3}", r.retained),
-            ]);
-        }
-        table
-    }
-
-    /// Renders the FoM-retained-under-attack table.
-    pub fn render_resilience(&self) -> TextTable {
-        let mut table = TextTable::new(
-            "FoM retained under attack (attacked / benign twin)",
-            &[
-                "scenario",
-                "buffer",
-                "seed",
-                "defended",
-                "FoM",
-                "benign FoM",
-                "retained",
-            ],
-        );
-        for r in self.resilience() {
-            table.push_row(&[
-                r.scenario.clone(),
-                r.buffer.clone(),
-                r.seed.to_string(),
-                if r.defended { "yes" } else { "no" }.to_string(),
-                format!("{:.0}", r.fom_attacked),
-                format!("{:.0}", r.fom_benign),
+                format!("{:.0}", r.fom),
+                format!("{:.0}", r.twin_fom),
                 format!("{:.3}", r.retained),
             ]);
         }
@@ -613,7 +528,7 @@ pub fn expand_cells(rows: &[Scenario], buffers: &[BufferKind], seeds: &[u64]) ->
 /// *as declared* (its own buffer — faulted scenarios are not expanded
 /// over a buffer axis, because each campaign's healthy twin is
 /// buffer-specific). The registry carries every healthy twin, so
-/// [`ScenarioReport::survival`] scores every campaign in-report. Cells
+/// [`ScenarioReport::retained`] scores every campaign in-report. Cells
 /// are grouped by buffer in first-appearance order. This is what
 /// `report fault` runs and gates against `ci/fault-baseline.json`.
 ///
@@ -938,7 +853,7 @@ const COUNT_ABS: f64 = 2.0;
 const OUTAGE_REL: f64 = 0.05;
 /// Absolute slack on the longest outage survived, in seconds.
 const OUTAGE_ABS_S: f64 = 2.0;
-/// Absolute tolerance on the FoM-retained-under-attack ratio.
+/// Absolute tolerance on the FoM-retained ratio.
 const RETAINED_ABS: f64 = 0.05;
 
 fn within(a: f64, b: f64, rel: f64, abs: f64) -> bool {
@@ -957,14 +872,15 @@ pub fn compare_reports(baseline: &ScenarioReport, current: &ScenarioReport) -> V
     for p in &current.poisoned {
         violations.push(format!("{}: cell poisoned: {}", p.id(), p.message));
     }
-    // Resilience is gated on the derived ratio, not just the raw FoM:
-    // the attacked and benign cells can drift together within their
-    // own tolerances while the defense's value quietly evaporates.
-    let current_resilience = current.resilience();
-    for base in baseline.resilience() {
+    // Retention is gated on the derived ratio, not just the raw FoM:
+    // a cell and its twin can drift together within their own
+    // tolerances while the defense's value, or the degradation story,
+    // quietly changes.
+    let current_retained = current.retained();
+    for base in baseline.retained() {
         let id = base.id();
-        let Some(cur) = current_resilience.iter().find(|r| r.id() == id) else {
-            // The attacked or twin cell is gone; the missing-cell check
+        let Some(cur) = current_retained.iter().find(|r| r.id() == id) else {
+            // The cell or its twin is gone; the missing-cell check
             // below reports which.
             continue;
         };
@@ -974,23 +890,7 @@ pub fn compare_reports(baseline: &ScenarioReport, current: &ScenarioReport) -> V
                 cur.retained, base.retained, RETAINED_ABS
             ));
         }
-    }
-    // Fault survival is gated the same way: the faulted and healthy
-    // cells can drift together within their own tolerances while the
-    // degradation story quietly changes.
-    let current_survival = current.survival();
-    for base in baseline.survival() {
-        let id = base.id();
-        let Some(cur) = current_survival.iter().find(|r| r.id() == id) else {
-            continue;
-        };
-        if !within(cur.retained, base.retained, 0.0, RETAINED_ABS) {
-            violations.push(format!(
-                "{id}: FoM retained under faults {:.3} vs baseline {:.3} (±{:.3})",
-                cur.retained, base.retained, RETAINED_ABS
-            ));
-        }
-        // An audited campaign that stops tripping (or a benign twin
+        // An audited campaign that stops tripping (or a twinned cell
         // that starts) is a detection regression, not noise.
         if (base.audit_trips > 0) != (cur.audit_trips > 0) {
             violations.push(format!(
@@ -1187,25 +1087,44 @@ mod tests {
     }
 
     #[test]
-    fn resilience_pairs_attacked_cells_with_their_benign_twin() {
-        let horizon = Seconds::new(240.0);
-        let mut benign = *find_scenario("rf-ge-hour-react-de").expect("registered");
-        let mut attacked = *find_scenario("attack-bootstrike-hour-de").expect("registered");
-        let mut defended =
-            *find_scenario("attack-bootstrike-hour-de-defended").expect("registered");
-        benign.horizon = horizon;
-        attacked.horizon = horizon;
-        defended.horizon = horizon;
-        let r = plain(&[benign, attacked, defended], &[BufferKind::React], &[0]);
-        let rows = r.resilience();
-        assert_eq!(rows.len(), 2, "{rows:?}");
-        assert!(rows.iter().any(|row| row.defended));
-        assert!(rows.iter().any(|row| !row.defended));
+    fn retained_pairs_attacked_and_faulted_cells_with_their_twin() {
+        let named = |name: &str, horizon: f64| {
+            let mut s = *find_scenario(name).expect("registered");
+            s.horizon = Seconds::new(horizon);
+            s
+        };
+        // Every cell runs on its declared buffer: the attacks on REACT,
+        // the fade+offset campaign on 10 mF.
+        let cells = [
+            named("rf-ge-hour-react-de", 240.0),
+            named("attack-bootstrike-hour-de", 240.0),
+            named("attack-bootstrike-hour-de-defended", 240.0),
+            named("fault-fade-offset-hour-10mf-de-audited", 600.0),
+            named("fault-fade-offset-hour-10mf-de", 600.0),
+            named("rf-ge-hour-10mf-de", 600.0),
+        ];
+        let r = build_report(&cells, &|s| (s.run(), ())).0;
+        let rows = r.retained();
+        assert_eq!(rows.len(), 4, "{rows:?}");
         for row in &rows {
-            assert!(row.fom_benign > 0.0, "{row:?}");
+            assert!(row.twin_fom > 0.0, "{row:?}");
             assert!(row.retained >= 0.0, "{row:?}");
         }
-        assert!(!r.render_resilience().render().is_empty());
+        assert!(!r.render_retained().render().is_empty());
+
+        let attacks: Vec<&TwinRow> = rows.iter().filter(|r| r.buffer == "REACT").collect();
+        assert_eq!(attacks.len(), 2, "{attacks:?}");
+        assert!(attacks.iter().any(|row| row.defended));
+        assert!(attacks.iter().any(|row| !row.defended));
+        let faults: Vec<&TwinRow> = rows.iter().filter(|r| r.buffer == "10 mF").collect();
+        assert_eq!(faults.len(), 2, "{faults:?}");
+        for row in &faults {
+            assert_eq!(row.moved, "fade-offset");
+            assert!(row.faults_injected >= 1, "{row:?}");
+        }
+        let audited_row = faults.iter().find(|r| r.audited).expect("audited row");
+        assert!(audited_row.audit_trips >= 1, "{audited_row:?}");
+
         // Shifting the attacked FoM shifts the retained ratio past the
         // gate, not just the raw FoM field.
         let mut drifted = r.clone();
@@ -1217,37 +1136,9 @@ mod tests {
         drifted.cells[idx].fom = drifted.cells[idx].fom * 3.0 + 100.0;
         let violations = compare_reports(&r, &drifted);
         assert!(
-            violations.iter().any(|v| v.contains("retained")),
+            violations.iter().any(|v| v.contains("FoM retained")),
             "{violations:?}"
         );
-    }
-
-    #[test]
-    fn fault_survival_pairs_faulted_cells_with_their_healthy_twin() {
-        let horizon = Seconds::new(600.0);
-        let mut audited =
-            *find_scenario("fault-fade-offset-hour-10mf-de-audited").expect("registered");
-        let mut unaudited = *find_scenario("fault-fade-offset-hour-10mf-de").expect("registered");
-        let mut healthy = *find_scenario("rf-ge-hour-10mf-de").expect("registered");
-        audited.horizon = horizon;
-        unaudited.horizon = horizon;
-        healthy.horizon = horizon;
-        let r = plain(
-            &[audited, unaudited, healthy],
-            &[BufferKind::Static10mF],
-            &[0],
-        );
-        let rows = r.survival();
-        assert_eq!(rows.len(), 2, "{rows:?}");
-        for row in &rows {
-            assert_eq!(row.campaign, "fade-offset");
-            assert!(row.faults_injected >= 1, "{row:?}");
-            assert!(row.fom_healthy > 0.0, "{row:?}");
-            assert!(row.retained >= 0.0, "{row:?}");
-        }
-        let audited_row = rows.iter().find(|r| r.audited).expect("audited row");
-        assert!(audited_row.audit_trips >= 1, "{audited_row:?}");
-        assert!(!r.render_survival().render().is_empty());
         // An audited campaign that stops tripping is a detection
         // regression the gate must flag, whatever the FoM does.
         let mut drifted = r.clone();

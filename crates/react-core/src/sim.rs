@@ -396,7 +396,10 @@ pub struct SimCore<
     cycles: u64,
     poll_debt: f64,
     engine_steps: u64,
-    detector: Option<AttackDetector>,
+    /// Boxed, because only gate edges and fault events touch it. Held
+    /// inline, it moves the fields every step reads: REACT's DE hour
+    /// cells then ran about 1.5× slower (`perfbench` fine-burst).
+    detector: Option<Box<AttackDetector>>,
     base_enable: react_units::Volts,
     hold_until: Option<Seconds>,
     defensive_reconfigs: u64,
@@ -562,7 +565,7 @@ impl<B: EnergyBuffer, W: Workload, S: PowerSource + Clone, R: Recorder> SimCore<
             cycles: 0,
             poll_debt: 0.0,
             engine_steps: 0,
-            detector: defense.map(AttackDetector::new),
+            detector: defense.map(|_| Box::default()),
             base_enable,
             hold_until: None,
             defensive_reconfigs: 0,

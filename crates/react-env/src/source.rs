@@ -260,11 +260,6 @@ impl TraceSource {
     pub fn trace(&self) -> &PowerTrace {
         &self.trace
     }
-
-    /// A cheap handle on the shared trace (for parallel runners).
-    pub fn shared_trace(&self) -> Arc<PowerTrace> {
-        Arc::clone(&self.trace)
-    }
 }
 
 impl PowerSource for TraceSource {

@@ -7,7 +7,7 @@
 //! the mobile/pedestrian traces are spiky, the obstruction trace is a
 //! smooth low-power baseline.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use react_units::{Seconds, Watts};
 
@@ -106,14 +106,12 @@ pub const TABLE3_TARGETS: [Table3Row; 5] = [
 ];
 
 /// A library trace (fixed seed; fully deterministic). Each variant is
-/// synthesized once per process and handed out as a clone: the solar
+/// synthesized once per process and handed out shared: the solar
 /// traces take tens of milliseconds to synthesize, and every cell of a
-/// trace × buffer matrix replays its trace.
-pub fn paper_trace(which: PaperTrace) -> PowerTrace {
-    static LIBRARY: [OnceLock<PowerTrace>; 7] = [const { OnceLock::new() }; 7];
-    LIBRARY[which as usize]
-        .get_or_init(|| synthesize(which))
-        .clone()
+/// trace × buffer matrix replays its trace without copying a sample.
+pub fn paper_trace(which: PaperTrace) -> Arc<PowerTrace> {
+    static LIBRARY: [OnceLock<Arc<PowerTrace>>; 7] = [const { OnceLock::new() }; 7];
+    Arc::clone(LIBRARY[which as usize].get_or_init(|| Arc::new(synthesize(which))))
 }
 
 fn synthesize(which: PaperTrace) -> PowerTrace {
@@ -353,7 +351,7 @@ mod tests {
     fn traces_are_deterministic() {
         // A fresh synthesis reproduces the memoized trace.
         for which in [PaperTrace::RfCart, PaperTrace::Pedestrian] {
-            assert_eq!(paper_trace(which), synthesize(which));
+            assert_eq!(*paper_trace(which), synthesize(which));
         }
     }
 

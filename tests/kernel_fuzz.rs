@@ -212,7 +212,6 @@ fn run(s: &Scenario, kernel: KernelMode) -> Result<RunMetrics, String> {
         // short draw is held to the same relative latency as a long one.
         sim = sim.with_auditor(AuditConfig {
             max_stride: Seconds::new((s.horizon.get() / 100.0).clamp(1.0, 300.0)),
-            ..AuditConfig::default()
         });
     }
     let mut core = sim.try_into_core().map_err(|e| e.to_string())?;

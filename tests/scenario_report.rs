@@ -269,7 +269,6 @@ fn dewdrop_rides_the_idle_fast_path() {
 /// the air measurably sooner after each outage.
 #[test]
 fn dewdrop_scenarios_run_under_the_adaptive_enable_gate() {
-    use react_repro::buffers::DewdropBuffer;
     use react_repro::core::Simulator;
     use react_repro::harvest::PowerReplay;
     use react_repro::mcu::PowerGate;
@@ -279,9 +278,9 @@ fn dewdrop_scenarios_run_under_the_adaptive_enable_gate() {
         .with_buffer(BufferKind::Dewdrop);
     // The wired gate is Dewdrop's adaptive enable, not the 3.3 V fixed
     // testbed gate: √(1.8² + 2·5 mJ / 3 mF) ≈ 2.564 V.
-    let expected = DewdropBuffer::reference().adaptive_enable_voltage();
-    assert!((s.gate().enable_voltage().get() - expected.get()).abs() < 1e-12);
-    assert!(expected.get() < 2.6 && expected.get() > 2.5);
+    let expected = (1.8_f64 * 1.8 + 2.0 * 5e-3 / 3e-3).sqrt();
+    assert!((s.gate().enable_voltage().get() - expected).abs() < 1e-12);
+    assert!(expected < 2.6 && expected > 2.5);
 
     let run_with_gate = |gate: PowerGate| {
         let replay = PowerReplay::from_source(s.source(), s.converter.build());
